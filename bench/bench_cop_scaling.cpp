@@ -3,18 +3,7 @@
 // bookkeeping) parallelizes across consensus instances while execution
 // stays totally ordered. This bench scales the number of COP lanes and
 // reports saturated group throughput over the RUBIN transport.
-//
-// Wall-clock A/B mode (PR 5): `--wall serial` runs the same COP-heavy
-// workload with lanes on the simulator thread; `--wall pool=N` attaches
-// an N-thread WorkerPool so lane verify/decode actually runs on other
-// host cores. Both print the *virtual-time* throughput, which must be
-// bit-identical between modes — only wall seconds (measured by
-// scripts/bench.sh around the process) may differ. In builds without
-// RUBIN_PARALLEL_LANES, pool=N degrades to inline execution and the A/B
-// measures pure submit-path overhead.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -28,14 +17,9 @@ using namespace rubin::reptor;
 
 namespace {
 
-/// `pool_threads` < 0 keeps lanes serial; >= 0 attaches a WorkerPool of
-/// that width (0 = inline execution through the submit path).
 double run_cop(std::uint32_t pipelines, std::uint32_t n_clients,
-               int per_client, int pool_threads = -1) {
+               int per_client) {
   BftHarness h(Backend::kRubin, 4, n_clients);
-  if (pool_threads >= 0) {
-    h.enable_lane_pool(static_cast<std::uint32_t>(pool_threads));
-  }
   ReplicaConfig cfg;
   cfg.pipelines = pipelines;
   cfg.batch_size = 1;  // one consensus instance per request: stress lanes
@@ -71,31 +55,6 @@ double run_cop(std::uint32_t pipelines, std::uint32_t n_clients,
   return secs > 0 ? executed / secs : 0;
 }
 
-int run_wall_mode(const char* mode) {
-  int pool_threads = -1;
-  if (std::strcmp(mode, "serial") == 0) {
-    pool_threads = -1;
-  } else if (std::strncmp(mode, "pool=", 5) == 0) {
-    pool_threads = std::atoi(mode + 5);
-    if (pool_threads < 0) pool_threads = 0;
-  } else {
-    std::fprintf(stderr,
-                 "usage: bench_cop_scaling [--wall serial|pool=N]\n");
-    return 2;
-  }
-  // Several fresh worlds of the COP-heaviest configuration: enough lane
-  // compute per process for scripts/bench.sh to time meaningfully.
-  constexpr int kWorlds = 3;
-  double rps_sum = 0;
-  for (int r = 0; r < kWorlds; ++r) {
-    rps_sum += run_cop(4, 8, 50, pool_threads);
-  }
-  // Virtual-time output: must print the same digits in every mode.
-  std::printf("cop-wall mode=%s worlds=%d virtual_rps=%.0f\n", mode,
-              kWorlds, rps_sum / kWorlds);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,11 +66,8 @@ int main(int argc, char** argv) {
   mallopt(M_TRIM_THRESHOLD, 512 * 1024 * 1024);
   mallopt(M_MMAP_THRESHOLD, 256 * 1024 * 1024);
 #endif
-  if (argc >= 3 && std::strcmp(argv[1], "--wall") == 0) {
-    return run_wall_mode(argv[2]);
-  }
   if (argc != 1) {
-    std::fprintf(stderr, "usage: bench_cop_scaling [--wall serial|pool=N]\n");
+    std::fprintf(stderr, "usage: %s\n", argv[0]);
     return 2;
   }
 

@@ -1,5 +1,6 @@
 #include "common/shared_bytes.hpp"
 
+#include <atomic>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -46,7 +47,7 @@ std::uint8_t* SharedBytes::mutable_data() noexcept {
   // moment the buffer is legitimately writable (sole owner, whole span).
   RUBIN_AUDIT_ASSERT("shared_bytes",
                      ctrl_ == nullptr ||
-                         (ref_load(*ctrl_) == 1 && size_ == ctrl_->capacity),
+                         (ctrl_->refs == 1 && size_ == ctrl_->capacity),
                      "mutable_data on a shared or sliced buffer");
   return const_cast<std::uint8_t*>(data_);
 }
@@ -56,7 +57,7 @@ SharedBytes SharedBytes::slice(std::size_t offset, std::size_t len) const {
     throw std::out_of_range("SharedBytes::slice: out of range");
   }
   if (len == 0) return {};
-  if (ctrl_ != nullptr) ref_inc(*ctrl_);
+  if (ctrl_ != nullptr) ++ctrl_->refs;
   // Each slice is a payload reference that did *not* copy — the audit
   // counterpart of datapath.copy_bytes.
   RUBIN_AUDIT_COUNT("datapath.slices", 1);
@@ -64,7 +65,7 @@ SharedBytes SharedBytes::slice(std::size_t offset, std::size_t len) const {
 }
 
 void SharedBytes::release_live() noexcept {
-  if (ref_dec(*ctrl_)) {
+  if (--ctrl_->refs == 0) {
     ctrl_->~Ctrl();
     frame_pool::deallocate(static_cast<void*>(ctrl_));
   }

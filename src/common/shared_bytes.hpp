@@ -11,11 +11,8 @@
 //
 // Immutability is the contract that makes sharing safe: after publish()
 // (or copy_of), nobody writes through a SharedBytes again. The refcount
-// is non-atomic by default — the simulator is single-threaded by design
-// (see DESIGN.md §3). Building with -DRUBIN_PARALLEL_LANES=ON switches
-// it to std::atomic so handles may be copied/sliced/dropped from worker
-// threads (the COP lane pool, DESIGN.md §9); the tsan CI job builds in
-// that mode and guards the threading discipline.
+// is non-atomic — the simulator is single-threaded by design (see
+// DESIGN.md §3 and §9).
 //
 // None of this changes *modeled* cost: virtual-time charges for copies
 // and DMA stay where they always were. SharedBytes only removes the
@@ -24,7 +21,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <utility>
 
@@ -49,7 +45,7 @@ class SharedBytes {
 
   SharedBytes(const SharedBytes& other) noexcept
       : ctrl_(other.ctrl_), data_(other.data_), size_(other.size_) {
-    if (ctrl_ != nullptr) ref_inc(*ctrl_);
+    if (ctrl_ != nullptr) ++ctrl_->refs;
   }
   SharedBytes(SharedBytes&& other) noexcept
       : ctrl_(other.ctrl_), data_(other.data_), size_(other.size_) {
@@ -96,11 +92,8 @@ class SharedBytes {
   }
 
   /// Owners of the backing allocation (0 for empty). Test/audit hook.
-  /// Under RUBIN_PARALLEL_LANES this is a momentary snapshot: another
-  /// thread may retire its reference between the load and the caller's
-  /// use of the value.
   std::uint32_t ref_count() const noexcept {
-    return ctrl_ != nullptr ? ref_load(*ctrl_) : 0;
+    return ctrl_ != nullptr ? ctrl_->refs : 0;
   }
 
   /// Process-unique id of the backing allocation (0 for empty handles);
@@ -123,16 +116,6 @@ class SharedBytes {
                : 0;
   }
 
-  /// True when this build can safely share handles across host threads
-  /// (atomic refcount compiled in).
-  static constexpr bool thread_safe_refcount() noexcept {
-#if defined(RUBIN_PARALLEL_LANES)
-    return true;
-#else
-    return false;
-#endif
-  }
-
   /// Content equality (not identity).
   friend bool operator==(const SharedBytes& a, const SharedBytes& b) noexcept {
     return std::equal(a.data_, a.data_ + a.size_, b.data_, b.data_ + b.size_);
@@ -141,50 +124,11 @@ class SharedBytes {
  private:
   /// Header living at the front of the single allocation; data follows
   /// immediately after (alignment of the header covers byte data).
-  ///
-  /// The refcount type is the one compile-time seam between the serial
-  /// and parallel-lane builds: everything else in the data plane is
-  /// immutable after publish, so an atomic refcount is the entire
-  /// cross-thread sharing contract.
   struct Ctrl {
-#if defined(RUBIN_PARALLEL_LANES)
-    std::atomic<std::uint32_t> refs;
-#else
     std::uint32_t refs;
-#endif
     std::uint32_t capacity;  // bytes of data following the header
     std::uint64_t id;        // process-unique allocation id (buffer_id())
   };
-
-  static void ref_inc(Ctrl& c) noexcept {
-#if defined(RUBIN_PARALLEL_LANES)
-    // Acquiring a new reference never publishes data: the buffer was
-    // already reachable through the handle being copied.
-    c.refs.fetch_add(1, std::memory_order_relaxed);
-#else
-    ++c.refs;
-#endif
-  }
-
-  /// Drops one reference; returns true when this was the last owner.
-  static bool ref_dec(Ctrl& c) noexcept {
-#if defined(RUBIN_PARALLEL_LANES)
-    // acq_rel: the release half orders this thread's reads of the buffer
-    // before the decrement; the acquire half makes the winning thread see
-    // every other owner's accesses before it frees the allocation.
-    return c.refs.fetch_sub(1, std::memory_order_acq_rel) == 1;
-#else
-    return --c.refs == 0;
-#endif
-  }
-
-  static std::uint32_t ref_load(const Ctrl& c) noexcept {
-#if defined(RUBIN_PARALLEL_LANES)
-    return c.refs.load(std::memory_order_relaxed);
-#else
-    return c.refs;
-#endif
-  }
 
   SharedBytes(Ctrl* ctrl, const std::uint8_t* data, std::size_t size) noexcept
       : ctrl_(ctrl), data_(data), size_(size) {}

@@ -33,12 +33,9 @@ Mac truncated_mac(ByteView key, ByteView message);
 /// are long-lived while authenticators are per-message, so this is the
 /// right trade. Results are bit-identical to hmac_sha256().
 ///
-/// Thread sharing (the COP worker pool, DESIGN.md §9): after
-/// construction an HmacKey is deep-immutable — every mac()/truncated()
-/// overload copies the cached `inner_`/`outer_` midstates by value and
-/// hashes in the copy, so any number of threads may MAC through the same
-/// key concurrently with no synchronization. Do not add a mutating cache
-/// to these const paths without revisiting that contract.
+/// After construction an HmacKey is deep-immutable: every
+/// mac()/truncated() overload copies the cached `inner_`/`outer_`
+/// midstates by value and hashes in the copy.
 class HmacKey {
  public:
   explicit HmacKey(ByteView key);
@@ -61,12 +58,6 @@ class HmacKey {
 /// Symmetric pairwise session keys for a group of n nodes. Node i and node
 /// j share key derive(i, j) == derive(j, i). Derivation is from a group
 /// secret — stand-in for the key exchange a deployment would run.
-///
-/// Thread sharing: a KeyTable is immutable after its constructor returns
-/// (keys_ and the cached_ midstates are filled once and only read by the
-/// const members), so worker-pool decode jobs verify/mac against the
-/// replica's table concurrently without locks. Copying the table per
-/// thread would also work but wastes the midstate cache.
 class KeyTable {
  public:
   KeyTable(std::uint32_t self, std::uint32_t group_size, ByteView group_secret);

@@ -43,8 +43,7 @@ FaultEvent at(sim::Time t, std::string label,
 /// first 25ms, then heals everything. The draw happens at
 /// corpus-construction time, so the same binary always yields the same
 /// schedule — fuzz coverage without giving up the replay-determinism
-/// contract. Runs with COP lanes on the worker pool to prove fault
-/// injection and host threads compose.
+/// contract.
 Scenario fuzz_combo(std::string name, std::uint32_t n,
                     std::uint64_t gen_seed, std::uint32_t count) {
   Scenario s = base(std::move(name),
@@ -53,7 +52,6 @@ Scenario fuzz_combo(std::string name, std::uint32_t n,
                         "then a full heal",
                     n);
   s.replica_cfg.pipelines = 2;
-  s.lane_pool_threads = 2;
   Rng gen(gen_seed);
   for (std::uint32_t i = 0; i < count; ++i) {
     const sim::Time when =
@@ -376,7 +374,6 @@ std::vector<Scenario> corpus() {
                       "(it keeps proposing into the void); the backups "
                       "view-change, the heal lets it catch up", 4);
     s.replica_cfg.pipelines = 2;
-    s.lane_pool_threads = 2;
     // Hosts 1..3 are replicas, 4 is the client: the primary's replies
     // vanish too.
     s.events.push_back(at(sim::milliseconds(4), "block primary's sends",
@@ -395,7 +392,6 @@ std::vector<Scenario> corpus() {
                       "tracks the log silently while the group of 3 "
                       "commits without its votes", 4);
     s.replica_cfg.pipelines = 2;
-    s.lane_pool_threads = 2;
     s.events.push_back(at(sim::milliseconds(3), "block replica 3's sends",
                           {FaultAction::oneway(3, 0), FaultAction::oneway(3, 1),
                            FaultAction::oneway(3, 2),

@@ -382,10 +382,6 @@ std::vector<Scenario> parse_fault_text(std::string_view text) {
       scalar([&](const std::string& v) {
         s.expect_liveness = parse_bool(v, line_no);
       });
-    } else if (kw == "lane_pool_threads") {
-      scalar([&](const std::string& v) {
-        s.lane_pool_threads = parse_u32(v, line_no);
-      });
     } else if (kw == "one_sided") {
       scalar([&](const std::string& v) {
         s.one_sided = parse_bool(v, line_no);
@@ -540,9 +536,6 @@ std::string to_fault_text(const Scenario& s) {
      << time_to_str(s.liveness_bound, sim::kMillisecond) << '\n';
   os << "  expect_liveness " << (s.expect_liveness ? "true" : "false")
      << '\n';
-  if (s.lane_pool_threads > 0) {
-    os << "  lane_pool_threads " << s.lane_pool_threads << '\n';
-  }
   if (s.one_sided) os << "  one_sided true\n";
   if (s.replica_cfg.pipelines != 1) {
     os << "  pipelines " << s.replica_cfg.pipelines << '\n';

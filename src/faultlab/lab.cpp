@@ -62,9 +62,6 @@ Lab::Lab(Scenario scenario, reptor::Backend backend)
     : scenario_(std::move(scenario)), backend_(backend) {
   harness_ = std::make_unique<reptor::BftHarness>(
       backend_, scenario_.n, scenario_.clients);
-  if (scenario_.lane_pool_threads > 0) {
-    harness_->enable_lane_pool(scenario_.lane_pool_threads);
-  }
   if (scenario_.one_sided && backend_ == reptor::Backend::kRubin) {
     harness_->enable_decision_log();
   }

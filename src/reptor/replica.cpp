@@ -7,7 +7,6 @@
 #include "common/audit.hpp"
 #include "common/codec.hpp"
 #include "common/log.hpp"
-#include "common/worker_pool.hpp"
 #include "reptor/byzantine.hpp"
 #include "rubin/decision_log.hpp"
 
@@ -385,25 +384,9 @@ sim::Task<void> Replica::lanes_idle() {
 
 sim::Task<void> Replica::handle_frame(SharedBytes frame, std::uint32_t lane) {
   // Authenticator verification burns a (virtual) core for the MAC over
-  // the frame. With a worker pool attached, the same verify + decode also
-  // runs on a *host* core during that charge: the job is a pure function
-  // of the immutable frame and the read-only key table (HmacKey::mac
-  // copies its cached midstates, so concurrent readers never share
-  // mutable hash state), and its result is joined exactly when the
-  // modeled charge ends — virtual time cannot observe the offload.
-  std::optional<Envelope> env;
-  if (cfg_.worker_pool != nullptr) {
-    RUBIN_AUDIT_COUNT("cop.pool.decode_jobs", 1);
-    WorkerPool::Pending job = cfg_.worker_pool->submit(
-        [frame, keys = &keys_, out = &env] {
-          *out = decode_verified(frame.view(), *keys);
-        });
-    co_await sim_->sleep(cfg_.costs.mac_time(frame.size()));
-    job.wait();
-  } else {
-    co_await sim_->sleep(cfg_.costs.mac_time(frame.size()));
-    env = decode_verified(frame.view(), keys_);
-  }
+  // the frame.
+  co_await sim_->sleep(cfg_.costs.mac_time(frame.size()));
+  std::optional<Envelope> env = decode_verified(frame.view(), keys_);
   if (!env) {
     ++stats_.auth_failures;
     co_return;
@@ -574,20 +557,8 @@ sim::Task<void> Replica::handle_pre_prepare(const Envelope& env) {
 
   std::size_t batch_bytes = 0;
   for (const Request& r : pp.batch) batch_bytes += r.op.size();
-  // Same offload shape as handle_frame: the batch digest is a pure
-  // function of the (frame-local, immutable while we sleep) batch, so it
-  // can run on a worker during the digest charge and join at its end.
-  Digest computed{};
-  if (cfg_.worker_pool != nullptr) {
-    RUBIN_AUDIT_COUNT("cop.pool.digest_jobs", 1);
-    WorkerPool::Pending job = cfg_.worker_pool->submit(
-        [batch = &pp.batch, out = &computed] { *out = batch_digest(*batch); });
-    co_await sim_->sleep(cfg_.costs.digest_time(batch_bytes));
-    job.wait();
-  } else {
-    co_await sim_->sleep(cfg_.costs.digest_time(batch_bytes));
-    computed = batch_digest(pp.batch);
-  }
+  co_await sim_->sleep(cfg_.costs.digest_time(batch_bytes));
+  const Digest computed = batch_digest(pp.batch);
   if (computed != pp.digest) co_return;  // Byzantine primary
 
   entry.view = view_;

@@ -41,10 +41,6 @@
 #include "sim/mailbox.hpp"
 #include "sim/simulator.hpp"
 
-namespace rubin {
-class WorkerPool;
-}  // namespace rubin
-
 namespace rubin::nio {
 class DecisionLog;
 }  // namespace rubin::nio
@@ -85,16 +81,6 @@ struct ReplicaConfig {
   /// replica re-asks a different peer if no usable snapshot arrives).
   sim::Time state_transfer_retry = sim::milliseconds(2);
   std::uint32_t pipelines = 1;  // COP lanes (== cores devoted to agreement)
-  /// Optional wall-clock worker pool: when set, each lane's dominant
-  /// compute (HMAC verify + frame decode, PRE-PREPARE batch digest) is
-  /// submitted as a pure job and joined at the end of the exact virtual
-  /// charge the cost model already bills — wall-clock throughput scales
-  /// with host cores, virtual-time behaviour is bit-identical (the
-  /// parallel-determinism battery in tests/determinism_test.cpp pins
-  /// this). Not owned; must outlive the replica's coroutines. With a
-  /// 0-thread pool (or a build without RUBIN_PARALLEL_LANES) jobs run
-  /// inline on the submitting thread.
-  WorkerPool* worker_pool = nullptr;
   /// One-sided fast-path commit (DESIGN.md §12): when set, the primary
   /// RDMA-writes each proposal into every replica's decision-log ring
   /// *in addition to* the ordinary PRE-PREPARE broadcast (dual-send), and

@@ -130,25 +130,22 @@ void RdmaChannel::pump() {
     // batch has no outstanding WR left to match (fail() reclaimed them).
     if (state_ == State::kClosed) continue;
     ++stats_.signaled_completions;
-    // In-order reclamation: this signaled completion covers every earlier
-    // unsignaled WR (selective signaling, §IV).
-    bool matched_signaled = false;
-    while (!outstanding_.empty()) {
+    // A signaled completion retires its own WR and every earlier one
+    // (selective signaling, §IV), matched by wr_id: a signaled WR whose
+    // frame the fabric dropped never completes, so the next completion
+    // must retire it too, or this ledger falls a signaling run behind the
+    // QP's and overfills the send queue. A completion reordered behind a
+    // later signaled one finds its WR already retired.
+    RUBIN_AUDIT_ASSERT("channel", c.wr_id < stats_.messages_sent,
+                       "signaled completion for a WR this channel never "
+                       "posted");
+    while (!outstanding_.empty() && outstanding_.front().wr_id <= c.wr_id) {
       const OutstandingSend done = outstanding_.pop();
       ++reclaimed_wrs_;
       if (done.pool_slot >= 0) {
         send_pool_->release(static_cast<std::uint32_t>(done.pool_slot));
       }
-      if (done.signaled) {
-        matched_signaled = true;
-        break;
-      }
     }
-    // Completions are delivered in order, so every successful signaled
-    // completion must map onto the oldest signaled WR still outstanding;
-    // running dry instead means posted/reclaimed accounting broke.
-    RUBIN_AUDIT_ASSERT("channel", matched_signaled,
-                       "signaled completion with no signaled WR outstanding");
   }
   for (const verbs::Completion& c : recv_cq_->poll(64)) {
     if (c.status != verbs::WcStatus::kSuccess) {
@@ -193,7 +190,6 @@ sim::Task<bool> RdmaChannel::stage_message(ByteView msg,
 
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kSend;
-  wr.wr_id = stats_.messages_sent;
 
   const bool inlined =
       cfg_.inline_threshold > 0 && msg.size() <= cfg_.inline_threshold;
@@ -263,7 +259,10 @@ void RdmaChannel::enqueue_staged(verbs::SendWr&& wr, OutstandingSend rec,
   wr.signaled = cfg_.signal_interval <= 1 ||
                 sends_since_signal_ >= cfg_.signal_interval || low_slots;
   if (wr.signaled) sends_since_signal_ = 0;
-  rec.signaled = wr.signaled;
+  // Ids are assigned here, after staging's suspension points, so they
+  // rise in outstanding_ order even when two writers stage at once.
+  wr.wr_id = stats_.messages_sent;
+  rec.wr_id = wr.wr_id;
   // Selective-signaling cadence: an unsignaled run longer than the
   // configured interval can never be reclaimed promptly and will wedge
   // the send queue.
@@ -300,7 +299,6 @@ sim::Task<bool> RdmaChannel::stage_frame(const FrameVec& frame,
 
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kSend;
-  wr.wr_id = stats_.messages_sent;
 
   OutstandingSend rec;
   const bool inlined =

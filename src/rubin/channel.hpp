@@ -177,8 +177,8 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   void flush_outstanding();
 
   struct OutstandingSend {
+    std::uint64_t wr_id = 0;
     std::int32_t pool_slot = -1;  // -1: inline or zero-copy (no pool slot)
-    bool signaled = false;
   };
   struct FilledRecv {
     std::uint32_t slot = 0;

@@ -96,11 +96,6 @@ void Simulator::spawn(Task<> task) {
 }
 
 bool Simulator::dispatch(Time t, std::uintptr_t payload) {
-  // Safe point: virtual time is about to advance and no coroutine is
-  // mid-resume. The hook is wall-clock-only (worker-pool completion
-  // drain); it cannot schedule, so the (t, seq) dispatch order — and
-  // with it every pinned determinism digest — is untouched.
-  if (t > now_ && safe_point_hook_) safe_point_hook_();
   if ((payload & kSlotTag) == 0) {
     // Coroutine fast path: nothing to look up, nothing to free.
     now_ = t;

@@ -154,19 +154,6 @@ class Simulator {
   /// cancel-after-fire does not grow it (the PR-2 regression).
   std::size_t timer_slot_capacity() const noexcept { return slot_count_; }
 
-  /// Installs a wall-clock-only hook invoked at safe points: instants
-  /// where no coroutine is mid-resume and virtual time is about to
-  /// advance. The kernel stays ignorant of what the hook does; the COP
-  /// worker-pool glue uses it to drain completed job closures
-  /// (WorkerPool::drain_completions) so closure teardown happens between
-  /// events, never concurrently with lane code. The hook MUST NOT touch
-  /// virtual time or the event queues — it runs between dispatches and
-  /// anything it schedules would perturb the deterministic (t, seq)
-  /// order. Pass an empty UniqueFunction to uninstall.
-  void set_safe_point_hook(UniqueFunction hook) {
-    safe_point_hook_ = std::move(hook);
-  }
-
   /// Audit: full O(n) validation of the pending-event structures — the
   /// (t, seq) min-heap property, FIFO order of the same-instant ring,
   /// per-entry sanity (no entry in the past, no duplicate sequence
@@ -367,8 +354,6 @@ class Simulator {
   /// until then).
   std::vector<std::uint32_t> finished_roots_;
   std::vector<std::uint32_t> free_root_slots_;
-  /// Wall-clock-only safe-point callback (see set_safe_point_hook).
-  UniqueFunction safe_point_hook_;
   /// Owned root drivers (each driver frame owns its child task chain),
   /// stored in a slot pool reused through free_root_slots_; `id` detects
   /// reuse (kNoRoot marks a free slot). Declared last so they are

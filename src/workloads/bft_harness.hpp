@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/audit.hpp"
-#include "common/worker_pool.hpp"
 #include "net/fabric.hpp"
 #include "reptor/client.hpp"
 #include "reptor/replica.hpp"
@@ -52,26 +51,8 @@ class BftHarness {
 
   /// Replica/client coroutines still suspended at teardown reference the
   /// transports, contexts, and devices below; destroy their frames while
-  /// those are alive. (Frames holding WorkerPool::Pending tickets join
-  /// them here — lane_pool_ is declared before sim_ so it is still alive,
-  /// and destroyed after everything that could submit to it.)
+  /// those are alive.
   ~BftHarness() { sim_.terminate_processes(); }
-
-  /// Attaches a wall-clock worker pool for COP lane compute (DESIGN.md
-  /// §9): replicas added afterwards submit their HMAC-verify/decode and
-  /// batch-digest work to it, and the simulator drains completed job
-  /// closures at safe points. Call before add_replica/add_replicas.
-  /// `threads` == 0 (or a build without RUBIN_PARALLEL_LANES) degrades to
-  /// inline execution — same virtual-time behaviour, no host threads.
-  WorkerPool& enable_lane_pool(std::uint32_t threads) {
-    RUBIN_AUDIT_ASSERT("harness", replicas_.empty(),
-                       "enable_lane_pool must precede add_replica");
-    lane_pool_ = std::make_unique<WorkerPool>(threads);
-    WorkerPool* pool = lane_pool_.get();
-    sim_.set_safe_point_hook([pool] { pool->drain_completions(); });
-    return *lane_pool_;
-  }
-  WorkerPool* lane_pool() noexcept { return lane_pool_.get(); }
 
   sim::Simulator& sim() noexcept { return sim_; }
   net::Fabric& fabric() noexcept { return fabric_; }
@@ -134,7 +115,6 @@ class BftHarness {
     cfg.n = n_;
     cfg.f = (n_ - 1) / 3;
     cfg.self = id;
-    if (cfg.worker_pool == nullptr) cfg.worker_pool = lane_pool_.get();
     if (cfg.decision_log == nullptr && id < dlogs_.size()) {
       cfg.decision_log = dlogs_[id].get();
     }
@@ -158,7 +138,6 @@ class BftHarness {
     cfg.n = n_;
     cfg.f = (n_ - 1) / 3;
     cfg.self = id;
-    if (cfg.worker_pool == nullptr) cfg.worker_pool = lane_pool_.get();
     if (cfg.decision_log == nullptr && id < dlogs_.size()) {
       cfg.decision_log = dlogs_[id].get();
     }
@@ -203,9 +182,6 @@ class BftHarness {
   Backend backend_;
   std::uint32_t n_;
   std::uint32_t n_clients_;
-  /// Declared before sim_: coroutine frames destroyed by the simulator
-  /// may hold pool tickets whose destructors join in-flight jobs.
-  std::unique_ptr<WorkerPool> lane_pool_;
   sim::Simulator sim_;
   net::Fabric fabric_;
   GroupLayout layout_;

@@ -5,7 +5,6 @@
 
 #include "common/shared_bytes.hpp"
 #include "common/stats.hpp"
-#include "common/worker_pool.hpp"
 #include "net/fabric.hpp"
 #include "rubin/context.hpp"
 #include "rubin/transport_select.hpp"
@@ -32,29 +31,12 @@ EchoPoint finish(const LatencyRecorder& lat, Time elapsed, int messages) {
   return pt;
 }
 
-// Determinism-battery plumbing (EchoParams::lane_pool): at every sim
-// safe point, round-trip a decoy job through the worker pool — the job
-// copies and drops a SharedBytes slice, so a threaded pool exercises the
-// atomic refcount on real cross-thread traffic — then drain completions.
-// Everything here is wall-clock only; the bit-equal EchoPoint assertion
-// in tests/determinism_test.cpp is the proof.
-void attach_lane_pool(sim::Simulator& sim, const EchoParams& p) {
-  if (p.lane_pool == nullptr) return;
-  WorkerPool* pool = p.lane_pool;
-  sim.set_safe_point_hook([pool, buf = SharedBytes::copy_of(
-                                     to_bytes("pool-decoy-payload"))] {
-    pool->submit([s = buf.slice(0, buf.size() / 2)] { (void)s; }).wait();
-    pool->drain_completions();
-  });
-}
-
 }  // namespace
 
 // ------------------------------------------------------------------ TCP --
 
 EchoPoint run_tcp_echo(const EchoParams& p) {
   sim::Simulator sim;
-  attach_lane_pool(sim, p);
   net::Fabric fabric(sim, p.cost, 2);
   tcpsim::TcpNetwork net(fabric);
 
@@ -136,7 +118,6 @@ EchoPoint run_tcp_echo(const EchoParams& p) {
 
 EchoPoint run_sendrecv_echo(const EchoParams& p) {
   sim::Simulator sim;
-  attach_lane_pool(sim, p);
   net::Fabric fabric(sim, p.cost, 2);
   verbs::Device dev_c(fabric, 0);
   verbs::Device dev_s(fabric, 1);
@@ -294,7 +275,6 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
 
 EchoPoint run_readwrite_echo(const EchoParams& p) {
   sim::Simulator sim;
-  attach_lane_pool(sim, p);
   net::Fabric fabric(sim, p.cost, 2);
   verbs::Device dev_c(fabric, 0);
   verbs::Device dev_s(fabric, 1);
@@ -416,7 +396,6 @@ EchoPoint run_channel_echo_windowed(const EchoParams& p,
                                     nio::ChannelConfig cfg,
                                     std::uint32_t window) {
   sim::Simulator sim;
-  attach_lane_pool(sim, p);
   net::Fabric fabric(sim, p.cost, 2);
   verbs::Device dev_c(fabric, 0);
   verbs::Device dev_s(fabric, 1);
@@ -506,7 +485,6 @@ nio::ChannelConfig default_channel_config(std::size_t payload) {
 
 EchoPoint run_channel_echo(const EchoParams& p, nio::ChannelConfig cfg) {
   sim::Simulator sim;
-  attach_lane_pool(sim, p);
   net::Fabric fabric(sim, p.cost, 2);
   verbs::Device dev_c(fabric, 0);
   verbs::Device dev_s(fabric, 1);
@@ -575,7 +553,6 @@ EchoPoint run_adaptive_echo(const EchoParams& p, nio::TransportPolicy policy) {
         "lane; a fixed kReadDrain policy cannot carry messages");
   }
   sim::Simulator sim;
-  attach_lane_pool(sim, p);
   net::Fabric fabric(sim, p.cost, 2);
   verbs::Device dev_c(fabric, 0);
   verbs::Device dev_s(fabric, 1);

@@ -22,10 +22,6 @@
 #include "sim/time.hpp"
 #include "rubin/config.hpp"
 
-namespace rubin {
-class WorkerPool;
-}  // namespace rubin
-
 namespace rubin::workloads {
 
 struct EchoPoint {
@@ -42,14 +38,6 @@ struct EchoParams {
   /// loop; this is the loop's iteration granularity (a Java polling loop,
   /// not a tight asm spin).
   sim::Time rw_poll_interval = sim::microseconds(3.0);
-  /// Determinism-battery hook: when set, the run installs the pool's
-  /// safe-point completion drain on its simulator and pushes a decoy
-  /// SharedBytes copy/slice/drop job through the pool at every safe
-  /// point. The echo workloads have no lane work to offload — the point
-  /// is proving that live wall-clock pool traffic cannot move a single
-  /// virtual-time result (tests/determinism_test.cpp asserts bit-equal
-  /// EchoPoints with this null vs. threaded).
-  WorkerPool* lane_pool = nullptr;
 };
 
 EchoPoint run_tcp_echo(const EchoParams& p);

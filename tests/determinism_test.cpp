@@ -9,7 +9,6 @@
 #include <string>
 
 #include "common/audit.hpp"
-#include "common/worker_pool.hpp"
 #include "poplab/population.hpp"
 #include "rubin/transport_select.hpp"
 #include "faultlab/corpus.hpp"
@@ -56,15 +55,9 @@ struct BftOutcome {
   bool operator==(const BftOutcome&) const = default;
 };
 
-/// `pool_threads` < 0 leaves lanes serial (no pool attached); >= 0
-/// attaches a WorkerPool of that many threads, so 0 exercises the
-/// submit/join code path with inline execution.
-BftOutcome run_small_bft(reptor::Backend backend, int pool_threads = -1,
-                         std::uint32_t pipelines = 1, bool onesided = false) {
+BftOutcome run_small_bft(reptor::Backend backend, std::uint32_t pipelines = 1,
+                         bool onesided = false) {
   reptor::BftHarness h(backend, 4, 2);
-  if (pool_threads >= 0) {
-    h.enable_lane_pool(static_cast<std::uint32_t>(pool_threads));
-  }
   if (onesided) h.enable_decision_log();
   reptor::ReplicaConfig cfg;
   cfg.batch_size = 4;
@@ -104,11 +97,16 @@ BftOutcome run_small_bft(reptor::Backend backend, int pool_threads = -1,
 }
 
 TEST(Determinism, BftEndToEndReplaysBitIdentically) {
+  // pipelines = 4 spreads sequence numbers across COP lanes, so lane
+  // routing and per-lane verify/decode join the replay contract.
   for (const auto backend : {reptor::Backend::kNio, reptor::Backend::kRubin}) {
-    const BftOutcome a = run_small_bft(backend);
-    const BftOutcome b = run_small_bft(backend);
-    EXPECT_EQ(a.committed, 20u);
-    EXPECT_TRUE(a == b) << "backend " << static_cast<int>(backend);
+    for (const std::uint32_t pipelines : {1u, 4u}) {
+      const BftOutcome a = run_small_bft(backend, pipelines);
+      const BftOutcome b = run_small_bft(backend, pipelines);
+      EXPECT_EQ(a.committed, 20u);
+      EXPECT_TRUE(a == b) << "backend " << static_cast<int>(backend)
+                          << " pipelines " << pipelines;
+    }
   }
 }
 
@@ -116,74 +114,23 @@ TEST(Determinism, OneSidedFastPathReplaysBitIdentically) {
   // The decision-ring commit path (DESIGN.md §12) joins the replay
   // contract: ring writes, poll loops, ack cells, and permission flips
   // are all virtual-time citizens, so two fast-path runs must agree to
-  // the bit — and a pool-attached run must reproduce the serial one.
-  const BftOutcome a = run_small_bft(reptor::Backend::kRubin, -1, 1, true);
-  const BftOutcome b = run_small_bft(reptor::Backend::kRubin, -1, 1, true);
+  // the bit.
+  const BftOutcome a = run_small_bft(reptor::Backend::kRubin, 1, true);
+  const BftOutcome b = run_small_bft(reptor::Backend::kRubin, 1, true);
   EXPECT_EQ(a.committed, 20u);
   EXPECT_TRUE(a == b) << "one-sided replay diverged";
-  const BftOutcome pooled = run_small_bft(reptor::Backend::kRubin, 2, 1, true);
-  EXPECT_TRUE(a == pooled) << "one-sided + worker pool diverged";
-}
-
-TEST(Determinism, WorkerPoolLanesReplayBitIdentically) {
-  // The tentpole contract: offloading lane verify/decode work to host
-  // threads must not move a single virtual-time charge. The serial run
-  // (no pool attached) is the baseline; every pool width — including 0,
-  // which takes the submit/join code path with inline execution — must
-  // reproduce it bit-identically, at a pipeline count that actually
-  // spreads sequence numbers across COP lanes.
-  for (const auto backend : {reptor::Backend::kNio, reptor::Backend::kRubin}) {
-    const BftOutcome serial = run_small_bft(backend, -1, 4);
-    EXPECT_EQ(serial.committed, 20u);
-    for (const int threads : {0, 1, 2, 4}) {
-      const BftOutcome pooled = run_small_bft(backend, threads, 4);
-      EXPECT_TRUE(serial == pooled)
-          << "backend " << static_cast<int>(backend) << " pool width "
-          << threads << ": committed " << pooled.committed << " vs "
-          << serial.committed;
-    }
-  }
-}
-
-TEST(Determinism, EchoWorkloadsUnchangedByPoolDecoyJobs) {
-  // The echo workloads do no lane work, so attaching a pool exercises the
-  // orthogonal half of the contract: safe-point hooks that round-trip
-  // decoy SharedBytes jobs through worker threads (copy/slice/drop across
-  // threads, completions drained between events) must leave the modeled
-  // trace untouched.
-  WorkerPool pool(2);
-  for (const std::size_t payload : {1024ul, 65536ul}) {
-    EchoParams plain = small(payload);
-    EchoParams decoys = plain;
-    decoys.lane_pool = &pool;
-    expect_identical(run_tcp_echo(plain), run_tcp_echo(decoys), "tcp+pool");
-    expect_identical(run_sendrecv_echo(plain), run_sendrecv_echo(decoys),
-                     "sendrecv+pool");
-    expect_identical(run_readwrite_echo(plain), run_readwrite_echo(decoys),
-                     "readwrite+pool");
-    const auto cfg = default_channel_config(payload);
-    expect_identical(run_channel_echo(plain, cfg),
-                     run_channel_echo(decoys, cfg), "channel+pool");
-  }
 }
 
 TEST(Determinism, AdaptiveSelectorReplaysBitIdentically) {
   // The per-frame transport selector is a pure function of the cost model
   // and the live resource state, and its picks are side-effect-free on
-  // the data path — so an adaptive-policy run must replay bit-identically,
-  // and live worker-pool traffic (the RUBIN_PARALLEL_LANES build's decoy
-  // jobs) must not move it either.
+  // the data path — so an adaptive-policy run must replay bit-identically.
   nio::TransportPolicy adaptive;
   adaptive.mode = nio::TransportPolicy::Mode::kAdaptive;
-  WorkerPool pool(2);
   for (const std::size_t payload : {1024ul, 65536ul}) {
     const EchoParams p = small(payload);
     expect_identical(run_adaptive_echo(p, adaptive),
                      run_adaptive_echo(p, adaptive), "adaptive replay");
-    EchoParams decoys = p;
-    decoys.lane_pool = &pool;
-    expect_identical(run_adaptive_echo(p, adaptive),
-                     run_adaptive_echo(decoys, adaptive), "adaptive+pool");
   }
 }
 
@@ -192,8 +139,6 @@ TEST(Determinism, FaultScenariosReplayBitIdentically) {
   // fault dice, the Byzantine strategies, and the checker's verdict are
   // all pure functions of (scenario, seed). A divergence here means a
   // fault path consulted wall-clock state or an unseeded RNG.
-  // The asym/fuzz scenarios run with lane_pool_threads = 2, so their rows
-  // also prove a live worker pool replays under fault injection.
   // The one-sided rows prove the fast-path abuse machinery (raw ring
   // writes, revoked-grant NAKs) replays too.
   for (const char* name :
@@ -219,6 +164,36 @@ TEST(Determinism, FaultScenariosReplayBitIdentically) {
     EXPECT_EQ(a.frames_corrupted, b.frames_corrupted) << name;
     EXPECT_EQ(a.frames_duplicated, b.frames_duplicated) << name;
     EXPECT_EQ(a.frames_reordered, b.frames_reordered) << name;
+  }
+}
+
+TEST(Determinism, FaultScenariosMatchPinnedOutcomes) {
+  // Absolute pins, not a same-process replay: the asymmetric-partition
+  // and fuzz-combo scenarios run pipelined COP lanes under faults, and
+  // their outcomes must hold across builds and commits. A change here is
+  // a change to the fault schedule, the protocol or the data plane.
+  struct Pin {
+    const char* name;
+    std::uint64_t commit_digest;
+    sim::Time finished_at;
+    std::uint64_t completions;
+    std::uint64_t client_retries;
+  };
+  for (const Pin& pin : {
+           Pin{"f1-asym-deaf-group", 0xA5B7EA310BC30211ull, 50011853, 25, 2},
+           Pin{"f1-asym-mute-votes", 0xA5B7EA310BC30211ull, 20000000, 25, 0},
+           Pin{"f1-fuzz-combo", 0xA5B7EA310BC30211ull, 45000000, 25, 1},
+           Pin{"f2-fuzz-combo", 0x1DFDD9896AF7F69Full, 15012088, 20, 0},
+       }) {
+    auto s = faultlab::find_scenario(pin.name);
+    ASSERT_TRUE(s.has_value()) << pin.name;
+    faultlab::Lab lab(std::move(*s));
+    const faultlab::Report r = lab.run();
+    EXPECT_TRUE(r.passed()) << pin.name << ": " << r.verdict.detail;
+    EXPECT_EQ(r.verdict.commit_digest, pin.commit_digest) << pin.name;
+    EXPECT_EQ(r.finished_at, pin.finished_at) << pin.name;
+    EXPECT_EQ(r.completions, pin.completions) << pin.name;
+    EXPECT_EQ(r.client_retries, pin.client_retries) << pin.name;
   }
 }
 
@@ -284,19 +259,6 @@ TEST(Determinism, PoplabArrivalStreamsMatchGoldenDigests) {
 }
 
 // ------------------------------------------------- datapath accounting ---
-
-TEST(Datapath, LanePoolOffloadsAreCounted) {
-  // With a pool attached, every lane verify/decode and batch digest is
-  // offloaded to a host worker and counted; the counters fire on every
-  // build (WorkerPool degrades to inline execution on serial builds), so
-  // the assertion is preset-independent.
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
-  audit::reset_counters();
-  const BftOutcome out = run_small_bft(reptor::Backend::kRubin, 2, 4);
-  EXPECT_EQ(out.committed, 20u);
-  EXPECT_GT(audit::counter_value("cop.pool.decode_jobs"), 0u);
-  EXPECT_GT(audit::counter_value("cop.pool.digest_jobs"), 0u);
-}
 
 TEST(Datapath, TransportPickCountersCoverEveryLane) {
   // Every pick fires exactly one transport.pick.* counter, so a run's

@@ -142,12 +142,10 @@ TEST(Lab, ByzantinePrimaryScenarioPasses) {
 TEST(Lab, AsymmetricPartitionScenariosPass) {
   // One-way fabric blocks: the blocked replica still *hears* everything,
   // so unlike a crash or full partition it keeps a consistent log the
-  // whole time — the checker proves it never diverges. Both scenarios
-  // run with lane_pool_threads = 2, so faults and worker threads compose.
+  // whole time — the checker proves it never diverges.
   for (const char* name : {"f1-asym-deaf-group", "f1-asym-mute-votes"}) {
     auto s = find_scenario(name);
     ASSERT_TRUE(s.has_value()) << name;
-    EXPECT_GT(s->lane_pool_threads, 0u) << name;
     Lab lab(std::move(*s));
     const Report r = lab.run();
     EXPECT_TRUE(r.passed()) << name << ": " << r.verdict.detail;
