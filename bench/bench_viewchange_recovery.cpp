@@ -4,8 +4,8 @@
 // recovery time tracks the watchdog setting — the availability/latency
 // trade-off every BFT deployment tunes.
 //
-// The crash is a FaultLab scenario: a predicate event fires after a third
-// of the workload completes and crash-stops the primary; the Lab's
+// The crash is a FaultLab scenario: an `after` event fires once a third
+// of the workload has completed and crash-stops the primary; the Lab's
 // checker independently confirms safety and times the recovery.
 #include <cstdio>
 
@@ -42,12 +42,10 @@ Recovery run_crash(sim::Time vc_timeout) {
   s.replica_cfg.view_change_timeout = vc_timeout;
   s.client_cfg.retry_timeout = sim::milliseconds(2);
   s.runtime_faulty = {0};
-  FaultEvent crash;
-  crash.label = "crash the primary";
-  crash.when = [](Lab& l) { return l.completions() >= kRequests / 3; };
-  crash.action = [](Lab& l) { l.replica(0).inject_crash(); };
-  crash.clears_faults = true;  // start the checker's recovery clock
-  s.events.push_back(std::move(crash));
+  s.events.push_back({.after_completions = kRequests / 3,
+                      .actions = {FaultAction::crash(0)},
+                      // Starts the checker's recovery clock.
+                      .clears_faults = true});
 
   Lab lab(std::move(s));
   const Report rep = lab.run();

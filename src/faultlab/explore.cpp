@@ -1,14 +1,13 @@
 #include "faultlab/explore.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/audit.hpp"
 #include "common/rng.hpp"
+#include "common/text_reader.hpp"
 #include "faultlab/fault_file.hpp"
 
 namespace rubin::faultlab {
@@ -41,14 +40,6 @@ std::uint64_t splitmix(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-FaultEvent onset_event(FaultAction a, const char* label) {
-  FaultEvent e;
-  e.label = label;
-  e.at = 0;
-  e.actions.push_back(std::move(a));
-  return e;
 }
 
 /// A delivery-order swap branch: delay decision point `index` so it
@@ -92,8 +83,9 @@ std::vector<SwapCandidate> swap_candidates(
 
 }  // namespace
 
-ScheduleResult Explorer::run_schedule(const Scenario& base,
-                                      std::vector<Perturbation> ps) {
+ScheduleResult Explorer::run_schedule(
+    const Scenario& base, std::vector<Perturbation> ps,
+    std::vector<net::Fabric::FramePoint>* record) {
   Scenario s = base;
   std::vector<std::pair<std::uint64_t, sim::Time>> frame_delays;
   for (const Perturbation& p : ps) {
@@ -103,16 +95,16 @@ ScheduleResult Explorer::run_schedule(const Scenario& base,
         break;
       case Perturbation::Kind::kDropRate:
         s.events.push_back(
-            onset_event(FaultAction::drop_rate(p.rate), "explore: drop dice"));
+            {.at = 0, .actions = {FaultAction::drop_rate(p.rate)}});
         break;
       case Perturbation::Kind::kReorderRate:
-        s.events.push_back(onset_event(
-            FaultAction::reorder(p.rate, p.t > 0 ? p.t : kDefaultReorderHold),
-            "explore: reorder dice"));
+        s.events.push_back({.at = 0,
+                            .actions = {FaultAction::reorder(
+                                p.rate, p.t > 0 ? p.t : kDefaultReorderHold)}});
         break;
       case Perturbation::Kind::kDuplicateRate:
-        s.events.push_back(onset_event(FaultAction::duplicate_rate(p.rate),
-                                       "explore: duplicate dice"));
+        s.events.push_back(
+            {.at = 0, .actions = {FaultAction::duplicate_rate(p.rate)}});
         break;
       case Perturbation::Kind::kFrameDelay:
         frame_delays.emplace_back(p.arg, p.t);
@@ -130,7 +122,8 @@ ScheduleResult Explorer::run_schedule(const Scenario& base,
 
   Lab lab(std::move(s));
   std::uint64_t trace = kFnvOffset;
-  lab.fabric().set_frame_probe([&trace](const net::Fabric::FramePoint& fp) {
+  lab.fabric().set_frame_probe([&](const net::Fabric::FramePoint& fp) {
+    if (record != nullptr) record->push_back(fp);
     trace = fnv1a(trace, &fp.src, sizeof(fp.src));
     trace = fnv1a(trace, &fp.dst, sizeof(fp.dst));
     trace = fnv1a(trace, &fp.payload_bytes, sizeof(fp.payload_bytes));
@@ -255,36 +248,9 @@ ExploreReport Explorer::explore(const Scenario& base) {
   // the swap branches come from the decision points it actually visited.
   std::vector<net::Fabric::FramePoint> baseline_trace;
   {
-    Scenario s = base;
-    Lab lab(std::move(s));
-    std::uint64_t trace = kFnvOffset;
-    lab.fabric().set_frame_probe(
-        [&](const net::Fabric::FramePoint& fp) {
-          baseline_trace.push_back(fp);
-          trace = fnv1a(trace, &fp.src, sizeof(fp.src));
-          trace = fnv1a(trace, &fp.dst, sizeof(fp.dst));
-          trace = fnv1a(trace, &fp.payload_bytes, sizeof(fp.payload_bytes));
-          trace = fnv1a(trace, &fp.arrival, sizeof(fp.arrival));
-          const std::uint8_t dropped = fp.dropped ? 1 : 0;
-          trace = fnv1a(trace, &dropped, sizeof(dropped));
-        });
-    ScheduleResult r;
-    r.report = lab.run();
-    lab.fabric().set_frame_probe(nullptr);
-    r.trace_digest = trace;
-    r.violation = !r.report.passed();
-    std::uint64_t key = trace;
-    key = fnv1a(key, &r.report.verdict.commit_digest,
-                sizeof(r.report.verdict.commit_digest));
-    const std::uint8_t bits =
-        static_cast<std::uint8_t>((r.report.verdict.safe ? 1 : 0) |
-                                  (r.report.verdict.no_forgery ? 2 : 0) |
-                                  (r.report.verdict.live ? 4 : 0));
-    key = fnv1a(key, &bits, sizeof(bits));
-    r.schedule_key = key;
-    rep.baseline_trace = trace;
+    ScheduleResult r = run_schedule(base, {}, &baseline_trace);
+    rep.baseline_trace = r.trace_digest;
     rep.baseline_commit = r.report.verdict.commit_digest;
-    RUBIN_AUDIT_COUNT("faultlab.explore.runs", 1);
     if (left > 0) {
       --left;
       admit(std::move(r));
@@ -380,10 +346,25 @@ std::string num(double v) {
   return os.str();
 }
 
-[[noreturn]] void afail(std::size_t line_no, const std::string& what) {
-  throw std::invalid_argument("artifact line " + std::to_string(line_no) +
-                              ": " + what);
-}
+/// The artifact `perturb` vocabulary, read by both the writer and the
+/// parser: one row per Perturbation kind, its name and argument
+/// signature, one letter per argument in order —
+///   n unsigned integer (`arg`), p probability (`rate`),
+///   u microseconds (`t`), j signed milliseconds (`t`).
+struct PerturbVerb {
+  const char* name;
+  Perturbation::Kind kind;
+  std::string_view args;
+};
+
+constexpr PerturbVerb kPerturbVerbs[] = {
+    {"seed", Perturbation::Kind::kSeed, "n"},
+    {"drop_rate", Perturbation::Kind::kDropRate, "p"},
+    {"reorder_rate", Perturbation::Kind::kReorderRate, "pu"},
+    {"duplicate_rate", Perturbation::Kind::kDuplicateRate, "p"},
+    {"frame_delay", Perturbation::Kind::kFrameDelay, "nu"},
+    {"event_jitter", Perturbation::Kind::kEventJitter, "nj"},
+};
 
 }  // namespace
 
@@ -392,28 +373,17 @@ std::string to_artifact_text(const Scenario& base, const ScheduleResult& r) {
                     "`faultexplore --replay <this file>`)\n";
   out += to_fault_text(base);
   for (const Perturbation& p : r.perturbations) {
-    switch (p.kind) {
-      case Perturbation::Kind::kSeed:
-        out += "perturb seed " + std::to_string(p.arg) + "\n";
-        break;
-      case Perturbation::Kind::kDropRate:
-        out += "perturb drop_rate " + num(p.rate) + "\n";
-        break;
-      case Perturbation::Kind::kReorderRate:
-        out += "perturb reorder_rate " + num(p.rate) + " " +
-               num(static_cast<double>(p.t) / 1e3) + "\n";
-        break;
-      case Perturbation::Kind::kDuplicateRate:
-        out += "perturb duplicate_rate " + num(p.rate) + "\n";
-        break;
-      case Perturbation::Kind::kFrameDelay:
-        out += "perturb frame_delay " + std::to_string(p.arg) + " " +
-               num(static_cast<double>(p.t) / 1e3) + "\n";
-        break;
-      case Perturbation::Kind::kEventJitter:
-        out += "perturb event_jitter " + std::to_string(p.arg) + " " +
-               num(static_cast<double>(p.t) / 1e6) + "\n";
-        break;
+    for (const PerturbVerb& v : kPerturbVerbs) {
+      if (v.kind != p.kind) continue;
+      out += std::string("perturb ") + v.name;
+      for (const char c : v.args) {
+        out += ' ';
+        if (c == 'n') out += std::to_string(p.arg);
+        if (c == 'p') out += num(p.rate);
+        if (c == 'u') out += num(static_cast<double>(p.t) / 1e3);
+        if (c == 'j') out += num(static_cast<double>(p.t) / 1e6);
+      }
+      out += '\n';
     }
   }
   out += "expect trace " + hex64(r.trace_digest) + "\n";
@@ -422,141 +392,75 @@ std::string to_artifact_text(const Scenario& base, const ScheduleResult& r) {
 }
 
 Artifact parse_artifact_text(std::string_view text) {
-  // Split: the scenario block (first `scenario` line through its `end`)
-  // goes to the `.fault` parser; everything after is perturb/expect.
+  // The scenario block (first `scenario` line through its `end`) goes to
+  // the `.fault` parser; every line after it is a perturb/expect line.
   Artifact art;
-  std::string scenario_text;
+  std::size_t block_end = 0;  // offset just past the block's `end` line
   bool in_scenario = false;
-  bool have_scenario = false;
 
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, eol == std::string_view::npos ? text.size() - pos
-                                                       : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-
-    std::istringstream is{std::string(line)};
-    std::string kw;
-    is >> kw;
-    if (kw.empty() || kw[0] == '#') {
-      if (in_scenario) scenario_text += std::string(line) + "\n";
-      continue;
-    }
-
-    if (!have_scenario) {
-      if (!in_scenario) {
-        if (kw != "scenario") {
-          afail(line_no, "expected the scenario block first");
-        }
-        in_scenario = true;
+  TextReader in(text, "artifact");
+  while (in.next()) {
+    const std::vector<std::string>& tok = in.tokens();
+    const std::string& kw = tok[0];
+    if (block_end == 0) {
+      if (!in_scenario && kw != "scenario") {
+        in.fail("expected the scenario block first");
       }
-      scenario_text += std::string(line) + "\n";
-      if (kw == "end") {
-        in_scenario = false;
-        have_scenario = true;
-      }
+      in_scenario = true;
+      if (kw == "end") block_end = in.offset();
       continue;
     }
 
     if (kw == "perturb") {
-      std::string what;
-      is >> what;
-      const auto want = [&](int n) {
-        std::vector<double> vals;
-        double v = 0.0;
-        while (static_cast<int>(vals.size()) < n && (is >> v)) {
-          vals.push_back(v);
-        }
-        if (static_cast<int>(vals.size()) != n || (is >> v)) {
-          afail(line_no, "'" + what + "' takes " + std::to_string(n) +
-                             " argument(s)");
-        }
-        return vals;
-      };
-      if (what == "seed") {
-        // Full 64-bit value: must not round-trip through double.
-        std::string tok, extra;
-        is >> tok;
-        if (tok.empty() || (is >> extra)) {
-          afail(line_no, "'seed' takes 1 argument");
-        }
-        std::uint64_t v = 0;
-        try {
-          std::size_t p = 0;
-          v = std::stoull(tok, &p);
-          if (p != tok.size()) throw std::invalid_argument(tok);
-        } catch (const std::exception&) {
-          afail(line_no, "bad seed '" + tok + "'");
-        }
-        art.perturbations.push_back(Perturbation::seed(v));
-      } else if (what == "drop_rate") {
-        art.perturbations.push_back(Perturbation::drop(want(1)[0]));
-      } else if (what == "reorder_rate") {
-        const auto v = want(2);
-        art.perturbations.push_back(Perturbation::reorder(
-            v[0], static_cast<sim::Time>(std::llround(v[1] * 1e3))));
-      } else if (what == "duplicate_rate") {
-        art.perturbations.push_back(Perturbation::duplicate(want(1)[0]));
-      } else if (what == "frame_delay") {
-        const auto v = want(2);
-        if (v[0] < 0) afail(line_no, "negative decision-point index");
-        art.perturbations.push_back(Perturbation::frame_delay(
-            static_cast<std::uint64_t>(v[0]),
-            static_cast<sim::Time>(std::llround(v[1] * 1e3))));
-      } else if (what == "event_jitter") {
-        const auto v = want(2);
-        if (v[0] < 0) afail(line_no, "negative event index");
-        art.perturbations.push_back(Perturbation::event_jitter(
-            static_cast<std::uint64_t>(v[0]),
-            static_cast<sim::Time>(std::llround(v[1] * 1e6))));
-      } else {
-        afail(line_no, "unknown perturbation '" + what + "'");
+      if (tok.size() < 2) in.fail("'perturb' needs a kind");
+      const PerturbVerb* verb = nullptr;
+      for (const PerturbVerb& v : kPerturbVerbs) {
+        if (tok[1] == v.name) verb = &v;
       }
+      if (verb == nullptr) in.fail("unknown perturbation '" + tok[1] + "'");
+      if (tok.size() != verb->args.size() + 2) {
+        in.fail("'" + tok[1] + "' takes " +
+                std::to_string(verb->args.size()) + " argument(s)");
+      }
+      Perturbation p;
+      p.kind = verb->kind;
+      for (std::size_t k = 0; k < verb->args.size(); ++k) {
+        const std::string& t = tok[k + 2];
+        const char c = verb->args[k];
+        if (c == 'n') p.arg = in.u64(t);
+        if (c == 'p') p.rate = in.rate(t);
+        if (c == 'u') p.t = in.duration(t, sim::kMicrosecond);
+        if (c == 'j') p.t = in.signed_duration(t, sim::kMillisecond);
+      }
+      art.perturbations.push_back(p);
     } else if (kw == "expect") {
-      std::string what, hex;
-      is >> what >> hex;
-      std::uint64_t v = 0;
-      try {
-        v = std::stoull(hex, nullptr, 16);
-      } catch (const std::exception&) {
-        afail(line_no, "bad digest '" + hex + "'");
-      }
-      if (what == "trace") {
+      in.expect_args(2);
+      const std::uint64_t v = in.hex64(tok[2]);
+      if (tok[1] == "trace") {
         art.trace_digest = v;
-      } else if (what == "commit") {
+      } else if (tok[1] == "commit") {
         art.commit_digest = v;
       } else {
-        afail(line_no, "unknown expectation '" + what + "'");
+        in.fail("unknown expectation '" + tok[1] + "'");
       }
     } else {
-      afail(line_no, "unknown directive '" + kw + "'");
+      in.fail("unknown directive '" + kw + "'");
     }
   }
 
-  if (!have_scenario) afail(line_no, "artifact has no scenario block");
-  auto scenarios = parse_fault_text(scenario_text);
+  if (block_end == 0) in.fail("artifact has no scenario block");
+  // Lines before the block are blank or comments, so the `.fault`
+  // parser's line numbers match the artifact's.
+  auto scenarios = parse_fault_text(text.substr(0, block_end));
   if (scenarios.size() != 1) {
-    afail(line_no, "artifact must hold exactly one scenario");
+    in.fail("artifact must hold exactly one scenario");
   }
   art.scenario = std::move(scenarios[0]);
   return art;
 }
 
 Artifact load_artifact(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw std::invalid_argument("cannot open artifact: " + path);
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return parse_artifact_text(text);
+  return parse_artifact_text(read_text_file(path, "artifact"));
 }
 
 }  // namespace rubin::faultlab

@@ -115,8 +115,10 @@ class Explorer {
 
   /// Runs `base` under `ps` once. Deterministic: same inputs, same
   /// ScheduleResult bit-for-bit (the replay path and tests lean on it).
-  ScheduleResult run_schedule(const Scenario& base,
-                              std::vector<Perturbation> ps);
+  /// When `record` is set, every fabric decision point is appended to it.
+  ScheduleResult run_schedule(
+      const Scenario& base, std::vector<Perturbation> ps,
+      std::vector<net::Fabric::FramePoint>* record = nullptr);
 
   /// Delta-debugs a failing schedule: drops perturbations while the
   /// violation persists, then shrinks magnitudes. Returns the smallest
@@ -130,8 +132,8 @@ class Explorer {
 
 // ------------------------------------------------- replayable artifacts --
 
-/// A failing schedule as data: the scenario (serializable subset), the
-/// perturbation list, and the digests the replay must reproduce.
+/// A failing schedule as data: the scenario, the perturbation list, and
+/// the digests the replay must reproduce.
 struct Artifact {
   Scenario scenario;
   std::vector<Perturbation> perturbations;
@@ -140,11 +142,12 @@ struct Artifact {
 };
 
 /// Serializes a schedule as a replayable artifact (scenario `.fault`
-/// block + `perturb` + `expect` lines). Throws when the scenario is not
-/// serializable.
+/// block + `perturb` + `expect` lines).
 std::string to_artifact_text(const Scenario& base, const ScheduleResult& r);
 
-/// Parses an artifact. Throws std::invalid_argument on malformed input.
+/// Parses an artifact with the shared line reader (common/text_reader.hpp).
+/// Throws std::invalid_argument naming the line on malformed input:
+/// out-of-range rates, fractional indices and malformed digests included.
 Artifact parse_artifact_text(std::string_view text);
 Artifact load_artifact(const std::string& path);
 

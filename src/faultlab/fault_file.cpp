@@ -1,95 +1,55 @@
 #include "faultlab/fault_file.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/text_reader.hpp"
+
 namespace rubin::faultlab {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::invalid_argument("fault file line " + std::to_string(line_no) +
-                              ": " + what);
-}
+/// The action vocabulary: one row per FaultAction kind, its verb and its
+/// argument signature, one letter per argument in order —
+///   r replica id, h host id (the first id fills `a`, the second `b`),
+///   p probability (`rate`), u microseconds / m milliseconds (`t`),
+///   s replica strategy registry name (`name`).
+/// The parser, the writer and validate() all read this table.
+struct Verb {
+  const char* name;
+  FaultAction::Kind kind;
+  std::string_view args;
+};
 
-std::vector<std::string> tokenize(std::string_view line) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i >= line.size() || line[i] == '#') break;
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-           line[i] != '#') {
-      ++i;
-    }
-    out.emplace_back(line.substr(start, i - start));
+constexpr Verb kVerbs[] = {
+    {"crash", FaultAction::Kind::kCrash, "r"},
+    {"set_strategy", FaultAction::Kind::kSetStrategy, "rs"},
+    {"drop_rate", FaultAction::Kind::kDropRate, "p"},
+    {"corrupt_rate", FaultAction::Kind::kCorruptRate, "p"},
+    {"duplicate_rate", FaultAction::Kind::kDuplicateRate, "p"},
+    {"reorder", FaultAction::Kind::kReorder, "pu"},
+    {"pair_drop", FaultAction::Kind::kPairDrop, "hhp"},
+    {"extra_delay", FaultAction::Kind::kExtraDelay, "hhu"},
+    {"oneway", FaultAction::Kind::kOneway, "hh"},
+    {"isolate", FaultAction::Kind::kIsolate, "h"},
+    {"heal", FaultAction::Kind::kHeal, ""},
+    {"nic_stall", FaultAction::Kind::kNicStall, "hm"},
+    {"qp_errors", FaultAction::Kind::kQpErrors, "h"},
+};
+
+const Verb& verb_of(FaultAction::Kind kind) {
+  for (const Verb& v : kVerbs) {
+    if (v.kind == kind) return v;
   }
-  return out;
+  throw std::logic_error("FaultAction kind without a verb");
 }
 
-double parse_double(const std::string& tok, std::size_t line_no) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(tok, &pos);
-  } catch (const std::exception&) {
-    fail(line_no, "expected a number, got '" + tok + "'");
-  }
-  if (pos != tok.size()) fail(line_no, "trailing junk in number '" + tok + "'");
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& tok, std::size_t line_no) {
-  if (!tok.empty() && tok[0] == '-') {
-    fail(line_no, "expected a non-negative integer, got '" + tok + "'");
-  }
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(tok, &pos);
-  } catch (const std::exception&) {
-    fail(line_no, "expected an integer, got '" + tok + "'");
-  }
-  if (pos != tok.size()) {
-    fail(line_no, "trailing junk in integer '" + tok + "'");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-std::uint32_t parse_u32(const std::string& tok, std::size_t line_no) {
-  const std::uint64_t v = parse_u64(tok, line_no);
-  if (v > 0xFFFFFFFFull) fail(line_no, "integer out of range: '" + tok + "'");
-  return static_cast<std::uint32_t>(v);
-}
-
-bool parse_bool(const std::string& tok, std::size_t line_no) {
-  if (tok == "true" || tok == "1") return true;
-  if (tok == "false" || tok == "0") return false;
-  fail(line_no, "expected true/false, got '" + tok + "'");
-}
-
-double parse_rate(const std::string& tok, std::size_t line_no) {
-  const double p = parse_double(tok, line_no);
-  if (p < 0.0 || p > 1.0) {
-    fail(line_no, "probability out of [0,1]: '" + tok + "'");
-  }
-  return p;
-}
-
-/// Milliseconds/microseconds to virtual time, rounded to the nearest
-/// nanosecond so writer output (printed as a decimal) reparses exactly.
-sim::Time ms_to_time(double ms, std::size_t line_no) {
-  if (ms < 0.0) fail(line_no, "negative duration");
-  return static_cast<sim::Time>(std::llround(ms * 1e6));
-}
-
-sim::Time us_to_time(double us, std::size_t line_no) {
-  if (us < 0.0) fail(line_no, "negative duration");
-  return static_cast<sim::Time>(std::llround(us * 1e3));
+/// Host-id field filled by the `nth` id argument of a signature.
+template <typename Action>
+auto& id_field(Action& a, std::size_t nth) {
+  return nth == 0 ? a.a : a.b;
 }
 
 /// Prints a nanosecond duration as a decimal in `unit_ns` units with no
@@ -102,122 +62,63 @@ std::string time_to_str(sim::Time t, sim::Time unit_ns) {
 }
 
 /// One action clause starting at tok[i]; advances i past the clause.
-FaultAction parse_action(const std::vector<std::string>& tok, std::size_t& i,
-                         std::size_t line_no) {
-  const auto need = [&](std::size_t args, const char* verb) {
-    if (i + args >= tok.size()) {
-      fail(line_no, std::string("'") + verb + "' takes " +
-                        std::to_string(args) + " argument(s)");
-    }
-  };
-  const std::string verb = tok[i];
-  if (verb == "crash") {
-    need(1, "crash");
-    FaultAction a = FaultAction::crash(parse_u32(tok[i + 1], line_no));
-    i += 2;
-    return a;
+FaultAction parse_action(const TextReader& in, std::size_t& i) {
+  const std::vector<std::string>& tok = in.tokens();
+  const Verb* verb = nullptr;
+  for (const Verb& v : kVerbs) {
+    if (tok[i] == v.name) verb = &v;
   }
-  if (verb == "set_strategy") {
-    need(2, "set_strategy");
-    FaultAction a = FaultAction::set_strategy(parse_u32(tok[i + 1], line_no),
-                                              tok[i + 2]);
-    i += 3;
-    return a;
+  if (verb == nullptr) in.fail("unknown fault action '" + tok[i] + "'");
+  if (i + verb->args.size() >= tok.size()) {
+    in.fail(std::string("'") + verb->name + "' takes " +
+            std::to_string(verb->args.size()) + " argument(s)");
   }
-  if (verb == "drop_rate") {
-    need(1, "drop_rate");
-    FaultAction a = FaultAction::drop_rate(parse_rate(tok[i + 1], line_no));
-    i += 2;
-    return a;
+  FaultAction a;
+  a.kind = verb->kind;
+  std::size_t ids = 0;
+  for (const char c : verb->args) {
+    const std::string& arg = tok[++i];
+    if (c == 'r' || c == 'h') id_field(a, ids++) = in.u32(arg);
+    if (c == 'p') a.rate = in.rate(arg);
+    if (c == 'u') a.t = in.duration(arg, sim::kMicrosecond);
+    if (c == 'm') a.t = in.duration(arg, sim::kMillisecond);
+    if (c == 's') a.name = arg;
   }
-  if (verb == "corrupt_rate") {
-    need(1, "corrupt_rate");
-    FaultAction a = FaultAction::corrupt_rate(parse_rate(tok[i + 1], line_no));
-    i += 2;
-    return a;
+  ++i;
+  return a;
+}
+
+void write_action(std::ostringstream& os, const FaultAction& a) {
+  const Verb& verb = verb_of(a.kind);
+  os << verb.name;
+  std::size_t ids = 0;
+  for (const char c : verb.args) {
+    os << ' ';
+    if (c == 'r' || c == 'h') os << id_field(a, ids++);
+    if (c == 'p') os << a.rate;
+    if (c == 'u') os << time_to_str(a.t, sim::kMicrosecond);
+    if (c == 'm') os << time_to_str(a.t, sim::kMillisecond);
+    if (c == 's') os << a.name;
   }
-  if (verb == "duplicate_rate") {
-    need(1, "duplicate_rate");
-    FaultAction a =
-        FaultAction::duplicate_rate(parse_rate(tok[i + 1], line_no));
-    i += 2;
-    return a;
-  }
-  if (verb == "reorder") {
-    need(2, "reorder");
-    FaultAction a = FaultAction::reorder(
-        parse_rate(tok[i + 1], line_no),
-        us_to_time(parse_double(tok[i + 2], line_no), line_no));
-    i += 3;
-    return a;
-  }
-  if (verb == "pair_drop") {
-    need(3, "pair_drop");
-    FaultAction a = FaultAction::pair_drop(parse_u32(tok[i + 1], line_no),
-                                           parse_u32(tok[i + 2], line_no),
-                                           parse_rate(tok[i + 3], line_no));
-    i += 4;
-    return a;
-  }
-  if (verb == "extra_delay") {
-    need(3, "extra_delay");
-    FaultAction a = FaultAction::extra_delay(
-        parse_u32(tok[i + 1], line_no), parse_u32(tok[i + 2], line_no),
-        us_to_time(parse_double(tok[i + 3], line_no), line_no));
-    i += 4;
-    return a;
-  }
-  if (verb == "oneway") {
-    need(2, "oneway");
-    FaultAction a = FaultAction::oneway(parse_u32(tok[i + 1], line_no),
-                                        parse_u32(tok[i + 2], line_no));
-    i += 3;
-    return a;
-  }
-  if (verb == "isolate") {
-    need(1, "isolate");
-    FaultAction a = FaultAction::isolate(parse_u32(tok[i + 1], line_no));
-    i += 2;
-    return a;
-  }
-  if (verb == "heal") {
-    i += 1;
-    return FaultAction::heal();
-  }
-  if (verb == "nic_stall") {
-    need(2, "nic_stall");
-    FaultAction a = FaultAction::nic_stall(
-        parse_u32(tok[i + 1], line_no),
-        ms_to_time(parse_double(tok[i + 2], line_no), line_no));
-    i += 3;
-    return a;
-  }
-  if (verb == "qp_errors") {
-    need(1, "qp_errors");
-    FaultAction a = FaultAction::qp_errors(parse_u32(tok[i + 1], line_no));
-    i += 2;
-    return a;
-  }
-  fail(line_no, "unknown fault action '" + verb + "'");
 }
 
 /// Parses the clause list + optional trailing `clears` of an event line,
-/// starting at tok[i].
-void parse_event_tail(const std::vector<std::string>& tok, std::size_t i,
-                      std::size_t line_no, FaultEvent& e) {
-  if (i >= tok.size()) fail(line_no, "event without an action");
+/// starting at token i.
+void parse_event_tail(const TextReader& in, std::size_t i, FaultEvent& e) {
+  const std::vector<std::string>& tok = in.tokens();
+  if (i >= tok.size()) in.fail("event without an action");
   while (i < tok.size()) {
     if (tok[i] == "clears") {
-      if (i + 1 != tok.size()) fail(line_no, "'clears' must come last");
+      if (i + 1 != tok.size()) in.fail("'clears' must come last");
       e.clears_faults = true;
       return;
     }
     if (tok[i] == ";") {
       ++i;
-      if (i >= tok.size()) fail(line_no, "dangling ';'");
+      if (i >= tok.size()) in.fail("dangling ';'");
       continue;
     }
-    e.actions.push_back(parse_action(tok, i, line_no));
+    e.actions.push_back(parse_action(in, i));
   }
 }
 
@@ -228,8 +129,11 @@ struct PendingScenario {
 };
 
 /// Shape-dependent checks, run at `end` when n/clients are final.
-void validate(const PendingScenario& p) {
+void validate(const TextReader& in, const PendingScenario& p) {
   const Scenario& s = p.s;
+  const auto fail = [&](std::size_t ln, const std::string& what) {
+    in.fail_at(ln, what);
+  };
   if (s.n < 4) fail(p.header_line, "n must be >= 4 (3f+1 with f >= 1)");
   if (s.clients == 0) fail(p.header_line, "scenario needs >= 1 client");
   const std::uint32_t hosts = s.n + s.clients;
@@ -245,11 +149,14 @@ void validate(const PendingScenario& p) {
                    std::to_string(s.n) + ")");
     }
   };
+  const auto check_strategy = [&](const std::string& name, std::size_t ln) {
+    if (!reptor::make_strategy_by_name(name)) {
+      fail(ln, "unknown replica strategy '" + name + "'");
+    }
+  };
   for (const auto& [id, name] : s.strategies) {
     check_replica(id, p.header_line);
-    if (!reptor::make_strategy_by_name(name)) {
-      fail(p.header_line, "unknown replica strategy '" + name + "'");
-    }
+    check_strategy(name, p.header_line);
   }
   for (const auto& [c, name] : s.client_strategies) {
     if (c >= s.clients) {
@@ -273,29 +180,14 @@ void validate(const PendingScenario& p) {
                    time_to_str(s.horizon, sim::kMillisecond) + "ms)");
     }
     for (const FaultAction& a : e.actions) {
-      switch (a.kind) {
-        case FaultAction::Kind::kSetStrategy:
-          if (!reptor::make_strategy_by_name(a.name)) {
-            fail(ln, "unknown replica strategy '" + a.name + "'");
-          }
-          [[fallthrough]];
-        case FaultAction::Kind::kCrash:
-          check_replica(a.a, ln);
-          break;
-        case FaultAction::Kind::kPairDrop:
-        case FaultAction::Kind::kExtraDelay:
-        case FaultAction::Kind::kOneway:
-          check_host(a.a, ln);
-          check_host(a.b, ln);
-          if (a.a == a.b) fail(ln, "pair action needs two distinct hosts");
-          break;
-        case FaultAction::Kind::kIsolate:
-        case FaultAction::Kind::kNicStall:
-        case FaultAction::Kind::kQpErrors:
-          check_host(a.a, ln);
-          break;
-        default:
-          break;
+      std::size_t ids = 0;
+      for (const char c : verb_of(a.kind).args) {
+        if (c == 'r') check_replica(id_field(a, ids++), ln);
+        if (c == 'h') check_host(id_field(a, ids++), ln);
+        if (c == 's') check_strategy(a.name, ln);
+      }
+      if (ids == 2 && a.a == a.b) {
+        fail(ln, "pair action needs two distinct hosts");
       }
     }
   }
@@ -309,46 +201,31 @@ std::vector<Scenario> parse_fault_text(std::string_view text) {
   PendingScenario pending;
   bool in_scenario = false;
 
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, eol == std::string_view::npos ? text.size() - pos
-                                                       : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-
-    const std::vector<std::string> tok = tokenize(line);
-    if (tok.empty()) continue;
+  TextReader in(text, "fault file");
+  while (in.next()) {
+    const std::vector<std::string>& tok = in.tokens();
     const std::string& kw = tok[0];
 
     if (!in_scenario) {
       if (kw != "scenario") {
-        fail(line_no, "expected 'scenario <name>', got '" + kw + "'");
+        in.fail("expected 'scenario <name>', got '" + kw + "'");
       }
-      if (tok.size() != 2) fail(line_no, "'scenario' takes 1 argument");
+      in.expect_args(1);
       if (!names.insert(tok[1]).second) {
-        fail(line_no, "duplicate scenario name '" + tok[1] + "'");
+        in.fail("duplicate scenario name '" + tok[1] + "'");
       }
       pending = PendingScenario{};
       pending.s.name = tok[1];
-      pending.header_line = line_no;
+      pending.header_line = in.line();
       in_scenario = true;
       continue;
     }
 
-    const auto scalar = [&](auto setter) {
-      if (tok.size() != 2) {
-        fail(line_no, "'" + kw + "' takes 1 argument");
-      }
-      setter(tok[1]);
-    };
-
     Scenario& s = pending.s;
+    reptor::ReplicaConfig& rc = s.replica_cfg;
     if (kw == "end") {
-      if (tok.size() != 1) fail(line_no, "'end' takes no arguments");
-      validate(pending);
+      in.expect_args(0);
+      validate(in, pending);
       out.push_back(std::move(pending.s));
       in_scenario = false;
     } else if (kw == "describe") {
@@ -359,169 +236,74 @@ std::vector<Scenario> parse_fault_text(std::string_view text) {
       }
       s.description = std::move(d);
     } else if (kw == "n") {
-      scalar([&](const std::string& v) { s.n = parse_u32(v, line_no); });
+      s.n = in.u32(in.arg());
     } else if (kw == "clients") {
-      scalar([&](const std::string& v) { s.clients = parse_u32(v, line_no); });
+      s.clients = in.u32(in.arg());
     } else if (kw == "requests") {
-      scalar([&](const std::string& v) { s.requests = parse_u32(v, line_no); });
+      s.requests = in.u32(in.arg());
     } else if (kw == "gap_us") {
-      scalar([&](const std::string& v) {
-        s.request_gap = us_to_time(parse_double(v, line_no), line_no);
-      });
+      s.request_gap = in.duration(in.arg(), sim::kMicrosecond);
     } else if (kw == "seed") {
-      scalar([&](const std::string& v) { s.seed = parse_u64(v, line_no); });
+      s.seed = in.u64(in.arg());
     } else if (kw == "horizon_ms") {
-      scalar([&](const std::string& v) {
-        s.horizon = ms_to_time(parse_double(v, line_no), line_no);
-      });
+      s.horizon = in.duration(in.arg(), sim::kMillisecond);
     } else if (kw == "liveness_bound_ms") {
-      scalar([&](const std::string& v) {
-        s.liveness_bound = ms_to_time(parse_double(v, line_no), line_no);
-      });
+      s.liveness_bound = in.duration(in.arg(), sim::kMillisecond);
     } else if (kw == "expect_liveness") {
-      scalar([&](const std::string& v) {
-        s.expect_liveness = parse_bool(v, line_no);
-      });
+      s.expect_liveness = in.boolean(in.arg());
     } else if (kw == "one_sided") {
-      scalar([&](const std::string& v) {
-        s.one_sided = parse_bool(v, line_no);
-      });
+      s.one_sided = in.boolean(in.arg());
     } else if (kw == "pipelines") {
-      scalar([&](const std::string& v) {
-        s.replica_cfg.pipelines = parse_u32(v, line_no);
-      });
+      rc.pipelines = in.u32(in.arg());
     } else if (kw == "batch_timeout_us") {
-      scalar([&](const std::string& v) {
-        s.replica_cfg.batch_timeout =
-            us_to_time(parse_double(v, line_no), line_no);
-      });
+      rc.batch_timeout = in.duration(in.arg(), sim::kMicrosecond);
     } else if (kw == "checkpoint_interval") {
-      scalar([&](const std::string& v) {
-        s.replica_cfg.checkpoint_interval = parse_u64(v, line_no);
-      });
+      rc.checkpoint_interval = in.u64(in.arg());
+      if (rc.checkpoint_interval == 0) {
+        in.fail("checkpoint_interval must be >= 1");
+      }
     } else if (kw == "view_change_timeout_ms") {
-      scalar([&](const std::string& v) {
-        s.replica_cfg.view_change_timeout =
-            ms_to_time(parse_double(v, line_no), line_no);
-      });
+      rc.view_change_timeout = in.duration(in.arg(), sim::kMillisecond);
     } else if (kw == "retry_timeout_ms") {
-      scalar([&](const std::string& v) {
-        s.client_cfg.retry_timeout =
-            ms_to_time(parse_double(v, line_no), line_no);
-      });
+      s.client_cfg.retry_timeout = in.duration(in.arg(), sim::kMillisecond);
     } else if (kw == "strategy") {
-      if (tok.size() != 3) fail(line_no, "'strategy' takes 2 arguments");
-      s.strategies[static_cast<reptor::NodeId>(parse_u32(tok[1], line_no))] =
-          tok[2];
+      in.expect_args(2);
+      s.strategies[static_cast<reptor::NodeId>(in.u32(tok[1]))] = tok[2];
     } else if (kw == "client_strategy") {
-      if (tok.size() != 3) {
-        fail(line_no, "'client_strategy' takes 2 arguments");
-      }
-      s.client_strategies[parse_u32(tok[1], line_no)] = tok[2];
+      in.expect_args(2);
+      s.client_strategies[in.u32(tok[1])] = tok[2];
     } else if (kw == "runtime_faulty") {
-      scalar([&](const std::string& v) {
-        s.runtime_faulty.insert(
-            static_cast<reptor::NodeId>(parse_u32(v, line_no)));
-      });
-    } else if (kw == "at_ms") {
-      if (tok.size() < 2) fail(line_no, "'at_ms' needs an instant");
+      s.runtime_faulty.insert(static_cast<reptor::NodeId>(in.u32(in.arg())));
+    } else if (kw == "at_ms" || kw == "after") {
       FaultEvent e;
-      e.at = ms_to_time(parse_double(tok[1], line_no), line_no);
-      parse_event_tail(tok, 2, line_no, e);
-      e.label = "at " + tok[1] + "ms (line " + std::to_string(line_no) + ")";
-      pending.event_lines.push_back(line_no);
-      s.events.push_back(std::move(e));
-    } else if (kw == "after") {
-      if (tok.size() < 2) fail(line_no, "'after' needs a completion count");
-      FaultEvent e;
-      e.after_completions = parse_u64(tok[1], line_no);
-      if (e.after_completions == 0) {
-        fail(line_no, "'after' needs a count >= 1");
+      if (kw == "at_ms") {
+        if (tok.size() < 2) in.fail("'at_ms' needs an instant");
+        e.at = in.duration(tok[1], sim::kMillisecond);
+      } else {
+        if (tok.size() < 2) in.fail("'after' needs a completion count");
+        e.after_completions = in.u64(tok[1]);
+        if (e.after_completions == 0) in.fail("'after' needs a count >= 1");
       }
-      parse_event_tail(tok, 2, line_no, e);
-      e.label = "after " + tok[1] + " completions (line " +
-                std::to_string(line_no) + ")";
-      pending.event_lines.push_back(line_no);
+      parse_event_tail(in, 2, e);
+      pending.event_lines.push_back(in.line());
       s.events.push_back(std::move(e));
     } else {
-      fail(line_no, "unknown directive '" + kw + "'");
+      in.fail("unknown directive '" + kw + "'");
     }
   }
 
   if (in_scenario) {
-    fail(line_no, "unterminated scenario '" + pending.s.name + "'");
+    in.fail("unterminated scenario '" + pending.s.name + "'");
   }
-  if (out.empty()) fail(line_no, "file declares no scenarios");
+  if (out.empty()) in.fail("file declares no scenarios");
   return out;
 }
 
 std::vector<Scenario> load_fault_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw std::invalid_argument("cannot open fault file: " + path);
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return parse_fault_text(text);
+  return parse_fault_text(read_text_file(path, "fault file"));
 }
-
-namespace {
-
-void write_action(std::ostringstream& os, const FaultAction& a) {
-  switch (a.kind) {
-    case FaultAction::Kind::kCrash:
-      os << "crash " << a.a;
-      return;
-    case FaultAction::Kind::kSetStrategy:
-      os << "set_strategy " << a.a << ' ' << a.name;
-      return;
-    case FaultAction::Kind::kDropRate:
-      os << "drop_rate " << a.rate;
-      return;
-    case FaultAction::Kind::kCorruptRate:
-      os << "corrupt_rate " << a.rate;
-      return;
-    case FaultAction::Kind::kDuplicateRate:
-      os << "duplicate_rate " << a.rate;
-      return;
-    case FaultAction::Kind::kReorder:
-      os << "reorder " << a.rate << ' ' << time_to_str(a.t, sim::kMicrosecond);
-      return;
-    case FaultAction::Kind::kPairDrop:
-      os << "pair_drop " << a.a << ' ' << a.b << ' ' << a.rate;
-      return;
-    case FaultAction::Kind::kExtraDelay:
-      os << "extra_delay " << a.a << ' ' << a.b << ' '
-         << time_to_str(a.t, sim::kMicrosecond);
-      return;
-    case FaultAction::Kind::kOneway:
-      os << "oneway " << a.a << ' ' << a.b;
-      return;
-    case FaultAction::Kind::kIsolate:
-      os << "isolate " << a.a;
-      return;
-    case FaultAction::Kind::kHeal:
-      os << "heal";
-      return;
-    case FaultAction::Kind::kNicStall:
-      os << "nic_stall " << a.a << ' ' << time_to_str(a.t, sim::kMillisecond);
-      return;
-    case FaultAction::Kind::kQpErrors:
-      os << "qp_errors " << a.a;
-      return;
-  }
-}
-
-}  // namespace
 
 std::string to_fault_text(const Scenario& s) {
-  if (!s.serializable()) {
-    throw std::invalid_argument("scenario '" + s.name +
-                                "' has closure events; not serializable");
-  }
   std::ostringstream os;
   os.precision(17);  // rates round-trip exactly
   os << "scenario " << s.name << '\n';

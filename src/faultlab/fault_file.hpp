@@ -1,4 +1,5 @@
-// The `.fault` text format: FaultLab scenarios as data.
+// The `.fault` text format: the one way to write a FaultLab scenario
+// (the corpus is scenarios/corpus.fault).
 //
 // A file holds one or more `scenario <name> ... end` blocks. Inside a
 // block, scalar keys set the group shape and protocol knobs, `strategy`
@@ -26,15 +27,20 @@
 //   oneway <src> <dst>           isolate <host>
 //   heal                         nic_stall <host> <ms>
 //   qp_errors <host>
-// `#` starts a comment. The parser mirrors PopLab's `.pop` loader: fail
-// with the offending line number, reject trailing junk in numbers,
-// validate host ids against the declared group shape, reject instants
-// at/after the horizon and duplicate scenario names.
+// One table in fault_file.cpp maps each verb to its FaultAction kind and
+// argument signature; the parser, the writer and the validation all read
+// it, so a new action kind is one table row. `#` starts a comment. Lines
+// go through the shared reader (common/text_reader.hpp), as `.pop` files
+// and explorer artifacts do: fail with the offending line number, reject
+// signs, fractions and trailing junk in integers and out-of-range
+// rates; then validate host ids against the declared group shape, and
+// reject instants at/after the horizon, a zero checkpoint interval and
+// duplicate scenario names.
 //
-// The writer (`to_fault_text`) is the inverse: any Scenario whose events
-// are data-only (Scenario::serializable()) round-trips losslessly —
-// same verdict, same commit digest on replay. The explorer leans on this
-// to emit failing schedules as replayable artifacts.
+// The writer (`to_fault_text`) is the inverse: every Scenario
+// round-trips losslessly — same verdict, same commit digest on replay.
+// The explorer leans on this to emit failing schedules as replayable
+// artifacts.
 #pragma once
 
 #include <string>
@@ -53,11 +59,10 @@ std::vector<Scenario> parse_fault_text(std::string_view text);
 /// the file cannot be opened or fails to parse.
 std::vector<Scenario> load_fault_file(const std::string& path);
 
-/// Serializes one scenario to `.fault` text. Throws std::invalid_argument
-/// when the scenario is not serializable (closure events).
+/// Serializes one scenario to `.fault` text.
 std::string to_fault_text(const Scenario& s);
 
-/// Serializes a whole corpus (each scenario must be serializable).
+/// Serializes a list of scenarios, blank-line separated.
 std::string to_fault_text(const std::vector<Scenario>& scenarios);
 
 }  // namespace rubin::faultlab

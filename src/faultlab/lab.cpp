@@ -129,30 +129,23 @@ sim::Task<void> Lab::client_driver(reptor::Client& client,
 
 void Lab::fire(FaultEvent& e) {
   for (const FaultAction& a : e.actions) a.apply(*this);
-  if (e.action) e.action(*this);
   if (e.clears_faults) {
     checker_->restart_recovery_clock(harness_->sim().now());
   }
 }
 
-sim::Task<void> Lab::predicate_watcher() {
+sim::Task<void> Lab::completion_watcher() {
   for (;;) {
     co_await harness_->sim().sleep(sim::microseconds(100));
     bool pending = false;
     for (std::size_t i = 0; i < scenario_.events.size(); ++i) {
       FaultEvent& e = scenario_.events[i];
       if (fired_[i] || e.at >= 0) continue;
-      // Data trigger first, then the custom predicate.
-      bool ready = false;
-      if (e.after_completions > 0) {
-        ready = completions_ >= e.after_completions;
-      } else if (e.when) {
-        ready = e.when(*this);
-      } else {  // malformed event: no trigger at all — drop it
+      if (e.after_completions == 0) {  // malformed event: no trigger at all
         fired_[i] = true;
         continue;
       }
-      if (ready) {
+      if (completions_ >= e.after_completions) {
         fired_[i] = true;
         fire(e);
       } else {
@@ -213,9 +206,9 @@ Report Lab::run() {
     sim.spawn(client_driver(client, self, scenario_.requests, c + 1));
   }
 
-  // Fault schedule: timed events straight onto the simulator, predicate
-  // events onto the polling watcher.
-  bool any_predicates = false;
+  // Fault schedule: timed events straight onto the simulator,
+  // completion-count events onto the polling watcher.
+  bool any_counted = false;
   for (std::size_t i = 0; i < scenario_.events.size(); ++i) {
     if (scenario_.events[i].at >= 0) {
       sim.schedule_at(scenario_.events[i].at, [this, i] {
@@ -225,10 +218,10 @@ Report Lab::run() {
         }
       });
     } else {
-      any_predicates = true;
+      any_counted = true;
     }
   }
-  if (any_predicates) sim.spawn(predicate_watcher());
+  if (any_counted) sim.spawn(completion_watcher());
 
   // Drive in slices so the run ends as soon as every request completed
   // (replica timers would otherwise keep the queue busy to the horizon).

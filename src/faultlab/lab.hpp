@@ -4,14 +4,15 @@
 // The Lab builds the replica group (installing config-time strategies
 // through fresh factory instances), wires every replica's commit log and
 // every client completion into the Checker, schedules the scenario's
-// FaultEvents (timed ones on the simulator, predicate ones on a polling
-// watcher coroutine), and drives the clients until every request
-// completes or the horizon passes.
+// FaultEvents (timed ones on the simulator, completion-count ones on a
+// watcher coroutine that polls every 100us), and drives the clients
+// until every request completes or the horizon passes.
 //
-// Fault actions receive the Lab itself and inject through its accessors:
+// FaultAction::apply receives the Lab itself and injects through its
+// accessors:
 //   lab.fabric().set_corrupt_rate(0.05);
 //   lab.device(0).inject_nic_stall(sim::milliseconds(30));
-//   lab.replica(3).set_strategy(reptor::make_crash());
+//   lab.replica(3).inject_crash();
 //   lab.isolate(0);  lab.heal_fabric();
 #pragma once
 
@@ -72,11 +73,6 @@ class Lab {
   /// delays, and all global fault rates.
   void heal_fabric();
 
-  // ------------------------------------------------- scenario state ----
-  const Scenario& scenario() const noexcept { return scenario_; }
-  std::uint64_t completions() const noexcept { return completions_; }
-  sim::Time now() { return harness_->sim().now(); }
-
   /// Per-request end-to-end latencies (us), in completion order across
   /// all clients — benches slice these around fault instants.
   const std::vector<double>& latencies_us() const noexcept {
@@ -87,7 +83,7 @@ class Lab {
   sim::Task<void> client_driver(reptor::Client& client,
                                 reptor::NodeId self, std::uint32_t requests,
                                 std::uint64_t add);
-  sim::Task<void> predicate_watcher();
+  sim::Task<void> completion_watcher();
   void fire(FaultEvent& e);
 
   Scenario scenario_;

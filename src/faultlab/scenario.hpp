@@ -3,29 +3,23 @@
 // A Scenario bundles a replica-group shape (n, clients, request load), a
 // set of config-time Byzantine strategies (replica- and client-side, by
 // registry name), and a list of FaultEvents that fire at a virtual
-// instant ("at t=20ms, partition the primary"), after a completion count
-// ("after 8 commits complete, crash the primary"), or when a custom C++
-// predicate first turns true. Events carry data FaultActions covering
-// all three injection surfaces:
+// instant ("at t=20ms, partition the primary") or after a completion
+// count ("after 8 commits complete, crash the primary"). Events carry
+// FaultActions covering all three injection surfaces:
 //   * fabric  — drop/partition/delay/corrupt/duplicate/reorder knobs,
 //   * verbs   — QP error transitions and NIC stall windows,
-//   * replica — runtime crash or ByzantineStrategy installation;
-// plus optional C++ closures for behaviours no action encodes.
+//   * replica — runtime crash or ByzantineStrategy installation.
 //
-// Scenarios built from data alone (actions + completion/instant triggers,
-// strategies by name) are *serializable*: fault_file.hpp round-trips them
-// through the `.fault` text format, so the corpus can grow without
-// recompiling and the explorer can emit failing schedules as replayable
-// artifacts.
+// A scenario is data only, so every one round-trips through the `.fault`
+// text format (fault_file.hpp): the corpus lives in `.fault` files and
+// the explorer emits failing schedules as replayable artifacts.
 //
 // Determinism contract: everything a scenario does is driven by virtual
-// time and the seeded fabric fault RNG (`seed`). Scenario closures must
-// never read wall clocks or unseeded randomness — same Scenario, same
+// time and the seeded fabric fault RNG (`seed`) — same Scenario, same
 // seed => bit-identical run (the determinism test enforces this).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -42,11 +36,12 @@ namespace rubin::faultlab {
 
 class Lab;
 
-/// One serializable injection: a kind plus the handful of scalar fields
+/// One injection: a kind plus the handful of scalar fields
 /// the kinds share (`a`/`b` are host ids, `rate` a probability, `t` a
 /// duration or delay, `name` a strategy registry name). The static
-/// constructors are the corpus's vocabulary; apply() performs the
-/// injection through the Lab's surface.
+/// constructors build actions in code; `.fault` text names each kind by
+/// one verb (fault_file.hpp). apply() performs the injection through the
+/// Lab's surface.
 struct FaultAction {
   enum class Kind : std::uint8_t {
     kCrash,          // crash replica a
@@ -113,29 +108,19 @@ struct FaultAction {
   }
 };
 
-/// One scheduled injection. Exactly one trigger applies, resolved in this
-/// order: `at >= 0` fires at that virtual instant; else
-/// `after_completions > 0` fires when that many requests have completed;
-/// else the custom predicate `when` is polled. The payload is the
-/// `actions` list (serializable), plus the optional C++ closure `action`
-/// for behaviours no FaultAction encodes (closure events make the
-/// scenario non-serializable).
+/// One scheduled injection. `at >= 0` fires at that virtual instant;
+/// otherwise `after_completions > 0` fires once that many requests have
+/// completed. The payload is the `actions` list, applied in order.
 struct FaultEvent {
-  std::string label;
   sim::Time at = -1;
   std::uint64_t after_completions = 0;
-  std::function<bool(Lab&)> when;
   std::vector<FaultAction> actions;
-  std::function<void(Lab&)> action;
   /// Restarts the checker's recovery clock: this event marks the instant
   /// after which the protocol is expected to make progress again (a heal,
   /// or the onset of a fault the group must tolerate). Liveness verdict:
   /// the next client completion must land within `liveness_bound` of the
   /// latest such instant.
   bool clears_faults = false;
-
-  /// Data-only events round-trip through the `.fault` format.
-  bool serializable() const noexcept { return !when && !action; }
 };
 
 struct Scenario {
@@ -196,15 +181,6 @@ struct Scenario {
     std::set<reptor::NodeId> all = runtime_faulty;
     for (const auto& [id, mk] : strategies) all.insert(id);
     return static_cast<std::uint32_t>(all.size());
-  }
-
-  /// True when every event is data-only: the scenario round-trips
-  /// through the `.fault` text format losslessly.
-  bool serializable() const noexcept {
-    for (const FaultEvent& e : events) {
-      if (!e.serializable()) return false;
-    }
-    return true;
   }
 };
 

@@ -1,73 +1,10 @@
 #include "poplab/scenario.hpp"
 
-#include <cstdio>
-#include <sstream>
-#include <stdexcept>
 #include <vector>
 
+#include "common/text_reader.hpp"
+
 namespace rubin::poplab {
-
-namespace {
-
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::invalid_argument("scenario line " + std::to_string(line_no) +
-                              ": " + what);
-}
-
-std::vector<std::string> tokenize(std::string_view line) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i >= line.size() || line[i] == '#') break;
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-           line[i] != '#') {
-      ++i;
-    }
-    out.emplace_back(line.substr(start, i - start));
-  }
-  return out;
-}
-
-double parse_double(const std::string& tok, std::size_t line_no) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(tok, &pos);
-  } catch (const std::exception&) {
-    fail(line_no, "expected a number, got '" + tok + "'");
-  }
-  if (pos != tok.size()) fail(line_no, "trailing junk in number '" + tok + "'");
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& tok, std::size_t line_no) {
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(tok, &pos);
-  } catch (const std::exception&) {
-    fail(line_no, "expected an integer, got '" + tok + "'");
-  }
-  if (pos != tok.size()) fail(line_no, "trailing junk in integer '" + tok + "'");
-  return static_cast<std::uint64_t>(v);
-}
-
-sim::Time ms_to_time(double ms, std::size_t line_no) {
-  if (ms < 0.0) fail(line_no, "negative duration");
-  return static_cast<sim::Time>(ms * 1e6);
-}
-
-void expect_args(const std::vector<std::string>& tok, std::size_t n,
-                 std::size_t line_no) {
-  if (tok.size() != n) {
-    fail(line_no, "'" + tok[0] + "' takes " + std::to_string(n - 1) +
-                      " argument(s), got " + std::to_string(tok.size() - 1));
-  }
-}
-
-}  // namespace
 
 double ArrivalSchedule::rate_at(sim::Time elapsed) const noexcept {
   switch (kind) {
@@ -102,132 +39,110 @@ PopulationSpec PopulationSpec::parse(std::string_view text) {
   CohortSpec cohort;
   bool in_cohort = false;
 
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, eol == std::string_view::npos ? text.size() - pos
-                                                       : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-
-    const std::vector<std::string> tok = tokenize(line);
-    if (tok.empty()) continue;
+  TextReader in(text, "scenario");
+  while (in.next()) {
+    const std::vector<std::string>& tok = in.tokens();
     const std::string& kw = tok[0];
+    const auto ms = [&](const std::string& t) {
+      return in.duration(t, sim::kMillisecond);
+    };
 
     if (!in_cohort) {
       if (kw == "population") {
-        expect_args(tok, 2, line_no);
-        spec.name = tok[1];
+        spec.name = in.arg();
       } else if (kw == "seed") {
-        expect_args(tok, 2, line_no);
-        spec.seed = parse_u64(tok[1], line_no);
+        spec.seed = in.u64(in.arg());
       } else if (kw == "duration_ms") {
-        expect_args(tok, 2, line_no);
-        spec.duration = ms_to_time(parse_double(tok[1], line_no), line_no);
+        spec.duration = ms(in.arg());
       } else if (kw == "cohort") {
-        expect_args(tok, 2, line_no);
         cohort = CohortSpec{};
-        cohort.name = tok[1];
+        cohort.name = in.arg();
         in_cohort = true;
       } else {
-        fail(line_no, "unknown directive '" + kw + "'");
+        in.fail("unknown directive '" + kw + "'");
       }
       continue;
     }
 
     if (kw == "end") {
-      expect_args(tok, 1, line_no);
-      if (cohort.clients == 0) fail(line_no, "cohort has zero clients");
+      in.expect_args(0);
+      if (cohort.clients == 0) in.fail("cohort has zero clients");
       if (cohort.payload_lo > cohort.payload_hi) {
-        fail(line_no, "payload lo exceeds hi");
+        in.fail("payload lo exceeds hi");
       }
       spec.cohorts.push_back(cohort);
       in_cohort = false;
     } else if (kw == "clients") {
-      expect_args(tok, 2, line_no);
-      cohort.clients = static_cast<std::uint32_t>(parse_u64(tok[1], line_no));
+      cohort.clients = in.u32(in.arg());
     } else if (kw == "start_ms") {
-      expect_args(tok, 2, line_no);
-      cohort.start = ms_to_time(parse_double(tok[1], line_no), line_no);
+      cohort.start = ms(in.arg());
     } else if (kw == "arrival") {
-      if (tok.size() < 2) fail(line_no, "'arrival' needs a schedule kind");
+      if (tok.size() < 2) in.fail("'arrival' needs a schedule kind");
       const std::string& kind = tok[1];
       auto& a = cohort.arrival;
       if (kind == "steady") {
-        expect_args(tok, 3, line_no);
+        in.expect_args(2);
         a.kind = ArrivalSchedule::Kind::kSteady;
-        a.base_rps = parse_double(tok[2], line_no);
+        a.base_rps = in.real(tok[2]);
       } else if (kind == "ramp") {
-        expect_args(tok, 5, line_no);
+        in.expect_args(4);
         a.kind = ArrivalSchedule::Kind::kRamp;
-        a.base_rps = parse_double(tok[2], line_no);
-        a.peak_rps = parse_double(tok[3], line_no);
-        a.at = ms_to_time(parse_double(tok[4], line_no), line_no);
+        a.base_rps = in.real(tok[2]);
+        a.peak_rps = in.real(tok[3]);
+        a.at = ms(tok[4]);
       } else if (kind == "step") {
-        expect_args(tok, 5, line_no);
+        in.expect_args(4);
         a.kind = ArrivalSchedule::Kind::kStep;
-        a.base_rps = parse_double(tok[2], line_no);
-        a.at = ms_to_time(parse_double(tok[3], line_no), line_no);
-        a.peak_rps = parse_double(tok[4], line_no);
+        a.base_rps = in.real(tok[2]);
+        a.at = ms(tok[3]);
+        a.peak_rps = in.real(tok[4]);
       } else if (kind == "burst") {
-        expect_args(tok, 6, line_no);
+        in.expect_args(5);
         a.kind = ArrivalSchedule::Kind::kBurst;
-        a.base_rps = parse_double(tok[2], line_no);
-        a.peak_rps = parse_double(tok[3], line_no);
-        a.at = ms_to_time(parse_double(tok[4], line_no), line_no);
-        a.width = ms_to_time(parse_double(tok[5], line_no), line_no);
-        if (a.width > a.at) fail(line_no, "burst width exceeds period");
+        a.base_rps = in.real(tok[2]);
+        a.peak_rps = in.real(tok[3]);
+        a.at = ms(tok[4]);
+        a.width = ms(tok[5]);
+        if (a.width > a.at) in.fail("burst width exceeds period");
       } else {
-        fail(line_no, "unknown arrival kind '" + kind + "'");
+        in.fail("unknown arrival kind '" + kind + "'");
       }
     } else if (kw == "ops") {
-      expect_args(tok, 4, line_no);
-      if (tok[2] != "zipf") fail(line_no, "only 'ops <n> zipf <theta>'");
-      cohort.op_space = static_cast<std::uint32_t>(parse_u64(tok[1], line_no));
-      if (cohort.op_space == 0) fail(line_no, "empty op space");
-      cohort.zipf_theta = parse_double(tok[3], line_no);
+      in.expect_args(3);
+      if (tok[2] != "zipf") in.fail("only 'ops <n> zipf <theta>'");
+      cohort.op_space = in.u32(tok[1]);
+      if (cohort.op_space == 0) in.fail("empty op space");
+      cohort.zipf_theta = in.real(tok[3]);
     } else if (kw == "payload") {
-      if (tok.size() < 2) fail(line_no, "'payload' needs a distribution");
+      if (tok.size() < 2) in.fail("'payload' needs a distribution");
       if (tok[1] == "pareto") {
-        expect_args(tok, 5, line_no);
-        cohort.payload_lo = parse_double(tok[2], line_no);
-        cohort.payload_hi = parse_double(tok[3], line_no);
-        cohort.payload_alpha = parse_double(tok[4], line_no);
-        if (cohort.payload_lo <= 0.0) fail(line_no, "payload lo must be > 0");
+        in.expect_args(4);
+        cohort.payload_lo = in.real(tok[2]);
+        cohort.payload_hi = in.real(tok[3]);
+        cohort.payload_alpha = in.real(tok[4]);
+        if (cohort.payload_lo <= 0.0) in.fail("payload lo must be > 0");
       } else if (tok[1] == "fixed") {
-        expect_args(tok, 3, line_no);
-        cohort.payload_lo = parse_double(tok[2], line_no);
+        in.expect_args(2);
+        cohort.payload_lo = in.real(tok[2]);
         cohort.payload_hi = cohort.payload_lo;
-        if (cohort.payload_lo <= 0.0) fail(line_no, "payload must be > 0");
+        if (cohort.payload_lo <= 0.0) in.fail("payload must be > 0");
       } else {
-        fail(line_no, "unknown payload distribution '" + tok[1] + "'");
+        in.fail("unknown payload distribution '" + tok[1] + "'");
       }
     } else if (kw == "timeout_ms") {
-      expect_args(tok, 2, line_no);
-      cohort.timeout = ms_to_time(parse_double(tok[1], line_no), line_no);
+      cohort.timeout = ms(in.arg());
     } else {
-      fail(line_no, "unknown cohort directive '" + kw + "'");
+      in.fail("unknown cohort directive '" + kw + "'");
     }
   }
 
-  if (in_cohort) fail(line_no, "unterminated cohort '" + cohort.name + "'");
-  if (spec.cohorts.empty()) fail(line_no, "scenario declares no cohorts");
+  if (in_cohort) in.fail("unterminated cohort '" + cohort.name + "'");
+  if (spec.cohorts.empty()) in.fail("scenario declares no cohorts");
   return spec;
 }
 
 PopulationSpec PopulationSpec::load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw std::invalid_argument("cannot open scenario file: " + path);
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return parse(text);
+  return parse(read_text_file(path, "scenario file"));
 }
 
 }  // namespace rubin::poplab

@@ -3,10 +3,8 @@
 // A ByzantineStrategy intercepts a replica at the protocol boundaries —
 // what it proposes, what it broadcasts, what it sends point-to-point,
 // what it accepts, and what it does on each timer tick — so one honest
-// replica implementation hosts every adversary. The hooks replace the
-// FaultMode branches that used to live inline in replica.cpp (and the
-// single `crashed_` bool); FaultMode survives as the config-file-friendly
-// name for the built-in strategies via make_strategy().
+// replica implementation hosts every adversary. Configuration names a
+// strategy by its registry name (make_strategy_by_name()).
 //
 // Determinism contract: strategies must derive all behaviour from the
 // hook arguments and their own state — no wall clock, no global RNG. A
@@ -91,17 +89,13 @@ class ByzantineStrategy {
   virtual void on_tick(ByzantineEnv& /*env*/) {}
 };
 
-/// Maps the legacy FaultMode names onto strategy instances; kHonest maps
-/// to nullptr (no strategy installed, zero overhead).
-std::shared_ptr<ByzantineStrategy> make_strategy(FaultMode mode);
-
 std::shared_ptr<ByzantineStrategy> make_crash();
 std::shared_ptr<ByzantineStrategy> make_silent_primary();
 std::shared_ptr<ByzantineStrategy> make_equivocating_primary();
 std::shared_ptr<ByzantineStrategy> make_corrupt_macs();
 /// Processes everything, says nothing: unlike a crash, its PBFT state
 /// keeps advancing, so it resumes instantly if "unmuted". Distinct from
-/// kSilentPrimary, which only suppresses proposals.
+/// silent-primary, which only suppresses proposals.
 std::shared_ptr<ByzantineStrategy> make_mute();
 /// Records its own authentic broadcasts and periodically replays them —
 /// valid MACs, stale content; tests the protocol's dedup/idempotence.

@@ -113,7 +113,7 @@ Replica::Replica(sim::Simulator& sim, std::unique_ptr<Transport> transport,
     lane_in_.push_back(std::make_unique<sim::Mailbox<SharedBytes>>(sim));
     lane_busy_.push_back(false);
   }
-  strategy_ = cfg_.strategy ? cfg_.strategy : make_strategy(cfg_.fault);
+  strategy_ = cfg_.strategy;
 }
 
 Replica::~Replica() = default;

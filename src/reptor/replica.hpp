@@ -49,25 +49,6 @@ namespace rubin::reptor {
 
 class ByzantineStrategy;
 
-/// Built-in Byzantine behaviours a replica can be configured with by name
-/// (mapped onto ByzantineStrategy instances — see reptor/byzantine.hpp,
-/// which also offers strategies with no FaultMode alias: mute, replayer,
-/// stale-view spammer).
-enum class FaultMode : std::uint8_t {
-  kHonest,
-  /// Crash-stop from the beginning: connects, then never speaks.
-  kCrashed,
-  /// As primary, accepts requests but never proposes (liveness attack —
-  /// forces a view change).
-  kSilentPrimary,
-  /// As primary, sends PRE-PREPAREs whose digest does not match the batch
-  /// to half the backups (equivocation-style safety attack; honest
-  /// backups reject and the view change removes the primary).
-  kEquivocatingPrimary,
-  /// Corrupts its authenticator MACs toward half the group.
-  kCorruptMacs,
-};
-
 struct ReplicaConfig {
   std::uint32_t n = 4;
   std::uint32_t f = 1;
@@ -90,9 +71,9 @@ struct ReplicaConfig {
   /// owned; must outlive the replica's coroutines.
   nio::DecisionLog* decision_log = nullptr;
   ProtocolCosts costs;
-  FaultMode fault = FaultMode::kHonest;
-  /// Takes precedence over `fault` when set; FaultLab scenarios install
-  /// strategies here (a fresh instance per run keeps replays identical).
+  /// Byzantine behaviour from the start (null: honest). Build one with
+  /// make_strategy_by_name(); a fresh instance per run keeps replays
+  /// identical.
   std::shared_ptr<ByzantineStrategy> strategy;
 };
 

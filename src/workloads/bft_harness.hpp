@@ -3,11 +3,13 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/audit.hpp"
 #include "net/fabric.hpp"
+#include "reptor/byzantine.hpp"
 #include "reptor/client.hpp"
 #include "reptor/replica.hpp"
 #include "reptor/transport_nio.hpp"
@@ -148,14 +150,18 @@ class BftHarness {
     return *replicas_.back();
   }
 
-  /// Standard group: n replicas, all honest except the listed (id, fault)
-  /// pairs.
-  void add_replicas(std::vector<std::pair<NodeId, FaultMode>> faults = {},
+  /// Standard group: n replicas, all honest except the listed (id,
+  /// strategy registry name) pairs.
+  void add_replicas(std::vector<std::pair<NodeId, std::string>> faults = {},
                     ReplicaConfig cfg = {}) {
     for (NodeId r = 0; r < n_; ++r) {
       ReplicaConfig c = cfg;
-      for (const auto& [id, fault] : faults) {
-        if (id == r) c.fault = fault;
+      for (const auto& [id, name] : faults) {
+        if (id != r) continue;
+        c.strategy = make_strategy_by_name(name);
+        if (!c.strategy) {
+          throw std::invalid_argument("unknown replica strategy: " + name);
+        }
       }
       add_replica(r, c);
     }

@@ -6,7 +6,9 @@
 // allocation order, wall clock) leaked into simulation behaviour.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/audit.hpp"
 #include "poplab/population.hpp"
@@ -168,10 +170,11 @@ TEST(Determinism, FaultScenariosReplayBitIdentically) {
 }
 
 TEST(Determinism, FaultScenariosMatchPinnedOutcomes) {
-  // Absolute pins, not a same-process replay: the asymmetric-partition
-  // and fuzz-combo scenarios run pipelined COP lanes under faults, and
-  // their outcomes must hold across builds and commits. A change here is
-  // a change to the fault schedule, the protocol or the data plane.
+  // Absolute pins, not a same-process replay: one row per corpus
+  // scenario, in corpus order. The outcomes must hold across builds and
+  // commits, so this is the proof that moving or editing corpus.fault
+  // changed nothing. A change here is a change to the fault schedule,
+  // the protocol or the data plane.
   struct Pin {
     const char* name;
     std::uint64_t commit_digest;
@@ -179,15 +182,48 @@ TEST(Determinism, FaultScenariosMatchPinnedOutcomes) {
     std::uint64_t completions;
     std::uint64_t client_retries;
   };
-  for (const Pin& pin : {
-           Pin{"f1-asym-deaf-group", 0xA5B7EA310BC30211ull, 50011853, 25, 2},
-           Pin{"f1-asym-mute-votes", 0xA5B7EA310BC30211ull, 20000000, 25, 0},
-           Pin{"f1-fuzz-combo", 0xA5B7EA310BC30211ull, 45000000, 25, 1},
-           Pin{"f2-fuzz-combo", 0x1DFDD9896AF7F69Full, 15012088, 20, 0},
-       }) {
-    auto s = faultlab::find_scenario(pin.name);
-    ASSERT_TRUE(s.has_value()) << pin.name;
-    faultlab::Lab lab(std::move(*s));
+  const Pin pins[] = {
+      {"f1-clean", 0xA5B7EA310BC30211ull, 20000000, 25, 0},
+      {"f1-crash-backup", 0xF620E78E4AEC6DE2ull, 20000000, 25, 0},
+      {"f1-crash-primary", 0x8EB9D177264865D1ull, 50000000, 25, 2},
+      {"f1-partition-primary", 0xA5B7EA310BC30211ull, 50000000, 25, 2},
+      {"f1-partition-client-cohort", 0xC21BF1030FAED335ull, 50047154, 100, 4},
+      {"f1-lossy-fabric", 0x78B8285A798790C9ull, 25110465, 25, 0},
+      {"f1-corrupt-frames", 0x340A7A168E062E4Eull, 60000000, 25, 2},
+      {"f1-duplicate-flood", 0xA5B7EA310BC30211ull, 20000000, 25, 0},
+      {"f1-reorder-burst", 0xA5B7EA310BC30211ull, 20249996, 25, 0},
+      {"f1-qp-error-backup", 0xA5B7EA310BC30211ull, 20000000, 25, 0},
+      {"f1-nic-stall-primary", 0xA5B7EA310BC30211ull, 25000000, 25, 0},
+      {"f1-byz-equivocating-primary", 0xD6884787852B64B1ull, 35000000, 25, 1},
+      {"f1-byz-silent-primary", 0x8EB9D177264865D1ull, 50000000, 25, 2},
+      {"f1-byz-corrupt-macs", 0xB77220FC9E5DCA80ull, 20000000, 25, 0},
+      {"f1-byz-mute-backup", 0x2119FE8B479FCC83ull, 20000000, 25, 0},
+      {"f1-byz-replayer", 0xF620E78E4AEC6DE2ull, 20000000, 25, 0},
+      {"f1-byz-stale-view-spam", 0x2119FE8B479FCC83ull, 20000000, 25, 0},
+      {"f1-byz-client-replayer", 0x74B49A8660299999ull, 20000000, 50, 0},
+      {"f1-byz-client-forger", 0x74B49A8660299999ull, 20000000, 50, 0},
+      {"f1-slow-primary", 0x4EB25317ED0CA09Eull, 105016011, 25, 0},
+      {"f1-midrun-turncoat", 0x2119FE8B479FCC83ull, 20000000, 25, 0},
+      {"f1-asym-deaf-group", 0xA5B7EA310BC30211ull, 50011853, 25, 2},
+      {"f1-asym-mute-votes", 0xA5B7EA310BC30211ull, 20000000, 25, 0},
+      {"f1-onesided-clean", 0xA5B7EA310BC30211ull, 15000000, 25, 0},
+      {"f1-onesided-forge", 0x8EB9D177264865D1ull, 20000000, 25, 0},
+      {"f1-onesided-torn", 0x8EB9D177264865D1ull, 20000000, 25, 0},
+      {"f1-onesided-replay", 0x8EB9D177264865D1ull, 15000000, 25, 0},
+      {"f1-onesided-stale-rkey", 0x8EB9D177264865D1ull, 45000000, 25, 2},
+      {"f1-fuzz-combo", 0xA5B7EA310BC30211ull, 45000000, 25, 1},
+      {"f2-crash-two", 0xED715399E1C8CE04ull, 15000000, 20, 0},
+      {"f2-equivocate-plus-crash", 0x259285871C0509E2ull, 45000000, 20, 2},
+      {"f2-partition-minority", 0x92BB658A5340C457ull, 15000000, 20, 0},
+      {"f2-beyond-envelope", 0x11D1348DB4579419ull, 600000000, 4, 39},
+      {"f2-fuzz-combo", 0x1DFDD9896AF7F69Full, 15012088, 20, 0},
+  };
+  std::vector<faultlab::Scenario> all = faultlab::corpus();
+  ASSERT_EQ(all.size(), std::size(pins));
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const Pin& pin = pins[i];
+    ASSERT_EQ(all[i].name, pin.name);
+    faultlab::Lab lab(std::move(all[i]));
     const faultlab::Report r = lab.run();
     EXPECT_TRUE(r.passed()) << pin.name << ": " << r.verdict.detail;
     EXPECT_EQ(r.verdict.commit_digest, pin.commit_digest) << pin.name;

@@ -122,6 +122,17 @@ TEST(Explore, ArtifactParserRejectsGarbage) {
   EXPECT_THROW((void)parse_artifact_text(
                    "scenario t\nend\nperturb seed 12 34\n"),
                std::invalid_argument);
+  // Out-of-range and malformed values: a rate above 1, a fractional
+  // decision-point index, and a digest with trailing junk.
+  EXPECT_THROW((void)parse_artifact_text(
+                   "scenario t\nend\nperturb drop_rate 1.5\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_artifact_text(
+                   "scenario t\nend\nperturb frame_delay 2.7 10\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_artifact_text(
+                   "scenario t\nend\nexpect trace 12zz\n"),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------ the regression drill --

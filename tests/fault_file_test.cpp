@@ -1,8 +1,8 @@
 // `.fault` format tests: parser edge cases (bad keys, out-of-range
 // instants and hosts, duplicate names, trailing junk), writer fidelity,
-// and the big round-trip guarantee — every compiled-in corpus scenario
-// serialized to text and parsed back replays with the identical Checker
-// verdict and commit-log digest.
+// and the round-trip guarantee — every corpus scenario serialized to
+// text and parsed back replays with the identical Checker verdict and
+// commit-log digest.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -10,10 +10,6 @@
 #include "faultlab/corpus.hpp"
 #include "faultlab/fault_file.hpp"
 #include "faultlab/lab.hpp"
-
-#ifndef FAULTLAB_SCENARIO_DIR
-#define FAULTLAB_SCENARIO_DIR "."
-#endif
 
 namespace rubin::faultlab {
 namespace {
@@ -47,7 +43,6 @@ TEST(FaultFile, ParsesMinimalScenario) {
   ASSERT_EQ(s.events[0].actions.size(), 1u);
   EXPECT_EQ(s.events[0].actions[0].kind, FaultAction::Kind::kCrash);
   EXPECT_EQ(s.events[0].actions[0].a, 3u);
-  EXPECT_TRUE(s.serializable());
 }
 
 TEST(FaultFile, ParsesMultiClauseEventsAndCompletionTriggers) {
@@ -108,6 +103,9 @@ TEST(FaultFile, RejectsMalformedNumbers) {
   expect_fail("scenario t\n  seed 12abc\nend\n", "trailing junk");
   expect_fail("scenario t\n  requests lots\nend\n", "expected an integer");
   expect_fail("scenario t\n  at_ms 1 drop_rate 1.5\nend\n", "out of [0,1]");
+  // The replica takes the sequence number modulo the interval.
+  expect_fail("scenario t\n  checkpoint_interval 0\nend\n",
+              "checkpoint_interval must be >= 1");
 }
 
 TEST(FaultFile, RejectsOutOfRangeHostsAndStrategies) {
@@ -134,22 +132,10 @@ TEST(FaultFile, RejectsStructuralErrors) {
 
 // -------------------------------------------------------------- writer --
 
-TEST(FaultFile, WriterRejectsClosureEvents) {
-  Scenario s;
-  s.name = "closure";
-  FaultEvent e;
-  e.at = sim::milliseconds(1);
-  e.action = [](Lab&) {};
-  s.events.push_back(std::move(e));
-  EXPECT_FALSE(s.serializable());
-  EXPECT_THROW((void)to_fault_text(s), std::invalid_argument);
-}
-
 TEST(FaultFile, WriterOutputReparsesToIdenticalText) {
   // Serialize -> parse -> serialize must be a fixed point for the whole
   // corpus: the text form loses nothing the second pass could normalize.
   for (const Scenario& s : corpus()) {
-    ASSERT_TRUE(s.serializable()) << s.name;
     const std::string once = to_fault_text(s);
     const auto back = parse_fault_text(once);
     ASSERT_EQ(back.size(), 1u) << s.name;
@@ -160,9 +146,11 @@ TEST(FaultFile, WriterOutputReparsesToIdenticalText) {
 // ---------------------------------------------------------- round trip --
 
 TEST(FaultFile, EveryCorpusScenarioReplaysIdenticallyFromFaultText) {
-  // The tentpole guarantee: porting a scenario to `.fault` changes
-  // nothing — same verdict bits, same commit-log digest, same completion
-  // count as the compiled-in original.
+  // The writer loses nothing: a scenario printed with to_fault_text and
+  // parsed back runs with the same verdict bits, commit-log digest and
+  // completion count as the scenario it was printed from. Same-process
+  // only; Determinism.FaultScenariosMatchPinnedOutcomes pins the corpus
+  // outcomes across commits.
   for (Scenario& original : corpus()) {
     const std::string text = to_fault_text(original);
     auto parsed = parse_fault_text(text);

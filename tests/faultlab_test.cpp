@@ -166,18 +166,11 @@ TEST(Lab, DeafPrimaryForcesAViewChange) {
 }
 
 TEST(Lab, FuzzComboDrawIsDeterministicAndPasses) {
-  // The fuzz schedule is drawn at corpus-construction time from a fixed
-  // generation seed: two lookups must yield the identical event list,
-  // and the run must hold safety with zero forgeries.
-  auto s1 = find_scenario("f1-fuzz-combo");
-  auto s2 = find_scenario("f1-fuzz-combo");
-  ASSERT_TRUE(s1.has_value() && s2.has_value());
-  ASSERT_EQ(s1->events.size(), s2->events.size());
-  for (std::size_t i = 0; i < s1->events.size(); ++i) {
-    EXPECT_EQ(s1->events[i].label, s2->events[i].label) << i;
-    EXPECT_EQ(s1->events[i].at, s2->events[i].at) << i;
-  }
-  Lab lab(std::move(*s1));
+  // The fuzz schedule is a fixed list of drawn faults in corpus.fault:
+  // the run must hold safety with zero forgeries.
+  auto s = find_scenario("f1-fuzz-combo");
+  ASSERT_TRUE(s.has_value());
+  Lab lab(std::move(*s));
   const Report r = lab.run();
   EXPECT_TRUE(r.passed()) << r.verdict.detail;
   EXPECT_TRUE(r.verdict.safe);

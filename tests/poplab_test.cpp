@@ -78,6 +78,12 @@ TEST(PopScenario, RejectsMalformedInputsWithLineNumbers) {
   expect_bad("population p\nduration_ms 10\n", "no cohorts at all");
   expect_bad("population p\ncohort a\n  clients 4x\nend\n",
              "trailing junk on a number");
+  expect_bad("population p\ncohort a\n  clients -1\nend\n",
+             "negative client count");
+  expect_bad("population p\ncohort a\n  ops -1 zipf 0.9\nend\n",
+             "negative op space");
+  expect_bad("population p\ncohort a\n  clients 4294967297\nend\n",
+             "client count wider than 32 bits");
 }
 
 TEST(PopScenario, RateAtFollowsEverySheduleShape) {

@@ -84,7 +84,7 @@ TEST_P(ReadOnlyTest, ReadsDoNotMutateState) {
 TEST_P(ReadOnlyTest, CrashedReplicaStillLeavesAQuorum) {
   // 2f+1 = 3 matching replies are still available with one crash.
   BftHarness h(GetParam(), 4, 1);
-  h.add_replicas({{3, FaultMode::kCrashed}}, fast_cfg());
+  h.add_replicas({{3, "crash"}}, fast_cfg());
   auto& client = h.add_client(4);
   std::uint64_t value = 0;
   h.sim().spawn([](Client& c, std::uint64_t& out) -> Task<> {
