@@ -1,7 +1,8 @@
 // Wall-clock microbenchmarks of the zero-copy data plane (google-
-// benchmark): SharedBytes handle traffic vs physical copies, HMAC with
+// benchmark): SharedBytes handle traffic vs physical copies, the SHA-256
+// compression kernels (scalar reference vs the dispatched one), HMAC with
 // cached ipad/opad midstates vs from-scratch keyed hashing, and the
-// multicast frame-encode path that combines both. Real time is the right
+// multicast frame-encode path that combines them. Real time is the right
 // metric here — these paths run on the host for every simulated message,
 // so they bound how fast the big benches execute.
 #include <benchmark/benchmark.h>
@@ -10,6 +11,7 @@
 
 #include "common/shared_bytes.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/sha256_detail.hpp"
 #include "reptor/messages.hpp"
 #include "verbs/types.hpp"
 
@@ -54,6 +56,22 @@ void BM_SharedBytesSlice(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SharedBytesSlice);
+
+void BM_Sha256_4KiB(benchmark::State& state,
+                    sha256_detail::CompressFn kernel) {
+  // 64 blocks in one kernel call, as Sha256::update hands them over.
+  // `dispatched` is what Sha256 runs on this CPU (SHA-NI when present).
+  const Bytes msg = patterned_bytes(4096, 4);
+  std::uint32_t h[8] = {};
+  for (auto _ : state) {
+    kernel(h, msg.data(), msg.size() / 64);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(msg.size()));
+}
+BENCHMARK_CAPTURE(BM_Sha256_4KiB, scalar, sha256_detail::compress_scalar);
+BENCHMARK_CAPTURE(BM_Sha256_4KiB, dispatched, sha256_detail::compress());
 
 void BM_HmacFromScratch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -136,8 +154,9 @@ void BM_FramePostMultiSge(benchmark::State& state) {
 BENCHMARK(BM_FramePostMultiSge)->Arg(1024)->Arg(16384)->Arg(65536);
 
 void BM_EncodeForReplicas(benchmark::State& state) {
-  // The PRE-PREPARE multicast encode: serialize once, MAC per peer with
-  // cached midstates, return one refcounted frame shared by every send.
+  // The PRE-PREPARE multicast encode: serialize once, hash the body once,
+  // MAC the digest per peer with cached midstates, return one refcounted
+  // frame shared by every send.
   const auto payload = static_cast<std::size_t>(state.range(0));
   const KeyTable keys(0, 4, to_bytes("group-secret"));
   reptor::PrePrepare pp;

@@ -36,27 +36,6 @@ SharedBytes Encoder::take_shared() {
   return out;
 }
 
-void FrameWriter::seal_current() {
-  if (cur_.size() > 0) frame_.append(cur_.take_shared());
-}
-
-void FrameWriter::splice_bytes(SharedBytes payload) {
-  cur_.put_u32(static_cast<std::uint32_t>(payload.size()));
-  splice_raw(std::move(payload));
-}
-
-void FrameWriter::splice_raw(SharedBytes payload) {
-  seal_current();
-  frame_.append(std::move(payload));
-}
-
-FrameVec FrameWriter::take() {
-  seal_current();
-  FrameVec out = std::move(frame_);
-  frame_ = FrameVec();
-  return out;
-}
-
 std::optional<std::uint8_t> Decoder::get_u8() {
   if (!ensure(1)) return std::nullopt;
   return buf_[pos_++];

@@ -45,48 +45,6 @@ class Encoder {
   Bytes buf_;
 };
 
-/// Scatter-gather frame writer: serializes the skeleton of a message once
-/// and *splices* payload slices instead of copying them in. The result is
-/// a FrameVec — e.g. {header, payload, trailer} — whose bytes, read in
-/// order, are identical to what a flat Encoder would have produced. Used
-/// where a large payload (request op, snapshot) would otherwise be copied
-/// into every serialized frame; MAC'ing such frames goes through the
-/// incremental FrameVec overloads in crypto/hmac.hpp, so they never
-/// flatten.
-class FrameWriter {
- public:
-  FrameWriter() = default;
-
-  void put_u8(std::uint8_t v) { cur_.put_u8(v); }
-  void put_u16(std::uint16_t v) { cur_.put_u16(v); }
-  void put_u32(std::uint32_t v) { cur_.put_u32(v); }
-  void put_u64(std::uint64_t v) { cur_.put_u64(v); }
-  void put_i64(std::int64_t v) { cur_.put_i64(v); }
-  void put_bytes(ByteView b) { cur_.put_bytes(b); }
-  void put_raw(ByteView b) { cur_.put_raw(b); }
-  void put_string(std::string_view s) { cur_.put_string(s); }
-
-  /// Splices `payload` into the frame by reference: a u32 length prefix
-  /// is written to the skeleton (matching Encoder::put_bytes), then the
-  /// payload rides along as its own slice — no copy.
-  void splice_bytes(SharedBytes payload);
-
-  /// Splices `payload` with no length prefix (matching put_raw).
-  void splice_raw(SharedBytes payload);
-
-  /// Bytes written so far across skeleton and spliced slices.
-  std::size_t size() const { return frame_.total_size() + cur_.size(); }
-
-  /// Finishes the frame; the writer is empty afterwards.
-  FrameVec take();
-
- private:
-  void seal_current();
-
-  FrameVec frame_;
-  Encoder cur_;
-};
-
 /// Bounds-checked sequential reader over a byte view. Every getter returns
 /// std::nullopt once the input is exhausted or a length prefix overruns the
 /// buffer; callers treat nullopt as a malformed message.

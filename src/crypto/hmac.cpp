@@ -40,21 +40,8 @@ Digest HmacKey::mac(ByteView message) const {
   return finish_outer(inner);
 }
 
-Digest HmacKey::mac(const FrameVec& frame) const {
-  Sha256 inner = inner_;
-  for (const SharedBytes& s : frame) inner.update(s.view());
-  return finish_outer(inner);
-}
-
 Mac HmacKey::truncated(ByteView message) const {
   const Digest full = mac(message);
-  Mac m;
-  std::copy_n(full.begin(), m.size(), m.begin());
-  return m;
-}
-
-Mac HmacKey::truncated(const FrameVec& frame) const {
-  const Digest full = mac(frame);
   Mac m;
   std::copy_n(full.begin(), m.size(), m.begin());
   return m;
@@ -96,18 +83,15 @@ ByteView KeyTable::key_for(std::uint32_t peer) const {
   return keys_[peer];
 }
 
-Mac KeyTable::mac_for(std::uint32_t peer, ByteView message) const {
+Mac KeyTable::mac_of_digest(std::uint32_t peer, const Digest& body) const {
   if (peer >= cached_.size()) {
     throw std::out_of_range("KeyTable: peer index out of range");
   }
-  return cached_[peer].truncated(message);
+  return cached_[peer].truncated(body);
 }
 
-Mac KeyTable::mac_for(std::uint32_t peer, const FrameVec& message) const {
-  if (peer >= cached_.size()) {
-    throw std::out_of_range("KeyTable: peer index out of range");
-  }
-  return cached_[peer].truncated(message);
+Mac KeyTable::mac_for(std::uint32_t peer, ByteView message) const {
+  return mac_of_digest(peer, Sha256::hash(message));
 }
 
 bool KeyTable::verify_from(std::uint32_t peer, ByteView message,
@@ -117,10 +101,16 @@ bool KeyTable::verify_from(std::uint32_t peer, ByteView message,
 }
 
 std::vector<Mac> KeyTable::authenticator(ByteView message) const {
+  return authenticator(message, group_size());
+}
+
+std::vector<Mac> KeyTable::authenticator(ByteView message,
+                                         std::uint32_t count) const {
+  const Digest body = Sha256::hash(message);
   std::vector<Mac> out;
-  out.reserve(keys_.size());
-  for (std::uint32_t peer = 0; peer < keys_.size(); ++peer) {
-    out.push_back(mac_for(peer, message));
+  out.reserve(count);
+  for (std::uint32_t peer = 0; peer < count; ++peer) {
+    out.push_back(mac_of_digest(peer, body));
   }
   return out;
 }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/shared_bytes.hpp"
 #include "crypto/sha256.hpp"
 
 namespace rubin {
@@ -33,20 +32,15 @@ Mac truncated_mac(ByteView key, ByteView message);
 /// are long-lived while authenticators are per-message, so this is the
 /// right trade. Results are bit-identical to hmac_sha256().
 ///
-/// After construction an HmacKey is deep-immutable: every
-/// mac()/truncated() overload copies the cached `inner_`/`outer_`
-/// midstates by value and hashes in the copy.
+/// After construction an HmacKey is deep-immutable: mac()/truncated()
+/// copy the cached `inner_`/`outer_` midstates by value and hash in the
+/// copy.
 class HmacKey {
  public:
   explicit HmacKey(ByteView key);
 
   Digest mac(ByteView message) const;
-  /// Incremental MAC over a scatter-gather frame: the slices are absorbed
-  /// in order without flattening.
-  Digest mac(const FrameVec& frame) const;
-
   Mac truncated(ByteView message) const;
-  Mac truncated(const FrameVec& frame) const;
 
  private:
   Digest finish_outer(Sha256 inner) const;
@@ -58,6 +52,13 @@ class HmacKey {
 /// Symmetric pairwise session keys for a group of n nodes. Node i and node
 /// j share key derive(i, j) == derive(j, i). Derivation is from a group
 /// secret — stand-in for the key exchange a deployment would run.
+///
+/// The PBFT MAC rule, used by every method below: the MAC of a message
+/// body for `peer` is the first 8 bytes of
+/// HMAC-SHA-256(key_for(peer), SHA-256(body)). As in Castro and Liskov's
+/// authenticators, the body is hashed once and each receiver's MAC covers
+/// only the 32-byte digest, so an n-MAC authenticator costs |body| + 2n
+/// compressions (the cached midstates make each MAC two), not n·|body|.
 class KeyTable {
  public:
   KeyTable(std::uint32_t self, std::uint32_t group_size, ByteView group_secret);
@@ -68,11 +69,9 @@ class KeyTable {
   /// Session key shared with `peer`.
   ByteView key_for(std::uint32_t peer) const;
 
-  /// MAC of `message` for `peer`, keyed with the pairwise key. Uses the
-  /// cached midstates — two compressions over the message hash instead of
-  /// a full keyed rehash.
+  /// MAC of `message` for `peer`: one hash of the message, then two
+  /// compressions from the cached midstates.
   Mac mac_for(std::uint32_t peer, ByteView message) const;
-  Mac mac_for(std::uint32_t peer, const FrameVec& message) const;
 
   /// Verifies a MAC claimed to come from `peer`.
   bool verify_from(std::uint32_t peer, ByteView message, const Mac& mac) const;
@@ -80,8 +79,13 @@ class KeyTable {
   /// Full authenticator: one MAC per group member (including self, which
   /// keeps indexing trivial; receivers only check their own slot).
   std::vector<Mac> authenticator(ByteView message) const;
+  /// Authenticator for nodes 0..count-1 only (e.g. the replicas of a
+  /// group that also holds client keys). The message is hashed once.
+  std::vector<Mac> authenticator(ByteView message, std::uint32_t count) const;
 
  private:
+  Mac mac_of_digest(std::uint32_t peer, const Digest& body) const;
+
   std::uint32_t self_;
   std::vector<Bytes> keys_;      // keys_[j] = pairwise key with node j
   std::vector<HmacKey> cached_;  // cached_[j] = midstates for keys_[j]

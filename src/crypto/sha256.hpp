@@ -1,8 +1,11 @@
-// SHA-256 (FIPS 180-4), implemented from scratch.
+// SHA-256 (FIPS 180-4).
 //
-// Used for PBFT request/batch digests and the blockchain's prev-hash links.
-// Streaming interface so large payloads can be hashed without copying them
-// into one contiguous buffer.
+// Used for PBFT request/batch digests, the PBFT MAC rule (crypto/hmac.hpp)
+// and the blockchain's prev-hash links. Streaming interface so large
+// payloads can be hashed without copying them into one contiguous buffer.
+// The compression runs on x86 SHA-NI when cpuid reports it and on the
+// portable scalar code otherwise; both are in crypto/sha256_detail.hpp and
+// give bit-identical digests.
 #pragma once
 
 #include <array>
@@ -36,7 +39,8 @@ class Sha256 {
   static Digest hash(ByteView data) noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
+  /// Absorbs `n` whole 64-byte blocks with the dispatched kernel.
+  void compress(const std::uint8_t* blocks, std::size_t n) noexcept;
 
   std::array<std::uint32_t, 8> h_{};
   std::array<std::uint8_t, 64> buf_{};

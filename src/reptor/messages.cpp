@@ -284,12 +284,8 @@ SharedBytes encode_for_replicas(const Envelope& env, const KeyTable& keys,
   Encoder e;
   put_authenticated_body(e, env);
   // MAC the body *before* the trailer lands in the same buffer (the MACs
-  // cover exactly the bytes written so far).
-  std::vector<Mac> macs;
-  macs.reserve(replica_count);
-  for (std::uint32_t r = 0; r < replica_count; ++r) {
-    macs.push_back(keys.mac_for(r, e.view()));
-  }
+  // cover exactly the bytes written so far). The body is hashed once.
+  const std::vector<Mac> macs = keys.authenticator(e.view(), replica_count);
   e.put_u8(static_cast<std::uint8_t>(replica_count));
   for (const Mac& m : macs) e.put_raw(m);
   return e.take_shared();
@@ -326,6 +322,7 @@ std::optional<Envelope> decode_impl(ByteView frame, const KeyTable* keys) {
     // not allowed to throw out of the decoder (remote crash vector —
     // found by the bit-flip fuzz test).
     if (*sender >= keys->group_size()) return std::nullopt;
+    if (*mac_count == 0) return std::nullopt;  // nothing to verify
     // Pick our slot: full authenticators are indexed by node id; a single
     // MAC is for us by construction.
     const std::uint32_t self = keys->self();
@@ -334,9 +331,10 @@ std::optional<Envelope> decode_impl(ByteView frame, const KeyTable* keys) {
       if (self >= *mac_count) return std::nullopt;  // no MAC for us
       slot = self;
     }
-    auto raw = d.get_raw(static_cast<std::size_t>(*mac_count) * sizeof(Mac));
+    // Read our slot in place: the length check above put it inside frame.
     Mac mac;
-    std::copy_n(raw->begin() + static_cast<std::ptrdiff_t>(slot * sizeof(Mac)),
+    std::copy_n(frame.begin() + static_cast<std::ptrdiff_t>(
+                                    body_len + 1 + slot * sizeof(Mac)),
                 sizeof(Mac), mac.begin());
     if (!keys->verify_from(*sender, frame.first(body_len), mac)) {
       return std::nullopt;

@@ -1,13 +1,17 @@
 // Unit tests for src/crypto: SHA-256 and HMAC-SHA-256 against published
-// vectors (FIPS 180-4 examples, RFC 4231), plus the PBFT authenticator
-// key table.
+// vectors (FIPS 180-4 examples, RFC 4231), a differential test of the
+// scalar and SHA-NI compression kernels, plus the PBFT authenticator key
+// table.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_detail.hpp"
 
 namespace rubin {
 namespace {
@@ -82,6 +86,119 @@ TEST(Sha256, ResetAllowsReuse) {
 
 TEST(Sha256, DifferentInputsDifferentDigests) {
   EXPECT_NE(Sha256::hash(to_bytes("a")), Sha256::hash(to_bytes("b")));
+}
+
+// ------------------------------------------------- compression kernels ---
+// The scalar kernel is the reference. Each kernel hashes through a
+// test-side one-shot padder, so the two paths are compared directly and
+// not through the dispatcher. The SHA-NI legs skip on CPUs without it;
+// the scalar legs always run, so the fallback stays covered on hosts
+// that dispatch to SHA-NI.
+
+using sha256_detail::CompressFn;
+
+CompressFn shani_or_null() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (sha256_detail::shani_available()) return sha256_detail::compress_shani;
+#endif
+  return nullptr;
+}
+
+/// FIPS 180-4 padding, then every block in one kernel call.
+Digest hash_with(CompressFn kernel, ByteView msg) {
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  kernel(h, padded.data(), padded.size() / 64);
+  Digest out;
+  for (std::size_t i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(h[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+void expect_fips_vectors(CompressFn kernel) {
+  struct Vector {
+    std::string msg;
+    const char* hex;
+  };
+  const Vector vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const Vector& v : vectors) {
+    EXPECT_EQ(to_hex(hash_with(kernel, to_bytes(v.msg))), v.hex)
+        << v.msg.size() << "-byte vector";
+  }
+}
+
+TEST(Sha256Kernels, ScalarMatchesFipsVectors) {
+  expect_fips_vectors(sha256_detail::compress_scalar);
+}
+
+TEST(Sha256Kernels, ShaniMatchesFipsVectors) {
+  const CompressFn shani = shani_or_null();
+  if (shani == nullptr) GTEST_SKIP() << "CPU lacks SHA-NI; scalar leg only";
+  expect_fips_vectors(shani);
+}
+
+TEST(Sha256Kernels, DispatchPicksShaniWhenAvailable) {
+  const CompressFn shani = shani_or_null();
+  EXPECT_EQ(sha256_detail::compress(),
+            shani != nullptr ? shani : sha256_detail::compress_scalar);
+}
+
+/// Every length 0..4200 (so 55/56/63/64/65 and each block boundary), in
+/// random bytes copied to a random misalignment.
+template <typename F>
+void for_each_random_input(std::uint64_t seed, F&& check) {
+  Rng rng(seed);
+  Bytes storage(4200 + 16);
+  for (std::size_t len = 0; len <= 4200; ++len) {
+    const std::size_t skew = rng.next_below(16);
+    for (std::size_t i = 0; i < len; ++i) {
+      storage[skew + i] = static_cast<std::uint8_t>(rng.next());
+    }
+    check(ByteView(storage).subspan(skew, len), rng);
+  }
+}
+
+TEST(Sha256Kernels, ShaniMatchesScalarOnRandomInputs) {
+  const CompressFn shani = shani_or_null();
+  if (shani == nullptr) GTEST_SKIP() << "CPU lacks SHA-NI; scalar leg only";
+  for_each_random_input(7, [&](ByteView msg, Rng&) {
+    ASSERT_EQ(hash_with(shani, msg),
+              hash_with(sha256_detail::compress_scalar, msg))
+        << "length " << msg.size();
+  });
+}
+
+TEST(Sha256Kernels, StreamingMatchesScalarReference) {
+  // Sha256 (the dispatched kernel) fed at random update() split points
+  // must equal the scalar one-shot.
+  for_each_random_input(8, [&](ByteView msg, Rng& rng) {
+    Sha256 h;
+    std::size_t off = 0;
+    while (off < msg.size()) {
+      const std::size_t take = 1 + rng.next_below(std::min<std::size_t>(
+                                       msg.size() - off, 200));
+      h.update(msg.subspan(off, take));
+      off += take;
+    }
+    ASSERT_EQ(h.finish(), hash_with(sha256_detail::compress_scalar, msg))
+        << "length " << msg.size();
+  });
 }
 
 // ---------------------------------------------------------------- HMAC ---
@@ -163,25 +280,6 @@ TEST(HmacKey, MidstateMatchesRfc4231Vectors) {
   }
 }
 
-TEST(HmacKey, IncrementalFrameVecMatchesFlatMessage) {
-  const Bytes key = to_bytes("session-key");
-  const Bytes msg = patterned_bytes(300, 42);
-  const HmacKey k(key);
-
-  // Slice the message three ways; the scatter-gather MAC must equal the
-  // contiguous one regardless of where the cuts fall.
-  const SharedBytes whole = SharedBytes::copy_of(msg);
-  for (std::size_t cut : {1ul, 63ul, 64ul, 65ul, 299ul}) {
-    FrameVec f;
-    f.append(whole.slice(0, cut));
-    f.append(whole.slice(cut));
-    EXPECT_EQ(to_hex(k.mac(f)), to_hex(k.mac(msg))) << "cut at " << cut;
-    const Mac a = k.truncated(f);
-    const Mac b = k.truncated(msg);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  }
-}
-
 TEST(HmacKey, ReusableAcrossMessages) {
   // One cached key, many messages: each MAC must be independent of the
   // previous one (the midstates are copied, never mutated).
@@ -193,27 +291,39 @@ TEST(HmacKey, ReusableAcrossMessages) {
   EXPECT_EQ(to_hex(first), to_hex(hmac_sha256(key, to_bytes("one"))));
 }
 
+// The PBFT MAC rule: first 8 bytes of HMAC-SHA-256(k, SHA-256(body)).
+// Pinned against a from-scratch keyed hash over the digest, for mac_for
+// and for every slot of an authenticator.
+
 TEST(KeyTable, CachedMacMatchesFromScratch) {
   const Bytes secret = to_bytes("group-secret");
   const KeyTable t(0, 4, secret);
   const Bytes msg = patterned_bytes(128, 9);
   for (std::uint32_t peer = 0; peer < 4; ++peer) {
     const Mac cached = t.mac_for(peer, msg);
-    const Mac scratch = truncated_mac(t.key_for(peer), msg);
+    const Mac scratch = truncated_mac(t.key_for(peer), Sha256::hash(msg));
     EXPECT_TRUE(std::equal(cached.begin(), cached.end(), scratch.begin()))
         << "peer " << peer;
   }
 }
 
-TEST(KeyTable, FrameVecMacMatchesFlat) {
-  const KeyTable t(1, 4, to_bytes("s"));
-  const SharedBytes msg = SharedBytes::copy_of(patterned_bytes(200, 3));
-  FrameVec f;
-  f.append(msg.slice(0, 50));
-  f.append(msg.slice(50));
-  const Mac a = t.mac_for(2, f);
-  const Mac b = t.mac_for(2, msg.view());
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+TEST(KeyTable, AuthenticatorSlotsMatchFromScratch) {
+  const KeyTable t(2, 6, to_bytes("group-secret"));
+  const Bytes msg = patterned_bytes(1000, 4);
+  const auto auth = t.authenticator(msg);
+  ASSERT_EQ(auth.size(), 6u);
+  for (std::uint32_t peer = 0; peer < 6; ++peer) {
+    const Mac scratch = truncated_mac(t.key_for(peer), Sha256::hash(msg));
+    EXPECT_TRUE(std::equal(auth[peer].begin(), auth[peer].end(),
+                           scratch.begin()))
+        << "slot " << peer;
+  }
+  // A replica-only authenticator is the prefix of the full one.
+  const auto replicas = t.authenticator(msg, 4);
+  ASSERT_EQ(replicas.size(), 4u);
+  for (std::uint32_t peer = 0; peer < 4; ++peer) {
+    EXPECT_EQ(replicas[peer], auth[peer]) << "slot " << peer;
+  }
 }
 
 // ------------------------------------------------------------ KeyTable ---

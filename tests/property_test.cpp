@@ -90,6 +90,57 @@ TEST_P(CodecFuzz, AnySingleBitFlipIsRejected) {
   }
 }
 
+TEST_P(CodecFuzz, MacCountMutationsVerifyOnlyOurSlot) {
+  // Rewrites the MAC count to 0, 1, n-1 and 255, once with the original
+  // trailer and once with a trailer resized to the new count (original
+  // MACs first, random bytes after). Bit flips never reach count 0 with
+  // no trailer. A receiver may accept only when its slot still holds the
+  // MAC the sender made for it.
+  constexpr std::uint32_t n = 5;
+  const KeyTable sender(1, n, to_bytes("k"));
+  reptor::PrePrepare pp;
+  pp.view = 2;
+  pp.seq = 9;
+  pp.batch.push_back(reptor::Request{4, 3, patterned_bytes(40, 1)});
+  pp.digest = reptor::batch_digest(pp.batch);
+  const reptor::Message msgs[] = {
+      reptor::Message{pp},
+      reptor::Message{reptor::Request{4, 3, patterned_bytes(70, 2), false}},
+      reptor::Message{reptor::Prepare{2, 9, pp.digest}},
+      reptor::Message{reptor::Commit{2, 9, pp.digest}},
+      reptor::Message{reptor::Checkpoint{9, pp.digest, pp.digest}},
+      reptor::Message{reptor::Reply{2, 4, 3, patterned_bytes(16, 3)}},
+  };
+  for (const reptor::Message& m : msgs) {
+    const SharedBytes frame =
+        reptor::encode_for_replicas(reptor::Envelope{1, m}, sender, n);
+    const std::size_t body_len = frame.size() - 1 - n * sizeof(Mac);
+    const ByteView trailer = frame.view().subspan(body_len + 1);
+    for (const std::uint32_t count : {0u, 1u, n - 1, 255u}) {
+      for (const bool resize : {false, true}) {
+        Bytes mutated(frame.view().begin(), frame.view().begin() +
+                                                static_cast<std::ptrdiff_t>(body_len));
+        mutated.push_back(static_cast<std::uint8_t>(count));
+        const std::size_t macs = resize ? count : n;
+        for (std::size_t i = 0; i < macs * sizeof(Mac); ++i) {
+          mutated.push_back(i < trailer.size()
+                                ? trailer[i]
+                                : static_cast<std::uint8_t>(rng.next()));
+        }
+        for (std::uint32_t self = 0; self < n; ++self) {
+          const KeyTable receiver(self, n, to_bytes("k"));
+          const bool ours = count == 1 ? self == 0 : self < count;
+          const bool expect = resize && count > 0 && ours;
+          EXPECT_EQ(reptor::decode_verified(mutated, receiver).has_value(),
+                    expect)
+              << reptor::type_name(m) << " count " << count << " resize "
+              << resize << " receiver " << self;
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, ::testing::Values(11, 22, 33, 44));
 
 // -------------------------------------------------------- ring buffer ----

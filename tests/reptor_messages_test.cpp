@@ -157,5 +157,18 @@ TEST(Messages, SingleMacFrameOnlyVerifiesAtTarget) {
   EXPECT_FALSE(decode_verified(frame, keys_for(5)).has_value());
 }
 
+TEST(Messages, ZeroMacCountFrameIsRejected) {
+  // A frame that declares no MACs and carries no trailer passes the
+  // trailer length check; the verified decoder must reject it, not read
+  // a MAC that is not there.
+  const SharedBytes frame = encode_for_peer(
+      Envelope{1, Message{Reply{0, 4, 1, to_bytes("r")}}}, keys_for(1), 4);
+  Bytes forged(frame.view().begin(),
+               frame.view().end() - static_cast<std::ptrdiff_t>(1 + sizeof(Mac)));
+  forged.push_back(0);
+  EXPECT_FALSE(decode_verified(forged, keys_for(4)).has_value());
+  EXPECT_TRUE(decode_unverified(forged).has_value());
+}
+
 }  // namespace
 }  // namespace rubin::reptor
