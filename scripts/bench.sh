@@ -11,8 +11,8 @@
 #        scripts/bench.sh ab <base-build-dir> <head-build-dir> [out.json]
 #        scripts/bench.sh pop <build-dir> [out.json]
 #   build-dir: configured *release-noaudit* build tree (default:
-#              ./build-release). Audit-enabled builds measure the audit
-#              layer, not the kernel — the script warns but proceeds.
+#              ./build-release). Audit-enabled builds also pay for the
+#              audit asserts — the script warns but proceeds.
 #   out.json:  output path (default: stdout).
 #
 # Wall-clock methodology: this box is noisy (shared cores, coarse timer
@@ -242,8 +242,9 @@ for bin in "$SIMKERNEL" "${BUILD_DIR}/bench/bench_fig3_micro" \
   fi
 done
 
-if strings "$SIMKERNEL" 2>/dev/null | grep -q 'audit failed'; then
-  echo "bench.sh: WARNING: ${SIMKERNEL} appears to be an audit-enabled build; numbers will include audit overhead" >&2
+if grep -qiE '^RUBIN_AUDIT:BOOL=(ON|1|TRUE|YES|Y)$' \
+  "${BUILD_DIR}/CMakeCache.txt" 2>/dev/null; then
+  echo "bench.sh: WARNING: ${BUILD_DIR} is configured with RUBIN_AUDIT=ON; numbers will include the cost of the audit asserts" >&2
 fi
 
 # Seconds-with-fraction wall clock around one command, best of $REPS.

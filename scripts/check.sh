@@ -6,7 +6,7 @@
 # strings/comments can't false-positive and a violation with a trailing
 # `//` comment can't hide (the greps piped through `grep -v '//'`). Its
 # rule catalogue: coroutine-suspension lifetime (coro-*), determinism
-# (det-*), house style (house-*), and audit-counter cross-reference
+# (det-*), house style (house-*), and counter cross-reference
 # (audit-xref-*). Suppress a deliberate exception inline with
 #   // rubinlint:allow(rule-id) rationale
 # on the flagged line or the line above.

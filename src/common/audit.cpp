@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 
 #include "common/log.hpp"
 
@@ -13,11 +12,6 @@ namespace {
 // Single-threaded by design: the simulator owns every audited object.
 ScopedCapture* g_capture = nullptr;
 std::uint64_t g_failures = 0;
-
-std::map<std::string, std::uint64_t, std::less<>>& counter_map() {
-  static std::map<std::string, std::uint64_t, std::less<>> m;
-  return m;
-}
 
 }  // namespace
 
@@ -41,31 +35,6 @@ void fail(std::string_view component, std::string_view message,
 }
 
 std::uint64_t failure_count() noexcept { return g_failures; }
-
-void count(std::string_view name, std::uint64_t delta) {
-  auto& m = counter_map();
-  const auto it = m.find(name);
-  if (it != m.end()) {
-    it->second += delta;
-  } else {
-    m.emplace(std::string(name), delta);
-  }
-}
-
-std::uint64_t counter_value(std::string_view name) {
-  const auto& m = counter_map();
-  const auto it = m.find(name);
-  return it == m.end() ? 0 : it->second;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> counters() {
-  const auto& m = counter_map();
-  return {m.begin(), m.end()};
-}
-
-void reset_counters() {
-  counter_map().clear();
-}
 
 ScopedCapture::ScopedCapture() : prev_(g_capture) { g_capture = this; }
 

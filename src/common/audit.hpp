@@ -10,22 +10,20 @@
 // bare release builds; sanitizer presets and the default configure turn
 // it on): the macros keep their arguments type-checked via `if constexpr`
 // but generate no code, so audited members can stay unconditionally
-// declared without #ifdef scattering.
+// declared without #ifdef scattering. Counters are not part of this layer:
+// RUBIN_COUNT (common/counters.hpp) counts in every build.
 //
 // Primitives:
 //   RUBIN_AUDIT_ASSERT(component, cond, msg)  — invariant check; on
 //       failure logs `msg` (lazily evaluated) and aborts, unless a
 //       ScopedCapture is installed (tests).
-//   RUBIN_AUDIT_COUNT(name, delta)            — named global counter for
-//       suspicious-but-not-fatal observations (e.g. values a remote peer
-//       can forge); inspect with audit::counter_value()/counters().
 //   RUBIN_AUDIT_SCOPE(component, msg, pred)   — checks `pred()` when the
 //       enclosing scope exits (normal or exceptional).
 //
-// The simulator is single-threaded; captures and counters are not
-// synchronized. Under the tsan preset the audit layer is still safe to
-// *enable* as long as audited objects keep their existing single-thread
-// ownership discipline — which is itself an invariant worth tripping.
+// The simulator is single-threaded; captures are not synchronized. Under
+// the tsan preset the audit layer is still safe to *enable* as long as
+// audited objects keep their existing single-thread ownership discipline
+// — which is itself an invariant worth tripping.
 #pragma once
 
 #include <cstdint>
@@ -52,18 +50,6 @@ void fail(std::string_view component, std::string_view message,
 
 /// Total audits failed since process start (captured or fatal).
 std::uint64_t failure_count() noexcept;
-
-/// Adds `delta` to the named global audit counter.
-void count(std::string_view name, std::uint64_t delta = 1);
-
-/// Current value of a named counter (0 if never touched).
-std::uint64_t counter_value(std::string_view name);
-
-/// Snapshot of all counters, sorted by name.
-std::vector<std::pair<std::string, std::uint64_t>> counters();
-
-/// Resets all counters to zero (test isolation).
-void reset_counters();
 
 /// RAII: while alive, audit failures are recorded here instead of
 /// aborting. Nesting installs the innermost capture. Single-threaded.
@@ -130,13 +116,6 @@ class ScopeCheck {
                              __FILE__, __LINE__);                           \
       }                                                                     \
     }                                                                       \
-  } while (0)
-
-#define RUBIN_AUDIT_COUNT(name, delta)                            \
-  do {                                                            \
-    if constexpr (::rubin::audit::kEnabled) {                     \
-      ::rubin::audit::count((name), (delta));                     \
-    }                                                             \
   } while (0)
 
 #define RUBIN_AUDIT_CONCAT_(a, b) a##b

@@ -30,7 +30,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define RUBIN_FRAME_POOL_OFF 1
@@ -115,10 +115,10 @@ inline void* allocate(std::size_t n) {
       if (detail::Node* hit = s.free[b]; hit != nullptr) {
         s.free[b] = hit->next;
         --s.depth[b];
-        RUBIN_AUDIT_COUNT("sim.frame_pool.reuse", 1);
+        RUBIN_COUNT("sim.frame_pool.reuse", 1);
         return finish(hit, b);
       }
-      RUBIN_AUDIT_COUNT("sim.frame_pool.fresh", 1);
+      RUBIN_COUNT("sim.frame_pool.fresh", 1);
       // NOLINTNEXTLINE(cppcoreguidelines-no-malloc)
       return finish(std::malloc((b + 1) * kGranularity), b);
     }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "common/frame_pool.hpp"
 
 namespace rubin {
@@ -36,7 +37,7 @@ SharedBytes SharedBytes::allocate(std::size_t n) {
 SharedBytes SharedBytes::copy_of(ByteView src) {
   SharedBytes out = allocate(src.size());
   if (!src.empty()) {
-    RUBIN_AUDIT_COUNT("datapath.copy_bytes", src.size());
+    RUBIN_COUNT("datapath.copy_bytes", src.size());
     std::memcpy(out.mutable_data(), src.data(), src.size());
   }
   return out;
@@ -58,9 +59,9 @@ SharedBytes SharedBytes::slice(std::size_t offset, std::size_t len) const {
   }
   if (len == 0) return {};
   if (ctrl_ != nullptr) ++ctrl_->refs;
-  // Each slice is a payload reference that did *not* copy — the audit
+  // Each slice is a payload reference that did *not* copy — the
   // counterpart of datapath.copy_bytes.
-  RUBIN_AUDIT_COUNT("datapath.slices", 1);
+  RUBIN_COUNT("datapath.slices", 1);
   return SharedBytes(ctrl_, data_ + offset, len);
 }
 
@@ -90,7 +91,7 @@ std::size_t FrameVec::copy_to(MutByteView out) const {
   std::size_t off = 0;
   for (std::size_t i = 0; i < count_; ++i) {
     const SharedBytes& s = slices_[i];
-    RUBIN_AUDIT_COUNT("datapath.copy_bytes", s.size());
+    RUBIN_COUNT("datapath.copy_bytes", s.size());
     std::memcpy(out.data() + off, s.data(), s.size());
     off += s.size();
   }

@@ -1,31 +1,17 @@
-// Measurement helpers for benchmarks: running summary statistics and an
-// exact-percentile latency recorder. The bench binaries print the same rows
-// the paper's figures plot (payload, mean latency, percentiles, krps), so
-// these keep raw samples rather than approximating with fixed buckets.
+// Measurement helpers for benchmarks: running summary statistics and a
+// latency recorder that keeps every sample. The bench binaries print the
+// same rows the paper's figures plot (payload, mean latency, percentiles,
+// krps), so these keep raw samples rather than approximating with fixed
+// buckets. Named counters live in common/counters.hpp.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <utility>
+#include <cstddef>
 #include <vector>
 
+// perfbench reaches the counter forwarders through this header.
+#include "common/counters.hpp"
+
 namespace rubin {
-
-namespace stats {
-
-/// Process-wide named monotone counters. Unlike the audit counters
-/// (common/audit.hpp), these are always compiled in: they are part of the
-/// observable surface (fabric fault accounting, FaultLab reports), not a
-/// debugging aid. Single-threaded like the rest of the simulation.
-void counter_add(std::string_view name, std::uint64_t delta = 1);
-std::uint64_t counter_value(std::string_view name);
-/// All counters, sorted by name (deterministic).
-std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot();
-/// Zeroes every counter (tests isolate themselves with this).
-void reset_counters();
-
-}  // namespace stats
 
 /// Streaming mean / min / max / variance (Welford).
 class Summary {
@@ -47,7 +33,8 @@ class Summary {
   double max_ = 0.0;
 };
 
-/// Stores every sample; percentiles are exact (nearest-rank).
+/// Stores every sample; percentile(q) interpolates linearly between the
+/// two samples around rank q * (n - 1), so the median of 1..100 is 50.5.
 class LatencyRecorder {
  public:
   void reserve(std::size_t n) { samples_.reserve(n); }

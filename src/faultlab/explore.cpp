@@ -5,7 +5,7 @@
 #include <set>
 #include <sstream>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "common/rng.hpp"
 #include "common/text_reader.hpp"
 #include "faultlab/fault_file.hpp"
@@ -155,7 +155,7 @@ ScheduleResult Explorer::run_schedule(
                                 (out.report.verdict.live ? 4 : 0));
   key = fnv1a(key, &bits, sizeof(bits));
   out.schedule_key = key;
-  RUBIN_AUDIT_COUNT("faultlab.explore.runs", 1);
+  RUBIN_COUNT("faultlab.explore.runs", 1);
   return out;
 }
 
@@ -224,13 +224,13 @@ ExploreReport Explorer::explore(const Scenario& base) {
     ++rep.runs;
     if (!seen.insert(r.schedule_key).second) {
       ++rep.dedup_hits;
-      RUBIN_AUDIT_COUNT("faultlab.explore.dedup_hits", 1);
+      RUBIN_COUNT("faultlab.explore.dedup_hits", 1);
       return;
     }
     ++rep.unique_schedules;
     if (r.violation) {
       ++rep.violations;
-      RUBIN_AUDIT_COUNT("faultlab.explore.violations", 1);
+      RUBIN_COUNT("faultlab.explore.violations", 1);
       if (opts_.minimize) {
         r = minimize(base, std::move(r), &rep.minimization_runs);
       }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/audit.hpp"
+#include "common/counters.hpp"
 
 namespace rubin::poplab {
 
@@ -308,16 +309,16 @@ sim::Task<void> Population::drive_cohort(std::size_t idx) {
     const sim::Time target = cohort_t0 + a->at;
     if (target > sim_->now()) co_await sim_->sleep(target - sim_->now());
     ++cs.arrivals;
-    RUBIN_AUDIT_COUNT("poplab.arrivals", 1);
+    RUBIN_COUNT("poplab.arrivals", 1);
     co_await issue(idx, *a);
   }
 }
 
 void Population::drop(ClientCohort& cs) {
   ++cs.drops;
-  // Shed load is lost load: drops ride the timeout audit counter (the
+  // Shed load is lost load: drops ride the timeout counter (the
   // report still separates the two).
-  RUBIN_AUDIT_COUNT("poplab.timeouts", 1);
+  RUBIN_COUNT("poplab.timeouts", 1);
 }
 
 sim::Task<void> Population::issue(std::size_t cohort_idx, const Arrival& a) {
@@ -386,7 +387,7 @@ void Population::on_ack(std::uint32_t client_idx, std::uint32_t req_id) {
       ClientCohort& cs = cohorts_[c.cohort];
       cs.latency.add(static_cast<double>(sim_->now() - it->sent_at) / 1e3);
       ++cs.completions;
-      RUBIN_AUDIT_COUNT("poplab.completions", 1);
+      RUBIN_COUNT("poplab.completions", 1);
       c.pending.erase(it);
       return;
     }
@@ -400,7 +401,7 @@ void Population::expire(std::uint32_t client_idx, std::uint32_t req_id) {
   for (auto it = c.pending.begin(); it != c.pending.end(); ++it) {
     if (it->req_id == req_id) {
       ++cohorts_[c.cohort].timeouts;
-      RUBIN_AUDIT_COUNT("poplab.timeouts", 1);
+      RUBIN_COUNT("poplab.timeouts", 1);
       c.pending.erase(it);
       return;
     }

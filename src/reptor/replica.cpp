@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "common/codec.hpp"
 #include "common/log.hpp"
 #include "reptor/byzantine.hpp"
@@ -191,7 +192,7 @@ sim::Task<void> Replica::decision_poll_loop() {
 void Replica::suspend_fast_path() {
   if (!fast_ok_) return;
   fast_ok_ = false;
-  RUBIN_AUDIT_COUNT("decision_log.fallback", 1);
+  RUBIN_COUNT("decision_log.fallback", 1);
 }
 
 sim::Task<void> Replica::fast_poll_once() {
@@ -233,7 +234,7 @@ sim::Task<void> Replica::fast_poll_once() {
   }
   if (!ok) {
     ++stats_.auth_failures;
-    RUBIN_AUDIT_COUNT("decision_log.reject", 1);
+    RUBIN_COUNT("decision_log.reject", 1);
     suspend_fast_path();
     co_return;
   }
@@ -242,11 +243,11 @@ sim::Task<void> Replica::fast_poll_once() {
   if (entry.pp && entry.view == view_ && entry.pp->digest != pp->digest) {
     // The message path accepted a different proposal for this sequence in
     // this view — an equivocating primary. Never endorse the second one.
-    RUBIN_AUDIT_COUNT("decision_log.reject", 1);
+    RUBIN_COUNT("decision_log.reject", 1);
     suspend_fast_path();
     co_return;
   }
-  RUBIN_AUDIT_COUNT("decision_log.accept", 1);
+  RUBIN_COUNT("decision_log.accept", 1);
   entry.fast_pp = *pp;
   entry.fast_acked = true;
   if (!entry.pp) entry.view = view_;
@@ -289,7 +290,7 @@ sim::Task<void> Replica::maybe_fast_commit(std::uint64_t seq) {
   const std::uint64_t tag = digest_tag(entry.fast_pp->digest);
   if (1 + cfg_.decision_log->acks_for(seq, tag) < 2 * cfg_.f + 1) co_return;
   if (entry.pp && entry.pp->digest != entry.fast_pp->digest) {
-    RUBIN_AUDIT_COUNT("decision_log.reject", 1);
+    RUBIN_COUNT("decision_log.reject", 1);
     suspend_fast_path();
     co_return;
   }
@@ -300,7 +301,7 @@ sim::Task<void> Replica::maybe_fast_commit(std::uint64_t seq) {
   entry.committed = true;
   ++stats_.batches_committed;
   ++stats_.fast_commits;
-  RUBIN_AUDIT_COUNT("decision_log.fast_commit", 1);
+  RUBIN_COUNT("decision_log.fast_commit", 1);
   co_await execute_ready();
   co_return;
 }

@@ -239,7 +239,7 @@ sim::Task<void> RubinTransport::flush() {
       for (std::size_t i = 0; i < take; ++i) batch.push_back(queue[i]);
       if (xport_sel_) {
         // Record the selector's per-frame decision (transport.pick.*
-        // audit counters). With no one-sided lane, ring_credits stays 0;
+        // counters). With no one-sided lane, ring_credits stays 0;
         // the channel enacts the inline/send-recv choice itself because
         // its threshold equals the selector's crossover (see header).
         // send_slots_hint() deliberately: pick must not pump, or the

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "rubin/context.hpp"
 
 namespace rubin::nio {
@@ -39,7 +40,7 @@ void RdmaChannel::flush_outstanding() {
 void RdmaChannel::fail(verbs::WcStatus status) {
   if (last_error_ == verbs::WcStatus::kSuccess) {
     last_error_ = status;
-    RUBIN_AUDIT_COUNT("channel.completion_errors", 1);
+    RUBIN_COUNT("channel.completion_errors", 1);
   }
   flush_outstanding();
   close();
@@ -238,7 +239,7 @@ sim::Task<bool> RdmaChannel::stage_message(ByteView msg,
     if (zero_copy) {
       wr.shared_payload.append(*handle);
     } else {
-      RUBIN_AUDIT_COUNT("datapath.copy_bytes", msg.size());
+      RUBIN_COUNT("datapath.copy_bytes", msg.size());
       std::memcpy(send_pool_->view(*slot).data(), msg.data(), msg.size());
     }
     wr.sg_list = send_pool_->sge(*slot, static_cast<std::uint32_t>(msg.size()));
@@ -535,7 +536,7 @@ sim::Task<std::size_t> RdmaChannel::read(MutByteView out) {
   }
   (void)filled_.pop();
 
-  RUBIN_AUDIT_COUNT("datapath.recv_copy_bytes", msg.len);
+  RUBIN_COUNT("datapath.recv_copy_bytes", msg.len);
   const std::uint8_t* src = msg.payload.empty()
                                 ? recv_pool_->view(msg.slot).data()
                                 : msg.payload.data();

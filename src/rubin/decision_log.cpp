@@ -3,7 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 
 namespace rubin::nio {
 
@@ -116,7 +116,7 @@ sim::Task<void> DecisionLog::enter_view(std::uint64_t view) {
   // it lands mid-flip.
   granted_view_ = kNoGrant;
   ++stats_.permission_flips;
-  RUBIN_AUDIT_COUNT("decision_log.permission_flip", 1);
+  RUBIN_COUNT("decision_log.permission_flip", 1);
   (void)co_await ctx_->device().flip_write_permission(ctx_->pd(), ring_mr_,
                                                       true);
   granted_view_ = view;
@@ -180,7 +180,7 @@ sim::Task<std::uint32_t> DecisionLog::publish(std::uint64_t seq,
     const auto grant = group_[p]->grant_for(view);
     if (!grant.has_value() || !has_credit(p, seq)) {
       ++stats_.bypasses;
-      RUBIN_AUDIT_COUNT("transport.onesided.bypass", 1);
+      RUBIN_COUNT("transport.onesided.bypass", 1);
       continue;
     }
     SelectorInputs in;
@@ -190,7 +190,7 @@ sim::Task<std::uint32_t> DecisionLog::publish(std::uint64_t seq,
     in.recv_poll_interval = cfg_.poll_interval;
     if (selector_.pick(in) != TransportKind::kWrite) {
       ++stats_.bypasses;
-      RUBIN_AUDIT_COUNT("transport.onesided.bypass", 1);
+      RUBIN_COUNT("transport.onesided.bypass", 1);
       continue;
     }
     cached_rkey_[p] = *grant;
@@ -201,12 +201,12 @@ sim::Task<std::uint32_t> DecisionLog::publish(std::uint64_t seq,
                                             std::move(wire), *grant);
     if (r != verbs::PostResult::kOk) {
       ++stats_.bypasses;
-      RUBIN_AUDIT_COUNT("transport.onesided.bypass", 1);
+      RUBIN_COUNT("transport.onesided.bypass", 1);
       continue;
     }
     ++written;
     ++stats_.records_published;
-    RUBIN_AUDIT_COUNT("transport.onesided.write", 1);
+    RUBIN_COUNT("transport.onesided.write", 1);
   }
   co_return written;
 }
@@ -228,7 +228,7 @@ sim::Task<SlotStatus> DecisionLog::poll_slot(std::uint64_t seq,
     // written by an honest primary for this slot: suspend-worthy.
     const bool leftover = h_seq < seq && (seq - h_seq) % cfg_.slot_count == 0;
     if (h_seq == 0 || leftover) co_return SlotStatus::kEmpty;
-    RUBIN_AUDIT_COUNT("decision_log.stale", 1);
+    RUBIN_COUNT("decision_log.stale", 1);
     ++stats_.stale_slots;
     co_return SlotStatus::kBadFrame;
   }
@@ -236,7 +236,7 @@ sim::Task<SlotStatus> DecisionLog::poll_slot(std::uint64_t seq,
     // Right sequence, wrong view: a replayed record from before the view
     // change (or one that raced it). The new primary's write will
     // overwrite the slot; until then the message path carries the seq.
-    RUBIN_AUDIT_COUNT("decision_log.stale", 1);
+    RUBIN_COUNT("decision_log.stale", 1);
     ++stats_.stale_slots;
     co_return SlotStatus::kStale;
   }
@@ -246,7 +246,7 @@ sim::Task<SlotStatus> DecisionLog::poll_slot(std::uint64_t seq,
     // Header present, canary missing: the write has not fully landed (or
     // was deliberately torn). Not consumed, not fatal — a persistent torn
     // slot simply stalls the fast path until the watchdog falls back.
-    RUBIN_AUDIT_COUNT("decision_log.torn", 1);
+    RUBIN_COUNT("decision_log.torn", 1);
     ++stats_.torn_slots;
     co_return SlotStatus::kTorn;
   }
@@ -305,7 +305,7 @@ std::size_t DecisionLog::drain_completions() {
       if (c.status == verbs::WcStatus::kRemoteAccessError) {
         ++naks;
         ++stats_.write_naks;
-        RUBIN_AUDIT_COUNT("decision_log.write_nak", 1);
+        RUBIN_COUNT("decision_log.write_nak", 1);
       }
     }
     if (batch.empty()) break;

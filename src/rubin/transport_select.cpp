@@ -2,7 +2,7 @@
 
 #include <array>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 
 namespace rubin::nio {
 
@@ -107,16 +107,16 @@ TransportKind TransportSelector::pick(const SelectorInputs& in) const {
   }
   switch (best) {
     case TransportKind::kInline:
-      RUBIN_AUDIT_COUNT("transport.pick.inline", 1);
+      RUBIN_COUNT("transport.pick.inline", 1);
       break;
     case TransportKind::kSendRecv:
-      RUBIN_AUDIT_COUNT("transport.pick.send_recv", 1);
+      RUBIN_COUNT("transport.pick.send_recv", 1);
       break;
     case TransportKind::kWrite:
-      RUBIN_AUDIT_COUNT("transport.pick.write", 1);
+      RUBIN_COUNT("transport.pick.write", 1);
       break;
     case TransportKind::kReadDrain:
-      RUBIN_AUDIT_COUNT("transport.pick.read", 1);
+      RUBIN_COUNT("transport.pick.read", 1);
       break;
   }
   return best;

@@ -17,7 +17,7 @@
 //     which is how every pre-existing configuration reproduces
 //     bit-identically — the selector only *observes* in that mode.
 //
-// Every pick fires one transport.pick.* audit counter, so a run's
+// Every pick fires one transport.pick.* counter, so a run's
 // transport mix is auditable after the fact (and rubinlint's audit-xref
 // keeps the counter names test-asserted).
 #pragma once
@@ -53,7 +53,7 @@ class TransportSelector {
       : cost_(&cost), policy_(policy) {}
 
   /// The pick (see the file comment for the exact contract). Fires the
-  /// matching transport.pick.* audit counter in either mode.
+  /// matching transport.pick.* counter in either mode.
   TransportKind pick(const SelectorInputs& in) const;
 
   /// Modeled one-way delivery latency of `kind` for these inputs: sender

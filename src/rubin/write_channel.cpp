@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/audit.hpp"
+#include "common/counters.hpp"
 
 namespace rubin::nio {
 
@@ -84,7 +85,7 @@ sim::Task<bool> OneSidedChannel::acquire_credit() {
   // Either is counted (it is the peer's fault, not a local bug) and the
   // flow-control gate below handles it conservatively.
   if (consumed < last_credit_ || consumed > sent_seq_) {
-    RUBIN_AUDIT_COUNT("onesided.implausible_credit", 1);
+    RUBIN_COUNT("onesided.implausible_credit", 1);
   } else {
     last_credit_ = consumed;
   }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "common/ring_buffer.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -51,7 +52,7 @@ class Simulator {
   template <typename F>
     requires std::is_invocable_v<std::decay_t<F>&>
   TimerId schedule_at(Time t, F&& fn) {
-    RUBIN_AUDIT_COUNT("sim.schedule.erased", 1);
+    RUBIN_COUNT("sim.schedule.erased", 1);
     const std::uint32_t slot = acquire_slot();
     TimerSlot& s = slot_ref(slot);
     if constexpr (std::is_same_v<std::decay_t<F>, UniqueFunction>) {
@@ -84,7 +85,7 @@ class Simulator {
   /// sleep, Mailbox wakeup and Event notify takes. Inline so awaiter call
   /// sites fuse with the ring push.
   void schedule_resume(Time t, std::coroutine_handle<> h) {
-    RUBIN_AUDIT_COUNT("sim.schedule.resume", 1);
+    RUBIN_COUNT("sim.schedule.resume", 1);
     RUBIN_AUDIT_ASSERT("sim", (handle_payload(h) & kSlotTag) == 0,
                        "coroutine frame address has bit 0 set; payload "
                        "tagging needs 2-aligned frames");
@@ -94,12 +95,12 @@ class Simulator {
   /// Fast path: resume `h` at the current instant, after already-queued
   /// events for this instant. Bypasses the timer heap entirely.
   void post_resume(std::coroutine_handle<> h) {
-    RUBIN_AUDIT_COUNT("sim.schedule.resume", 1);
+    RUBIN_COUNT("sim.schedule.resume", 1);
     RUBIN_AUDIT_ASSERT("sim", (handle_payload(h) & kSlotTag) == 0,
                        "coroutine frame address has bit 0 set; payload "
                        "tagging needs 2-aligned frames");
     now_queue_.push(NowEntry{next_seq_++, handle_payload(h)});
-    RUBIN_AUDIT_COUNT("sim.enqueue.now_ring", 1);
+    RUBIN_COUNT("sim.enqueue.now_ring", 1);
   }
 
   /// Cancels a pending callback. O(1); safe (and a no-op) after it fired.
@@ -211,7 +212,7 @@ class Simulator {
       // seq (it was pushed before time advanced to now_), so the merge in
       // step() preserves the global (t, seq) contract.
       now_queue_.push(NowEntry{seq, payload});
-      RUBIN_AUDIT_COUNT("sim.enqueue.now_ring", 1);
+      RUBIN_COUNT("sim.enqueue.now_ring", 1);
     } else {
       pending_push(HeapEntry{t, seq, payload});
       // The min element can never sit in the past, or virtual time would
@@ -297,10 +298,10 @@ class Simulator {
   void pending_push(HeapEntry e) {
     if (sorted_run_.empty() || !e.fires_before(sorted_run_.back())) {
       sorted_run_.push_back(e);
-      RUBIN_AUDIT_COUNT("sim.enqueue.run", 1);
+      RUBIN_COUNT("sim.enqueue.run", 1);
     } else {
       heap_push(e);
-      RUBIN_AUDIT_COUNT("sim.enqueue.heap", 1);
+      RUBIN_COUNT("sim.enqueue.heap", 1);
     }
   }
 

@@ -11,7 +11,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "common/frame_pool.hpp"
 
 namespace rubin::sim {
@@ -44,7 +44,7 @@ class UniqueFunction {
     if constexpr (kFitsInline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
-      RUBIN_AUDIT_COUNT("sim.uf.inline", 1);
+      RUBIN_COUNT("sim.uf.inline", 1);
     } else {
       // Spills recycle through the frame pool alongside coroutine frames:
       // an oversized schedule-site closure is just as hot as the frame
@@ -66,7 +66,7 @@ class UniqueFunction {
             Holder(std::make_unique<D>(std::forward<F>(f)));
       }
       ops_ = &kHeapOps<D>;
-      RUBIN_AUDIT_COUNT("sim.uf.heap", 1);
+      RUBIN_COUNT("sim.uf.heap", 1);
     }
   }
 

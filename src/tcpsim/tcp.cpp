@@ -4,7 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "tcpsim/poller.hpp"
 
 namespace rubin::tcpsim {
@@ -37,7 +37,7 @@ sim::Task<std::size_t> TcpSocket::read(MutByteView out) {
   if (n == 0) co_return 0;
   co_await sim.sleep(cost.copy_time(n));
   // Kernel->user copy: gather the queued segment slices into `out`.
-  RUBIN_AUDIT_COUNT("datapath.recv_copy_bytes", n);
+  RUBIN_COUNT("datapath.recv_copy_bytes", n);
   std::size_t copied = 0;
   while (copied < n) {
     const SharedBytes& head = rx_.front();
@@ -158,7 +158,7 @@ void TcpSocket::coalesce_tx() {
     pos += c.size() - off;
     off = 0;
   }
-  RUBIN_AUDIT_COUNT("datapath.copy_bytes", pos);
+  RUBIN_COUNT("datapath.copy_bytes", pos);
   tx_.clear();
   tx_.push_back(std::move(merged));
   tx_head_off_ = 0;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 
 namespace rubin::verbs {
 
@@ -311,7 +311,7 @@ sim::Task<PostResult> QueuePair::post_send(std::span<SendWr> wrs) {
             // nothing on re-execution) is discarded, and the ghost never
             // completes the sender's WR a second time.
             if (fault.duplicate && w.opcode != Opcode::kRdmaWrite) {
-              RUBIN_AUDIT_COUNT("verbs.duplicate_discarded", 1);
+              RUBIN_COUNT("verbs.duplicate_discarded", 1);
               return;
             }
             auto sender = self.lock();
@@ -434,7 +434,7 @@ void QueuePair::on_send_arrival(InboundSend in) {
   if (!inbound_.empty() && cfg_.srq != nullptr) {
     // Parked because the shared queue is drained: RNR-style backpressure.
     // A later SRQ refill re-drains us (attach order) ahead of the timer.
-    RUBIN_AUDIT_COUNT("verbs.srq.rnr_backpressure", 1);
+    RUBIN_COUNT("verbs.srq.rnr_backpressure", 1);
   }
   if (!inbound_.empty() && !rnr_timer_armed_) {
     rnr_timer_armed_ = true;
@@ -527,7 +527,7 @@ void QueuePair::drain_inbound() {
                 captured = in.payload.slice_at(0);
               }
             } else {
-              RUBIN_AUDIT_COUNT("datapath.recv_copy_bytes",
+              RUBIN_COUNT("datapath.recv_copy_bytes",
                                 in.payload.total_size());
               captured = SharedBytes::allocate(in.payload.total_size());
               std::uint8_t* p = captured.mutable_data();
@@ -537,7 +537,7 @@ void QueuePair::drain_inbound() {
               }
             }
           } else {
-            RUBIN_AUDIT_COUNT("datapath.recv_copy_bytes",
+            RUBIN_COUNT("datapath.recv_copy_bytes",
                               in.payload.total_size());
             std::uint8_t* p = dst;
             for (const SharedBytes& s : in.payload) {
@@ -672,7 +672,7 @@ void QueuePair::on_read_request(std::uint64_t remote_addr, std::uint32_t rkey,
             const net::FrameFault& fault) mutable {
           // Duplicate read responses carry an already-acked PSN: discard.
           if (fault.duplicate) {
-            RUBIN_AUDIT_COUNT("verbs.duplicate_discarded", 1);
+            RUBIN_COUNT("verbs.duplicate_discarded", 1);
             return;
           }
           if (fault.corrupt && !payload.empty()) {

@@ -1,6 +1,6 @@
 #include "verbs/srq.hpp"
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "verbs/device.hpp"
 
 namespace rubin::verbs {
@@ -23,7 +23,7 @@ PostResult SharedReceiveQueue::post_now(std::span<const RecvWr> wrs) {
     queue_.push_back(wr);
     posted_bytes_ += wr.sge.length;
   }
-  RUBIN_AUDIT_COUNT("verbs.srq.posted", wrs.size());
+  RUBIN_COUNT("verbs.srq.posted", wrs.size());
   if (!wrs.empty()) redrain();
   return PostResult::kOk;
 }
@@ -33,14 +33,14 @@ RecvWr SharedReceiveQueue::take() {
   queue_.pop_front();
   posted_bytes_ -= wr.sge.length;
   ++taken_;
-  RUBIN_AUDIT_COUNT("verbs.srq.stolen", 1);
+  RUBIN_COUNT("verbs.srq.stolen", 1);
   if (limit_ > 0 && queue_.size() < limit_) {
     // Watermark crossed: one event, then disarmed until re-armed
     // (IBV_EVENT_SRQ_LIMIT_REACHED). Delivery goes through the event
     // queue so a refill from the handler never re-enters the drain loop
     // that triggered it.
     limit_ = 0;
-    RUBIN_AUDIT_COUNT("verbs.srq.limit_events", 1);
+    RUBIN_COUNT("verbs.srq.limit_events", 1);
     if (limit_handler_) {
       dev_->simulator().post([handler = limit_handler_] { handler(); });
     }

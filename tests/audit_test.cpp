@@ -57,18 +57,6 @@ TEST(AuditPrimitives, CapturesNest) {
   EXPECT_TRUE(outer.saw("goes to outer after inner dies"));
 }
 
-TEST(AuditPrimitives, CountersAccumulateAndReset) {
-  audit::reset_counters();
-  EXPECT_EQ(audit::counter_value("test.widget"), 0u);
-  RUBIN_AUDIT_COUNT("test.widget", 1);
-  RUBIN_AUDIT_COUNT("test.widget", 2);
-  EXPECT_EQ(audit::counter_value("test.widget"), 3u);
-  const auto all = audit::counters();
-  EXPECT_FALSE(all.empty());
-  audit::reset_counters();
-  EXPECT_EQ(audit::counter_value("test.widget"), 0u);
-}
-
 TEST(AuditPrimitives, ScopeCheckFiresOnExit) {
   audit::ScopedCapture cap;
   bool balanced = false;
@@ -231,66 +219,6 @@ TEST(SimulatorAudit, TimerHeapValidatesUnderLoad) {
   sim.run();
   EXPECT_TRUE(sim.validate_heap());
 }
-
-TEST(SimulatorAudit, EventRoutingCountersTrackFastPaths) {
-  // Each scheduling API must take its intended queue (DESIGN.md §5): the
-  // coroutine fast path never builds a UniqueFunction, same-instant work
-  // goes through the ring, future work through the sorted run or heap.
-  audit::reset_counters();
-  sim::Simulator sim;
-
-  // Erased path: schedule_at/post build a slot-held UniqueFunction.
-  for (int i = 0; i < 5; ++i) sim.schedule_after(100 + i, [] {});
-  sim.post([] {});
-  EXPECT_EQ(audit::counter_value("sim.schedule.erased"), 6u);
-  EXPECT_EQ(audit::counter_value("sim.uf.inline"), 6u);
-  EXPECT_EQ(audit::counter_value("sim.uf.heap"), 0u);
-  EXPECT_EQ(audit::counter_value("sim.schedule.resume"), 0u);
-
-  // Routing: the post went to the same-instant ring, the five monotone
-  // future timers to the sorted run, none to the heap.
-  EXPECT_EQ(audit::counter_value("sim.enqueue.now_ring"), 1u);
-  EXPECT_EQ(audit::counter_value("sim.enqueue.run"), 5u);
-  EXPECT_EQ(audit::counter_value("sim.enqueue.heap"), 0u);
-
-  // An out-of-order future timer is the only thing that pays the heap.
-  sim.schedule_after(50, [] {});
-  EXPECT_EQ(audit::counter_value("sim.enqueue.heap"), 1u);
-
-  // Coroutine fast path: sleep resumes via schedule_resume — no erased
-  // schedule, no UniqueFunction construction.
-  const auto erased_before = audit::counter_value("sim.schedule.erased");
-  const auto inline_before = audit::counter_value("sim.uf.inline");
-  sim.spawn([](sim::Simulator& s) -> sim::Task<> {
-    co_await s.sleep(10);
-    co_await s.sleep(0);  // same-instant resume: ring again
-  }(sim));
-  sim.run();
-  EXPECT_GE(audit::counter_value("sim.schedule.resume"), 2u);
-  // spawn()'s start event is erased (+1); the sleeps must not be.
-  EXPECT_EQ(audit::counter_value("sim.schedule.erased"), erased_before + 1);
-  EXPECT_EQ(audit::counter_value("sim.uf.inline"), inline_before + 1);
-  EXPECT_EQ(audit::counter_value("sim.uf.heap"), 0u);
-}
-
-#if !defined(RUBIN_FRAME_POOL_OFF)
-TEST(SimulatorAudit, FramePoolRecyclesCoroutineFrames) {
-  // Identically-shaped coroutine frames must come back from the recycling
-  // pool after the first: the DES hot loop's dominant allocation is the
-  // Task frame, and the pool turns steady-state churn into pointer moves.
-  // (Compiled out under ASan, where pooling would mask use-after-free.)
-  audit::reset_counters();
-  sim::Simulator sim;
-  for (int i = 0; i < 8; ++i) {
-    sim.spawn([](sim::Simulator& s) -> sim::Task<> {
-      co_await s.sleep(1);
-    }(sim));
-    sim.run();
-  }
-  EXPECT_GE(audit::counter_value("sim.frame_pool.fresh"), 1u);
-  EXPECT_GE(audit::counter_value("sim.frame_pool.reuse"), 7u);
-}
-#endif
 
 // ------------------------------------------------------------ fatal path -
 

@@ -1,4 +1,5 @@
-// Unit tests for src/common: bytes, codec, rng, ring buffer, stats.
+// Unit tests for src/common: bytes, codec, rng, ring buffer, stats,
+// counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,6 +7,7 @@
 
 #include "common/bytes.hpp"
 #include "common/codec.hpp"
+#include "common/counters.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -294,6 +296,29 @@ TEST(LatencyRecorder, AddAfterPercentileResorts) {
   EXPECT_DOUBLE_EQ(r.max(), 20.0);
   r.add(5.0);
   EXPECT_DOUBLE_EQ(r.min(), 5.0);
+}
+
+// ------------------------------------------------------------- counters --
+
+TEST(Counters, AccumulateAndReset) {
+  counters::reset();
+  EXPECT_EQ(counters::value("test.widget"), 0u);
+  RUBIN_COUNT("test.widget", 1);
+  RUBIN_COUNT("test.widget", 2);
+  EXPECT_EQ(counters::value("test.widget"), 3u);
+
+  // The snapshot perfbench digests: sorted by name across every family
+  // (fabric.* next to the data-path names), a zero-delta add still lists
+  // its name, and a reset empties it.
+  RUBIN_COUNT("verbs.srq.stolen", 0);
+  RUBIN_COUNT("fabric.frames_dropped", 4);
+  EXPECT_EQ(counters::snapshot(),
+            (counters::Snapshot{{"fabric.frames_dropped", 4},
+                                {"test.widget", 3},
+                                {"verbs.srq.stolen", 0}}));
+  counters::reset();
+  EXPECT_TRUE(counters::snapshot().empty());
+  EXPECT_EQ(counters::value("test.widget"), 0u);
 }
 
 }  // namespace

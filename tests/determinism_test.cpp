@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "poplab/population.hpp"
 #include "rubin/transport_select.hpp"
 #include "faultlab/corpus.hpp"
@@ -301,12 +301,11 @@ TEST(Datapath, TransportPickCountersCoverEveryLane) {
   // transport mix is auditable after the fact. Each lane is forced by
   // constructing the resource state where it is the argmin (or, for
   // kReadDrain, the only available escape hatch).
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
   const net::CostModel cm = net::CostModel::roce_10g();
   nio::TransportPolicy policy;
   policy.mode = nio::TransportPolicy::Mode::kAdaptive;
   const nio::TransportSelector sel(cm, policy);
-  audit::reset_counters();
+  counters::reset();
 
   nio::SelectorInputs in;
   in.send_slots_free = 1;
@@ -327,18 +326,17 @@ TEST(Datapath, TransportPickCountersCoverEveryLane) {
   in.send_slots_free = 0;  // sender starved: receiver-driven pull
   EXPECT_EQ(sel.pick(in), nio::TransportKind::kReadDrain);
 
-  EXPECT_EQ(audit::counter_value("transport.pick.inline"), 1u);
-  EXPECT_EQ(audit::counter_value("transport.pick.send_recv"), 1u);
-  EXPECT_EQ(audit::counter_value("transport.pick.write"), 1u);
-  EXPECT_EQ(audit::counter_value("transport.pick.read"), 1u);
+  EXPECT_EQ(counters::value("transport.pick.inline"), 1u);
+  EXPECT_EQ(counters::value("transport.pick.send_recv"), 1u);
+  EXPECT_EQ(counters::value("transport.pick.write"), 1u);
+  EXPECT_EQ(counters::value("transport.pick.read"), 1u);
 }
 
 TEST(Datapath, SendPathCopiesA64KiBPayloadAtMostOnce) {
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
   constexpr std::size_t kPayload = 64 * 1024;
   constexpr int kMessages = 20;
 
-  audit::reset_counters();
+  counters::reset();
   EchoParams p;
   p.payload = kPayload;
   p.messages = kMessages;
@@ -350,13 +348,11 @@ TEST(Datapath, SendPathCopiesA64KiBPayloadAtMostOnce) {
   // buffer, i.e. at most one copy of the payload per message end-to-end.
   // Receiver-side copies are counted separately (and deliberately stay:
   // the receive-side copy is the paper's measured effect, §IV).
-  const std::uint64_t send_copies =
-      audit::counter_value("datapath.copy_bytes");
+  const std::uint64_t send_copies = counters::value("datapath.copy_bytes");
   EXPECT_GT(send_copies, 0u);
   EXPECT_LE(send_copies, kPayload * (kMessages + 2));
 
-  const std::uint64_t recv_copies =
-      audit::counter_value("datapath.recv_copy_bytes");
+  const std::uint64_t recv_copies = counters::value("datapath.recv_copy_bytes");
   // The receiver-side copy fires once per delivered message per side.
   EXPECT_GE(recv_copies, kPayload * kMessages);
 }

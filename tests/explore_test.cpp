@@ -6,7 +6,7 @@
 // perturbations, and replays the artifact bit-identically.
 #include <gtest/gtest.h>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "faultlab/corpus.hpp"
 #include "faultlab/explore.hpp"
 #include "reptor/replica.hpp"
@@ -64,8 +64,7 @@ TEST(Explore, SeedPerturbationIsANoOpWithoutDice) {
 }
 
 TEST(Explore, ExploreDedupsAndFeedsAuditCounters) {
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
-  audit::reset_counters();
+  counters::reset();
   ExploreOptions opts;
   opts.budget = 30;
   Explorer ex(opts);
@@ -76,12 +75,10 @@ TEST(Explore, ExploreDedupsAndFeedsAuditCounters) {
   EXPECT_GT(rep.dedup_hits, 0u);
   EXPECT_GT(rep.unique_schedules, 10u);
   EXPECT_EQ(rep.violations, 0u);
-  EXPECT_EQ(audit::counter_value("faultlab.explore.runs"),
+  EXPECT_EQ(counters::value("faultlab.explore.runs"),
             rep.runs + rep.minimization_runs);
-  EXPECT_EQ(audit::counter_value("faultlab.explore.dedup_hits"),
-            rep.dedup_hits);
-  EXPECT_EQ(audit::counter_value("faultlab.explore.violations"),
-            rep.violations);
+  EXPECT_EQ(counters::value("faultlab.explore.dedup_hits"), rep.dedup_hits);
+  EXPECT_EQ(counters::value("faultlab.explore.violations"), rep.violations);
 }
 
 TEST(Explore, ArtifactRoundTripsEveryPerturbationKind) {

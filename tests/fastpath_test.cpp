@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/codec.hpp"
+#include "common/counters.hpp"
 #include "reptor/byzantine.hpp"
 #include "workloads/bft_harness.hpp"
 
@@ -56,7 +57,7 @@ TEST_F(FastPathTest, FaultFreeCommitsRideTheFastPath) {
   h.enable_decision_log();
   h.add_replicas({}, fast_cfg());
   auto& client = h.add_client(4);
-  audit::reset_counters();
+  counters::reset();
   std::vector<std::uint64_t> results;
   run_client(h, client, 10, results);
   h.sim().run_until(sim::seconds(2));
@@ -79,12 +80,10 @@ TEST_F(FastPathTest, FaultFreeCommitsRideTheFastPath) {
     }
   }
   EXPECT_GT(fast_total, 0u);
-  if (audit::enabled()) {
-    EXPECT_GT(audit::counter_value("decision_log.accept"), 0u);
-    EXPECT_GT(audit::counter_value("decision_log.fast_commit"), 0u);
-    EXPECT_EQ(audit::counter_value("decision_log.reject"), 0u);
-    EXPECT_EQ(audit::counter_value("decision_log.fallback"), 0u);
-  }
+  EXPECT_GT(counters::value("decision_log.accept"), 0u);
+  EXPECT_GT(counters::value("decision_log.fast_commit"), 0u);
+  EXPECT_EQ(counters::value("decision_log.reject"), 0u);
+  EXPECT_EQ(counters::value("decision_log.fallback"), 0u);
 }
 
 TEST_F(FastPathTest, ForgingPrimaryFallsBackWithoutDivergence) {
@@ -98,7 +97,7 @@ TEST_F(FastPathTest, ForgingPrimaryFallsBackWithoutDivergence) {
   h.add_replicas({}, fast_cfg());
   h.replica(0).set_strategy(make_fastpath_abuser(FastPathAbuse::kForge));
   auto& client = h.add_client(4);
-  audit::reset_counters();
+  counters::reset();
   std::vector<std::uint64_t> results;
   run_client(h, client, 8, results);
   h.sim().run_until(sim::seconds(2));
@@ -108,11 +107,9 @@ TEST_F(FastPathTest, ForgingPrimaryFallsBackWithoutDivergence) {
   for (NodeId r = 1; r < 4; ++r) {
     EXPECT_EQ(h.replica(r).stats().fast_commits, 0u) << "replica " << r;
   }
-  if (audit::enabled()) {
-    EXPECT_GT(audit::counter_value("decision_log.reject"), 0u);
-    EXPECT_GT(audit::counter_value("decision_log.fallback"), 0u);
-    EXPECT_EQ(audit::counter_value("decision_log.fast_commit"), 0u);
-  }
+  EXPECT_GT(counters::value("decision_log.reject"), 0u);
+  EXPECT_GT(counters::value("decision_log.fallback"), 0u);
+  EXPECT_EQ(counters::value("decision_log.fast_commit"), 0u);
 }
 
 TEST_F(FastPathTest, TornWriterStallsFastPathButNotAgreement) {

@@ -1,10 +1,9 @@
 // FaultLab tests: the checker's safety/liveness verdicts in isolation,
 // full Lab scenario runs on both transport backends, and the fabric
-// fault counters' common/stats plumbing.
+// fault counters' registry plumbing.
 #include <gtest/gtest.h>
 
-#include "common/audit.hpp"
-#include "common/stats.hpp"
+#include "common/counters.hpp"
 #include "faultlab/corpus.hpp"
 #include "faultlab/lab.hpp"
 
@@ -296,61 +295,56 @@ TEST(Lab, MidRunStrategyInstallTurnsAReplica) {
   EXPECT_EQ(r.final_view, 0u);
 }
 
-// ------------------------------------------- fault counters via stats --
+// ---------------------------------------- fault counters via registry --
 
 TEST(Lab, FabricFaultCountersFlowThroughStats) {
   // The Report's counters are per-run deltas read from the fabric; the
-  // same events also feed the process-wide common/stats counters. After
+  // same events also feed the process-wide counter registry. After
   // a reset the two views must agree exactly.
-  stats::reset_counters();
+  counters::reset();
   auto s = find_scenario("f1-lossy-fabric");
   ASSERT_TRUE(s.has_value());
   Lab lab(std::move(*s));
   const Report r = lab.run();
   EXPECT_TRUE(r.passed()) << r.verdict.detail;
   EXPECT_GT(r.frames_dropped, 0u) << "lossy scenario injected no drops";
-  EXPECT_EQ(stats::counter_value("fabric.frames_dropped"), r.frames_dropped);
-  EXPECT_EQ(stats::counter_value("fabric.frames_corrupted"),
-            r.frames_corrupted);
-  EXPECT_EQ(stats::counter_value("fabric.frames_duplicated"),
-            r.frames_duplicated);
-  EXPECT_EQ(stats::counter_value("fabric.frames_reordered"),
-            r.frames_reordered);
+  EXPECT_EQ(counters::value("fabric.frames_dropped"), r.frames_dropped);
+  EXPECT_EQ(counters::value("fabric.frames_corrupted"), r.frames_corrupted);
+  EXPECT_EQ(counters::value("fabric.frames_duplicated"), r.frames_duplicated);
+  EXPECT_EQ(counters::value("fabric.frames_reordered"), r.frames_reordered);
 }
 
 TEST(Lab, DuplicateFloodTripsVerbsDedupCounter) {
   // 25% frame duplication: the ghosts must die in the verbs PSN dedup,
-  // and the audit counter proves that layer (not just PBFT request
+  // and the counter proves that layer (not just PBFT request
   // dedup) is what absorbed them.
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
-  audit::reset_counters();
+  counters::reset();
   auto s = find_scenario("f1-duplicate-flood");
   ASSERT_TRUE(s.has_value());
   Lab lab(std::move(*s));
   const Report r = lab.run();
   EXPECT_TRUE(r.passed()) << r.verdict.detail;
   EXPECT_GT(r.frames_duplicated, 0u) << "flood scenario injected no dupes";
-  EXPECT_GT(audit::counter_value("verbs.duplicate_discarded"), 0u);
+  EXPECT_GT(counters::value("verbs.duplicate_discarded"), 0u);
 }
 
 TEST(Lab, QpErrorFlushTripsCompletionErrorCounter) {
   // Backup 3's QPs all transition to error at t=6ms: every in-flight WR
   // flushes with an error completion, which the channel layer must count
   // before tearing down and redialing.
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
-  audit::reset_counters();
+  counters::reset();
   auto s = find_scenario("f1-qp-error-backup");
   ASSERT_TRUE(s.has_value());
   Lab lab(std::move(*s));
   const Report r = lab.run();
   EXPECT_TRUE(r.passed()) << r.verdict.detail;
-  EXPECT_GT(audit::counter_value("channel.completion_errors"), 0u);
+  EXPECT_GT(counters::value("channel.completion_errors"), 0u);
 }
 
 TEST(Lab, CorruptedFramesNeverBecomeForgeries) {
   // 5% of frames are bit-flipped in flight; MACs must keep every one of
   // them away from execution (checker: no_forgery).
-  stats::reset_counters();
+  counters::reset();
   auto s = find_scenario("f1-corrupt-frames");
   ASSERT_TRUE(s.has_value());
   Lab lab(std::move(*s));

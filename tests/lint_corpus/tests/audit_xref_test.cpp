@@ -1,14 +1,14 @@
-// Corpus: audit-counter cross-reference, test side. "corpus.ghost" is
+// Corpus: counter cross-reference, test side. "corpus.ghost" is
 // asserted here but counted nowhere in src/ — a stale or typo'd name.
 #include <gtest/gtest.h>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 
 namespace corpus {
 
 TEST(CorpusAudit, Coverage) {
-  EXPECT_GT(audit::counter_value("corpus.covered"), 0u);
-  EXPECT_EQ(audit::counter_value("corpus.ghost"), 0u);  // lint-expect(audit-xref-unknown)
+  EXPECT_GT(counters::value("corpus.covered"), 0u);
+  EXPECT_EQ(counters::value("corpus.ghost"), 0u);  // lint-expect(audit-xref-unknown)
 }
 
 }  // namespace corpus

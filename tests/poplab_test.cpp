@@ -1,13 +1,13 @@
 // PopLab subsystem tests: the .pop scenario grammar, the deterministic
 // arrival samplers, and small end-to-end populations in both receive
-// modes (SRQ-shared and per-QP). The audit-counter assertions here are
+// modes (SRQ-shared and per-QP). The counter assertions here are
 // the rubinlint xref coverage for the poplab.* counter family.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "net/fabric.hpp"
 #include "poplab/population.hpp"
 #include "poplab/scenario.hpp"
@@ -227,9 +227,7 @@ TEST_F(PoplabTest, SrqPopulationSustainsTheScenarioAndCountsEverything) {
   cfg.use_srq = true;
   cfg.clients_per_host = 24;  // force several client machines
 
-  const std::uint64_t arrivals0 = audit::counter_value("poplab.arrivals");
-  const std::uint64_t completions0 = audit::counter_value("poplab.completions");
-  const std::uint64_t timeouts0 = audit::counter_value("poplab.timeouts");
+  counters::reset();
 
   const PopulationReport r = run(spec, cfg);
   EXPECT_EQ(r.clients, 64u);
@@ -246,18 +244,13 @@ TEST_F(PoplabTest, SrqPopulationSustainsTheScenarioAndCountsEverything) {
   EXPECT_GE(r.cohorts[0].p99_us, r.cohorts[0].p50_us);
   EXPECT_GT(r.throughput_rps, 0.0);
 
-  if (audit::enabled()) {
-    // The xref contract for the poplab.* counter family: every counted
-    // name is asserted here, against the report the run itself produced.
-    EXPECT_EQ(audit::counter_value("poplab.arrivals") - arrivals0,
-              r.arrivals);
-    EXPECT_EQ(audit::counter_value("poplab.completions") - completions0,
-              r.completions);
-    // Shed arrivals (drops) ride the timeout counter: both are load the
-    // open-loop schedule offered and the system failed to serve.
-    EXPECT_EQ(audit::counter_value("poplab.timeouts") - timeouts0,
-              r.timeouts + r.drops);
-  }
+  // The xref contract for the poplab.* counter family: every counted
+  // name is asserted here, against the report the run itself produced.
+  EXPECT_EQ(counters::value("poplab.arrivals"), r.arrivals);
+  EXPECT_EQ(counters::value("poplab.completions"), r.completions);
+  // Shed arrivals (drops) ride the timeout counter: both are load the
+  // open-loop schedule offered and the system failed to serve.
+  EXPECT_EQ(counters::value("poplab.timeouts"), r.timeouts + r.drops);
 }
 
 TEST_F(PoplabTest, PerQpModeServesTheSameScenario) {

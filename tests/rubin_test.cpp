@@ -7,7 +7,7 @@
 #include <map>
 #include <vector>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "net/fabric.hpp"
 #include "rubin/context.hpp"
 #include "rubin/selector.hpp"
@@ -349,7 +349,6 @@ TEST_F(RubinTest, MultiSliceFrameSkipsTheGatherCopy) {
   // *and* physical memcpy — never happens. The send side must add zero
   // bytes to datapath.copy_bytes; the receiver's copy is separate and
   // deliberately stays (the paper's measured receive-side effect, §IV).
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
   ChannelConfig cfg;
   cfg.zero_copy_send = false;
   cfg.inline_threshold = 0;
@@ -358,7 +357,7 @@ TEST_F(RubinTest, MultiSliceFrameSkipsTheGatherCopy) {
   fv.append(SharedBytes::copy_of(patterned_bytes(8, 7)));
   fv.append(SharedBytes::copy_of(patterned_bytes(2040, 8)));
   fv.append(SharedBytes::copy_of(patterned_bytes(2048, 9)));
-  audit::reset_counters();
+  counters::reset();
   sim.spawn([](std::shared_ptr<RdmaChannel> c, std::shared_ptr<RdmaChannel> s,
                FrameVec fv) -> Task<> {
     std::size_t n = 0;
@@ -373,7 +372,7 @@ TEST_F(RubinTest, MultiSliceFrameSkipsTheGatherCopy) {
   sim.run();
   EXPECT_EQ(client->stats().gather_sends, 1u);
   EXPECT_EQ(client->stats().pool_copy_sends, 0u);
-  EXPECT_EQ(audit::counter_value("datapath.copy_bytes"), 0u);
+  EXPECT_EQ(counters::value("datapath.copy_bytes"), 0u);
   EXPECT_EQ(server->stats().receive_copies, 1u);
 }
 

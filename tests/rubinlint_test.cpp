@@ -107,9 +107,9 @@ TEST(Lexer, DigitSeparatorsStayInsideTheNumber) {
   // whole stretches of a file from every downstream rule.
   const auto f = lex("src/x.cpp",
                      "const int wr_id = 0xACC'0000 + seq;\n"
-                     "RUBIN_AUDIT_COUNT(\"x.y\", 1);\n"
+                     "RUBIN_COUNT(\"x.y\", 1);\n"
                      "char c = 'z';\n");
-  EXPECT_TRUE(has_ident(f, "RUBIN_AUDIT_COUNT"));
+  EXPECT_TRUE(has_ident(f, "RUBIN_COUNT"));
   bool saw_number = false, saw_char = false;
   for (const auto& t : f.tokens) {
     saw_number = saw_number || (t.kind == Tok::kNumber && t.text == "0xACC'0000");

@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "common/shared_bytes.hpp"
 
 namespace rubin {
@@ -51,27 +51,23 @@ TEST(SharedBytes, CopyBumpsRefcountMoveDoesNot) {
 
 TEST(SharedBytes, CopyOfIsAPhysicalCopy) {
   const Bytes src = patterned_bytes(100, 7);
-  audit::reset_counters();
+  counters::reset();
   const SharedBytes b = SharedBytes::copy_of(src);
   EXPECT_NE(static_cast<const void*>(b.data()),
             static_cast<const void*>(src.data()));
   EXPECT_TRUE(std::equal(b.view().begin(), b.view().end(), src.begin(), src.end()));
-  if (audit::enabled()) {
-    EXPECT_EQ(audit::counter_value("datapath.copy_bytes"), 100u);
-  }
+  EXPECT_EQ(counters::value("datapath.copy_bytes"), 100u);
 }
 
 TEST(SharedBytes, SliceSharesAllocationAndIsCounted) {
   SharedBytes whole = filled(64, 0);
-  audit::reset_counters();
+  counters::reset();
   const SharedBytes mid = whole.slice(16, 32);
   EXPECT_EQ(mid.size(), 32u);
   EXPECT_EQ(mid.data(), whole.data() + 16);
   EXPECT_EQ(whole.ref_count(), 2u);
-  if (audit::enabled()) {
-    EXPECT_EQ(audit::counter_value("datapath.copy_bytes"), 0u);
-    EXPECT_EQ(audit::counter_value("datapath.slices"), 1u);
-  }
+  EXPECT_EQ(counters::value("datapath.copy_bytes"), 0u);
+  EXPECT_EQ(counters::value("datapath.slices"), 1u);
   const SharedBytes tail = whole.slice(48);
   EXPECT_EQ(tail.size(), 16u);
   EXPECT_EQ(tail.data(), whole.data() + 48);

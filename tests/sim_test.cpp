@@ -1,11 +1,13 @@
 // Unit tests for the coroutine discrete-event simulator: clock behaviour,
-// event ordering, task composition, Event and Mailbox primitives.
+// event ordering, task composition, Event and Mailbox primitives, and the
+// sim.* counters that show which queue each event took.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/rng.hpp"
 #include "sim/event.hpp"
 #include "sim/mailbox.hpp"
@@ -396,6 +398,68 @@ TEST(SimMailbox, BurstThenDrain) {
   EXPECT_EQ(got.front(), 0);
   EXPECT_EQ(got.back(), 99);
 }
+
+// ------------------------------------------------------------- counters --
+
+TEST(SimulatorAudit, EventRoutingCountersTrackFastPaths) {
+  // Each scheduling API must take its intended queue (DESIGN.md §5): the
+  // coroutine fast path never builds a UniqueFunction, same-instant work
+  // goes through the ring, future work through the sorted run or heap.
+  counters::reset();
+  Simulator sim;
+
+  // Erased path: schedule_at/post build a slot-held UniqueFunction.
+  for (int i = 0; i < 5; ++i) sim.schedule_after(100 + i, [] {});
+  sim.post([] {});
+  EXPECT_EQ(counters::value("sim.schedule.erased"), 6u);
+  EXPECT_EQ(counters::value("sim.uf.inline"), 6u);
+  EXPECT_EQ(counters::value("sim.uf.heap"), 0u);
+  EXPECT_EQ(counters::value("sim.schedule.resume"), 0u);
+
+  // Routing: the post went to the same-instant ring, the five monotone
+  // future timers to the sorted run, none to the heap.
+  EXPECT_EQ(counters::value("sim.enqueue.now_ring"), 1u);
+  EXPECT_EQ(counters::value("sim.enqueue.run"), 5u);
+  EXPECT_EQ(counters::value("sim.enqueue.heap"), 0u);
+
+  // An out-of-order future timer is the only thing that pays the heap.
+  sim.schedule_after(50, [] {});
+  EXPECT_EQ(counters::value("sim.enqueue.heap"), 1u);
+
+  // Coroutine fast path: sleep resumes via schedule_resume — no erased
+  // schedule, no UniqueFunction construction.
+  const auto erased_before = counters::value("sim.schedule.erased");
+  const auto inline_before = counters::value("sim.uf.inline");
+  sim.spawn([](Simulator& s) -> Task<> {
+    co_await s.sleep(10);
+    co_await s.sleep(0);  // same-instant resume: ring again
+  }(sim));
+  sim.run();
+  EXPECT_GE(counters::value("sim.schedule.resume"), 2u);
+  // spawn()'s start event is erased (+1); the sleeps must not be.
+  EXPECT_EQ(counters::value("sim.schedule.erased"), erased_before + 1);
+  EXPECT_EQ(counters::value("sim.uf.inline"), inline_before + 1);
+  EXPECT_EQ(counters::value("sim.uf.heap"), 0u);
+}
+
+#if !defined(RUBIN_FRAME_POOL_OFF)
+TEST(SimulatorAudit, FramePoolRecyclesCoroutineFrames) {
+  // Identically-shaped coroutine frames must come back from the recycling
+  // pool after the first: the DES hot loop's dominant allocation is the
+  // Task frame, and the pool turns steady-state churn into pointer moves.
+  // (Compiled out under ASan, where pooling would mask use-after-free.)
+  counters::reset();
+  Simulator sim;
+  for (int i = 0; i < 8; ++i) {
+    sim.spawn([](Simulator& s) -> Task<> {
+      co_await s.sleep(1);
+    }(sim));
+    sim.run();
+  }
+  EXPECT_GE(counters::value("sim.frame_pool.fresh"), 1u);
+  EXPECT_GE(counters::value("sim.frame_pool.reuse"), 7u);
+}
+#endif
 
 // -------------------------------------------------- determinism digest --
 

@@ -7,7 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulator.hpp"
 #include "verbs/device.hpp"
@@ -24,7 +24,7 @@ class SrqTest : public ::testing::Test {
   ~SrqTest() override { sim.terminate_processes(); }
 
   void SetUp() override {
-    audit::reset_counters();
+    counters::reset();
     srq = dev_b.create_srq(SrqConfig{16, 0});
 
     scq_a = dev_a.create_cq(64);
@@ -132,10 +132,8 @@ TEST_F(SrqTest, TwoQpsInterleaveAndCompletionsRouteByQpNum) {
   EXPECT_EQ(srq->posted(), 0u);
   EXPECT_EQ(srq->taken(), 6u);
   EXPECT_EQ(srq->receive_state_bytes(), 0u);
-  if (audit::enabled()) {
-    EXPECT_EQ(audit::counter_value("verbs.srq.posted"), 6u);
-    EXPECT_EQ(audit::counter_value("verbs.srq.stolen"), 6u);
-  }
+  EXPECT_EQ(counters::value("verbs.srq.posted"), 6u);
+  EXPECT_EQ(counters::value("verbs.srq.stolen"), 6u);
 }
 
 TEST_F(SrqTest, BurstExhaustionParksThenRefillRedrains) {
@@ -166,9 +164,7 @@ TEST_F(SrqTest, BurstExhaustionParksThenRefillRedrains) {
   const auto sc = scq_a->poll(16);
   ASSERT_EQ(sc.size(), 3u);
   for (const Completion& c : sc) EXPECT_EQ(c.status, WcStatus::kSuccess);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("verbs.srq.rnr_backpressure"), 2u);
-  }
+  EXPECT_GE(counters::value("verbs.srq.rnr_backpressure"), 2u);
 }
 
 TEST_F(SrqTest, EmptySrqBeyondRetryBudgetBreaksQp) {
@@ -234,9 +230,7 @@ TEST_F(SrqTest, LimitEventFiresOnceAndRearms) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[1], 1u);
   (void)rcq_b->poll(16);
-  if (audit::enabled()) {
-    EXPECT_EQ(audit::counter_value("verbs.srq.limit_events"), 2u);
-  }
+  EXPECT_EQ(counters::value("verbs.srq.limit_events"), 2u);
 }
 
 TEST_F(SrqTest, TeardownWithInFlightWrFlushCompletesOnOwningCq) {

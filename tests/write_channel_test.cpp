@@ -6,7 +6,7 @@
 
 #include <cstring>
 
-#include "common/audit.hpp"
+#include "common/counters.hpp"
 #include "net/fabric.hpp"
 #include "reptor/messages.hpp"
 #include "rubin/decision_log.hpp"
@@ -227,7 +227,7 @@ TEST_F(OneSidedTest, ForgedCreditIsCountedAndNeverUnblocksWrites) {
   cfg.slot_count = 4;
   cfg.credit_interval = 2;
   auto [a, b] = OneSidedChannel::create_pair(ctx_a, ctx_b, cfg);
-  audit::reset_counters();
+  counters::reset();
 
   // Exhaust a's credits with the receiver asleep.
   sim.spawn([](OneSidedChannel& a) -> Task<> {
@@ -266,7 +266,7 @@ TEST_F(OneSidedTest, ForgedCreditIsCountedAndNeverUnblocksWrites) {
   sim.run();
 
   // The forged credit is rejected: the write is still refused (the gate
-  // treats an implausible counter conservatively) and the audit counter
+  // treats an implausible counter conservatively) and the counter
   // records the forgery attempt.
   std::size_t n = 99;
   sim.spawn([](OneSidedChannel& a, std::size_t& n) -> Task<> {
@@ -275,9 +275,7 @@ TEST_F(OneSidedTest, ForgedCreditIsCountedAndNeverUnblocksWrites) {
   sim.run();
   EXPECT_EQ(n, 0u);
   EXPECT_GE(a->stats().no_credit_stalls, 1u);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("onesided.implausible_credit"), 1u);
-  }
+  EXPECT_GE(counters::value("onesided.implausible_credit"), 1u);
 
   // Legitimate consumption still recovers the channel: b drains the ring
   // (returning real credits) and a's next write goes through.
@@ -441,7 +439,7 @@ TEST_F(DecisionLogTest, PublishPollAckQuorumFlow) {
   // endorses by ack cell, and the resulting endorsement count clears the
   // 2f + 1 commit rule.
   auto logs = DecisionLog::create_group(ctxs);
-  audit::reset_counters();
+  counters::reset();
 
   reptor::PrePrepare pp;
   SharedBytes rec = signed_record(0, 0, 1, &pp);
@@ -452,9 +450,7 @@ TEST_F(DecisionLogTest, PublishPollAckQuorumFlow) {
   sim.run();
   EXPECT_EQ(written, 3u);
   EXPECT_EQ(logs[0]->stats().records_published, 3u);
-  if (audit::enabled()) {
-    EXPECT_EQ(audit::counter_value("transport.onesided.write"), 3u);
-  }
+  EXPECT_EQ(counters::value("transport.onesided.write"), 3u);
 
   int authenticated = 0;
   const std::uint64_t tag = tag_of(pp.digest);
@@ -506,7 +502,7 @@ TEST_F(DecisionLogTest, TornWriteIsTreatedAsNotArrived) {
   // purpose). It must be *invisible* — neither consumed half-written nor
   // fatal — and a complete rewrite of the same slot must then deliver.
   auto logs = DecisionLog::create_group(ctxs);
-  audit::reset_counters();
+  counters::reset();
 
   SharedBytes rec = signed_record(0, 0, 1);
   SharedBytes torn = DecisionLog::make_slot(
@@ -525,9 +521,7 @@ TEST_F(DecisionLogTest, TornWriteIsTreatedAsNotArrived) {
   sim.run();
   EXPECT_EQ(st, SlotStatus::kTorn);
   EXPECT_EQ(logs[1]->stats().torn_slots, 1u);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("decision_log.torn"), 1u);
-  }
+  EXPECT_GE(counters::value("decision_log.torn"), 1u);
 
   // The complete write repairs the slot.
   SharedBytes whole = DecisionLog::make_slot(1, 0, 0,
@@ -549,7 +543,7 @@ TEST_F(DecisionLogTest, ReplayedSlotFromOldViewIsStale) {
   // its header — and the canary binds (seq, view), so rewriting just the
   // header would tear the canary instead. Either way it never surfaces.
   auto logs = DecisionLog::create_group(ctxs);
-  audit::reset_counters();
+  counters::reset();
 
   SharedBytes rec = signed_record(0, 0, 5);
   SharedBytes replay = DecisionLog::make_slot(5, 0, 0,
@@ -569,9 +563,7 @@ TEST_F(DecisionLogTest, ReplayedSlotFromOldViewIsStale) {
   sim.run();
   EXPECT_EQ(st, SlotStatus::kStale);
   EXPECT_EQ(logs[1]->stats().stale_slots, 1u);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("decision_log.stale"), 1u);
-  }
+  EXPECT_GE(counters::value("decision_log.stale"), 1u);
 }
 
 TEST_F(DecisionLogTest, MisplacedSlotIsBadFrame) {
@@ -624,7 +616,7 @@ TEST_F(DecisionLogTest, ViewFlipRevokesBeforeGranting) {
   // path carries those sequences. Once every flip completes, the new
   // view's writes flow.
   auto logs = DecisionLog::create_group(ctxs);
-  audit::reset_counters();
+  counters::reset();
 
   for (std::uint32_t r = 0; r < kN; ++r) {
     sim.spawn([](DecisionLog& l) -> Task<> { co_await l.enter_view(1); }(*logs[r]));
@@ -638,11 +630,9 @@ TEST_F(DecisionLogTest, ViewFlipRevokesBeforeGranting) {
   sim.run();
   EXPECT_EQ(mid_flip, 0u);
   EXPECT_GE(logs[1]->stats().bypasses, 3u);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("transport.onesided.bypass"), 3u);
-    EXPECT_EQ(audit::counter_value("decision_log.permission_flip"),
-              static_cast<std::uint64_t>(kN));
-  }
+  EXPECT_GE(counters::value("transport.onesided.bypass"), 3u);
+  EXPECT_EQ(counters::value("decision_log.permission_flip"),
+            static_cast<std::uint64_t>(kN));
 
   // Flips have completed (sim.run drained them): the same publish lands.
   for (std::uint32_t r = 0; r < kN; ++r) {
@@ -683,7 +673,7 @@ TEST_F(DecisionLogTest, DeposedPrimaryWriteNaksOnRevokedRkey) {
   ASSERT_NE(logs[1]->ring_rkey(), stale_rkey);
 
   // The deposed primary keeps writing through the cached grant.
-  audit::reset_counters();
+  counters::reset();
   SharedBytes forged = DecisionLog::make_slot(2, 0, 0,
                                               ByteView(rec.data(), rec.size()));
   sim.spawn([](DecisionLog& l, std::uint64_t off, SharedBytes s) -> Task<> {
@@ -694,9 +684,7 @@ TEST_F(DecisionLogTest, DeposedPrimaryWriteNaksOnRevokedRkey) {
   // The NIC NAKed it: a kRemoteAccessError completion on the sender...
   EXPECT_GE(logs[0]->drain_completions(), 1u);
   EXPECT_GE(logs[0]->stats().write_naks, 1u);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("decision_log.write_nak"), 1u);
-  }
+  EXPECT_GE(counters::value("decision_log.write_nak"), 1u);
   // ...and nothing landed in the victim's ring.
   SlotStatus st = SlotStatus::kReady;
   DecisionRecord out;

@@ -331,7 +331,7 @@ void Analyzer::add_file(const LexedFile& f) {
     analyze_coroutine_regions(f);
   }
 
-  // ---- audit-counter cross-reference facts ---------------------------------
+  // ---- counter cross-reference facts ---------------------------------------
 
   if (src || tests) {
     auto suppressed = [&](int line, const char* rule) {
@@ -342,15 +342,15 @@ void Analyzer::add_file(const LexedFile& f) {
       return false;
     };
     for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-      if (ident(t[i], "RUBIN_AUDIT_COUNT") && punct(t[i + 1], "(") &&
+      if (ident(t[i], "RUBIN_COUNT") && punct(t[i + 1], "(") &&
           t[i + 2].kind == Tok::kString) {
         auto& fact = counters_[t[i + 2].text];
         fact.counts.push_back(CounterSite{
             f.path, t[i].line,
             src && !suppressed(t[i].line, "audit-xref-orphan")});
       }
-      if (tests && ident(t[i], "counter_value") && i >= 2 &&
-          punct(t[i - 1], "::") && ident(t[i - 2], "audit") &&
+      if (tests && ident(t[i], "value") && i >= 2 &&
+          punct(t[i - 1], "::") && ident(t[i - 2], "counters") &&
           punct(t[i + 1], "(") && t[i + 2].kind == Tok::kString) {
         if (!suppressed(t[i].line, "audit-xref-unknown"))
           counters_[t[i + 2].text].asserts.push_back(
@@ -646,12 +646,12 @@ std::vector<Diagnostic> Analyzer::finish() {
       for (const auto& a : fact.asserts)
         diags_.push_back(Diagnostic{
             a.path, a.line, "audit-xref-unknown",
-            "test asserts audit counter \"" + name +
-                "\" but no RUBIN_AUDIT_COUNT(\"" + name + "\") exists"});
+            "test asserts counter \"" + name +
+                "\" but no RUBIN_COUNT(\"" + name + "\") exists"});
     if (src_count && fact.asserts.empty())
       diags_.push_back(Diagnostic{
           first_src->path, first_src->line, "audit-xref-orphan",
-          "audit counter \"" + name +
+          "counter \"" + name +
               "\" is counted in src/ but never asserted in tests/ — add "
               "coverage or suppress with rationale"});
   }

@@ -30,9 +30,9 @@
 //     house-naked-new, house-using-namespace (headers), house-include-guard
 //     (#pragma once), house-relative-include, house-console-io
 //
-//   audit-counter cross-reference (whole-tree)
-//     audit-xref-unknown a test asserts audit::counter_value("x") but no
-//                        RUBIN_AUDIT_COUNT("x") exists anywhere.
+//   counter cross-reference (whole-tree; ids keep their old audit- prefix)
+//     audit-xref-unknown a test asserts counters::value("x") but no
+//                        RUBIN_COUNT("x") exists anywhere.
 //     audit-xref-orphan  src/ counts "x" but no test ever asserts it.
 //
 // Suppression: `// rubinlint:allow(rule-id) rationale` on the diagnosed
@@ -80,8 +80,8 @@ class Analyzer {
     bool in_src = false;
   };
   struct CounterFacts {
-    std::vector<CounterSite> counts;   // RUBIN_AUDIT_COUNT sites
-    std::vector<CounterSite> asserts;  // audit::counter_value sites
+    std::vector<CounterSite> counts;   // RUBIN_COUNT sites
+    std::vector<CounterSite> asserts;  // counters::value sites
   };
 
   void diag(const LexedFile& f, int line, std::string rule, std::string msg);
