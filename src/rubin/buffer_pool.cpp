@@ -14,9 +14,8 @@ constexpr std::uint8_t kAcquired = 1;
 
 BufferPool::BufferPool(verbs::ProtectionDomain& pd, std::uint32_t count,
                        std::size_t size, std::uint32_t access)
-    : pd_(&pd), slab_(static_cast<std::size_t>(count) * size), count_(count),
-      size_(size), slot_state_(count, kFree) {
-  mr_ = pd.register_memory(slab_, access);
+    : slab_(pd, static_cast<std::size_t>(count) * size, access),
+      count_(count), size_(size), slot_state_(count, kFree) {
   free_.reserve(count);
   // LIFO free list: the most recently used slot is the warmest in cache.
   for (std::uint32_t i = count; i > 0; --i) free_.push_back(i - 1);
@@ -28,7 +27,6 @@ BufferPool::~BufferPool() {
                          " slot(s) leaked at pool destruction (count=" +
                          std::to_string(count_) + " slot_size=" +
                          std::to_string(size_) + ")");
-  pd_->deregister(mr_);
 }
 
 std::optional<std::uint32_t> BufferPool::acquire() {
@@ -60,21 +58,22 @@ verbs::Sge BufferPool::sge(std::uint32_t slot, std::uint32_t len) const {
   if (slot >= count_ || len > size_) {
     throw std::out_of_range("BufferPool::sge: bad slot or length");
   }
-  return verbs::Sge{mr_->addr() + static_cast<std::uint64_t>(slot) * size_,
-                    len, mr_->lkey()};
+  const verbs::MemoryRegion& mr = *slab_.mr();
+  return verbs::Sge{mr.addr() + static_cast<std::uint64_t>(slot) * size_, len,
+                    mr.lkey()};
 }
 
 MutByteView BufferPool::view(std::uint32_t slot) {
   if (slot >= count_) throw std::out_of_range("BufferPool::view: bad slot");
-  return MutByteView(slab_).subspan(static_cast<std::size_t>(slot) * size_,
-                                    size_);
+  return slab_.span().subspan(static_cast<std::size_t>(slot) * size_, size_);
 }
 
 ByteView BufferPool::view(std::uint32_t slot, std::size_t len) const {
   if (slot >= count_ || len > size_) {
     throw std::out_of_range("BufferPool::view: bad slot or length");
   }
-  return ByteView(slab_).subspan(static_cast<std::size_t>(slot) * size_, len);
+  return ByteView(slab_.span()).subspan(static_cast<std::size_t>(slot) * size_,
+                                       len);
 }
 
 }  // namespace rubin::nio

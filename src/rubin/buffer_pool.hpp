@@ -2,7 +2,9 @@
 // receive requests are pre-registered and can be reused as needed").
 //
 // One slab, one memory registration, fixed-size slots. Slot indices double
-// as work-request ids so completions map back to buffers in O(1).
+// as work-request ids so completions map back to buffers in O(1). The slab
+// is a verbs::RegisteredBuffer: a slot's pages are committed when first
+// written, and an untouched slot reads as zero.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +45,7 @@ class BufferPool {
   ByteView view(std::uint32_t slot, std::size_t len) const;
 
  private:
-  verbs::ProtectionDomain* pd_;
-  Bytes slab_;
-  verbs::MemoryRegion* mr_;
+  verbs::RegisteredBuffer slab_;
   std::uint32_t count_;
   std::size_t size_;
   std::vector<std::uint32_t> free_;

@@ -28,6 +28,21 @@ void write_u32(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
 /// fails and publishers bypass — "revoke before grant" as observable state.
 constexpr std::uint64_t kNoGrant = ~0ULL;
 
+/// One ack table per peer, none for `self`. A separate MR per peer: the
+/// rkey handed to p maps only p's region, so a cell in region p *proves*
+/// p wrote it (placement authentication).
+std::vector<std::unique_ptr<verbs::RegisteredBuffer>> ack_tables(
+    verbs::ProtectionDomain& pd, std::uint32_t self, std::uint32_t n,
+    std::size_t bytes) {
+  std::vector<std::unique_ptr<verbs::RegisteredBuffer>> tables(n);
+  for (std::uint32_t p = 0; p < n; ++p) {
+    if (p == self) continue;
+    tables[p] = std::make_unique<verbs::RegisteredBuffer>(
+        pd, bytes, verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite);
+  }
+  return tables;
+}
+
 }  // namespace
 
 DecisionLog::DecisionLog(RubinContext& ctx, std::uint32_t self,
@@ -35,29 +50,16 @@ DecisionLog::DecisionLog(RubinContext& ctx, std::uint32_t self,
     : ctx_(&ctx),
       cfg_(cfg),
       self_(self),
+      ring_(ctx.pd(), static_cast<std::size_t>(cfg.slot_count) * slot_stride(),
+            verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite),
+      ack_buf_(ack_tables(ctx.pd(), self, n,
+                          static_cast<std::size_t>(cfg.slot_count) *
+                              kAckCellBytes)),
+      staging_(ctx.pd(), slot_stride(), 0),
       selector_(ctx.cost(), cfg.policy) {
   auto& dev = ctx.device();
   scq_ = dev.create_cq(4 * cfg_.slot_count + 4 * n);
   rcq_ = dev.create_cq(16);
-
-  ring_.resize(static_cast<std::size_t>(cfg_.slot_count) * slot_stride());
-  ring_mr_ = ctx.pd().register_memory(
-      ring_, verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite);
-
-  ack_buf_.resize(n);
-  ack_mr_.resize(n, nullptr);
-  for (std::uint32_t p = 0; p < n; ++p) {
-    if (p == self_) continue;
-    ack_buf_[p].resize(static_cast<std::size_t>(cfg_.slot_count) *
-                       kAckCellBytes);
-    // Separate MR per peer: the rkey handed to p maps only p's region, so
-    // a cell in region p *proves* p wrote it (placement authentication).
-    ack_mr_[p] = ctx.pd().register_memory(
-        ack_buf_[p], verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite);
-  }
-
-  staging_.resize(slot_stride());
-  staging_mr_ = ctx.pd().register_memory(staging_, 0);
 
   qp_.resize(n);
   peer_.resize(n);
@@ -92,9 +94,10 @@ std::vector<std::unique_ptr<DecisionLog>> DecisionLog::create_group(
     }
     for (std::uint32_t j = 0; j < n; ++j) {
       if (j == i) continue;
-      logs[i]->peer_[j].ring_addr = logs[j]->ring_mr_->addr();
-      logs[i]->peer_[j].ack_addr = logs[j]->ack_mr_[i]->addr();
-      logs[i]->peer_[j].ack_rkey = logs[j]->ack_mr_[i]->rkey();
+      const verbs::MemoryRegion& ack = *logs[j]->ack_buf_[i]->mr();
+      logs[i]->peer_[j].ring_addr = logs[j]->ring_addr();
+      logs[i]->peer_[j].ack_addr = ack.addr();
+      logs[i]->peer_[j].ack_rkey = ack.rkey();
     }
     logs[i]->grant_initial();
   }
@@ -105,7 +108,9 @@ void DecisionLog::grant_initial() { granted_view_ = 0; }
 
 std::size_t DecisionLog::exposed_bytes() const noexcept {
   std::size_t total = ring_.size();
-  for (const Bytes& b : ack_buf_) total += b.size();
+  for (const auto& table : ack_buf_) {
+    if (table != nullptr) total += table->size();
+  }
   return total;
 }
 
@@ -117,7 +122,7 @@ sim::Task<void> DecisionLog::enter_view(std::uint64_t view) {
   granted_view_ = kNoGrant;
   ++stats_.permission_flips;
   RUBIN_COUNT("decision_log.permission_flip", 1);
-  (void)co_await ctx_->device().flip_write_permission(ctx_->pd(), ring_mr_,
+  (void)co_await ctx_->device().flip_write_permission(ctx_->pd(), ring_.mr(),
                                                       true);
   granted_view_ = view;
 }
@@ -129,7 +134,7 @@ bool DecisionLog::has_credit(std::uint32_t peer, std::uint64_t seq) const {
   // it proves consumption (acks are monotone per honest peer; a peer
   // lying here only risks its own ring).
   const std::uint8_t* cell =
-      ack_buf_[peer].data() + (seq % cfg_.slot_count) * kAckCellBytes;
+      ack_buf_[peer]->data() + (seq % cfg_.slot_count) * kAckCellBytes;
   return read_u64(cell) >= seq - cfg_.slot_count;
 }
 
@@ -141,10 +146,10 @@ sim::Task<verbs::PostResult> DecisionLog::post_ring_write(
   wr.wr_id = wr_seq_;
   // SGEs anchor the protection checks in the staging span; the bytes ride
   // zero-copy as the refcounted wire slices (the FrameVec write path).
-  std::uint64_t addr = staging_mr_->addr();
+  std::uint64_t addr = staging_.mr()->addr();
   for (const SharedBytes& s : wire) {
     wr.sg_list.push_back(verbs::Sge{
-        addr, static_cast<std::uint32_t>(s.size()), staging_mr_->lkey()});
+        addr, static_cast<std::uint32_t>(s.size()), staging_.mr()->lkey()});
     addr += s.size();
   }
   wr.shared_payload = std::move(wire);
@@ -291,7 +296,7 @@ std::uint32_t DecisionLog::acks_for(std::uint64_t seq,
   const std::uint64_t cell_off = (seq % cfg_.slot_count) * kAckCellBytes;
   for (std::uint32_t p = 0; p < group_.size(); ++p) {
     if (p == self_) continue;
-    const std::uint8_t* cell = ack_buf_[p].data() + cell_off;
+    const std::uint8_t* cell = ack_buf_[p]->data() + cell_off;
     if (read_u64(cell) == seq && read_u64(cell + 8) == tag) ++count;
   }
   return count;

@@ -139,7 +139,7 @@ class DecisionLog {
   /// bypass the fast path for the sequence instead of waiting).
   std::optional<std::uint32_t> grant_for(std::uint64_t view) const noexcept {
     if (granted_view_ != view) return std::nullopt;
-    return ring_mr_->rkey();
+    return ring_.mr()->rkey();
   }
 
   // ------------------------------------------------------ primary side --
@@ -176,8 +176,8 @@ class DecisionLog {
 
   // ------------------------------------------- attack / test surface ----
   /// What an attacker needs (§III-C exposure accounting).
-  std::uint32_t ring_rkey() const noexcept { return ring_mr_->rkey(); }
-  std::uint64_t ring_addr() const noexcept { return ring_mr_->addr(); }
+  std::uint32_t ring_rkey() const noexcept { return ring_.mr()->rkey(); }
+  std::uint64_t ring_addr() const noexcept { return ring_.mr()->addr(); }
   std::size_t exposed_bytes() const noexcept;
 
   /// Management-plane grant query for `peer`'s ring as of `view` — the
@@ -252,19 +252,18 @@ class DecisionLog {
   verbs::CompletionQueue* scq_ = nullptr;
   verbs::CompletionQueue* rcq_ = nullptr;
 
-  // Local (exposed) resources.
-  Bytes ring_;  // slot_count framed slots, written by the current primary
-  verbs::MemoryRegion* ring_mr_ = nullptr;
+  // Local (exposed) resources. Declaration order is registration order,
+  // which fixes the keys each one gets.
+  /// slot_count framed slots, written by the current primary.
+  verbs::RegisteredBuffer ring_;
   /// Per-peer ack tables: ack_buf_[p] holds peer p's (seq, tag) cells,
-  /// cell seq % slot_count. Registered separately so each peer's rkey
-  /// maps only its own region (placement authentication).
-  std::vector<Bytes> ack_buf_;
-  std::vector<verbs::MemoryRegion*> ack_mr_;
+  /// cell seq % slot_count; null for self. Registered separately so each
+  /// peer's rkey maps only its own region (placement authentication).
+  std::vector<std::unique_ptr<verbs::RegisteredBuffer>> ack_buf_;
   /// Local-only staging span anchoring the protection checks of the
   /// zero-copy record writes (content never read — the payload rides as
   /// refcounted slices, exactly the OneSidedChannel FrameVec path).
-  Bytes staging_;
-  verbs::MemoryRegion* staging_mr_ = nullptr;
+  verbs::RegisteredBuffer staging_;
 
   // Remote targets (exchanged at create_group).
   struct PeerTarget {

@@ -21,25 +21,23 @@ void write_u64(std::uint8_t* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
 }  // namespace
 
 OneSidedChannel::OneSidedChannel(RubinContext& ctx, OneSidedConfig cfg)
-    : ctx_(&ctx), cfg_(cfg) {
+    : ctx_(&ctx),
+      cfg_(cfg),
+      // The §III-C exposure: the inbound ring and the credit cell are
+      // remotely writable by anyone holding their rkeys.
+      ring_(ctx.pd(), static_cast<std::size_t>(cfg.slot_count) * slot_stride(),
+            verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite),
+      credit_cell_(ctx.pd(), 8,
+                   verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite),
+      bootstrap_buf_(ctx.pd(),
+                     static_cast<std::size_t>(cfg.slot_count) * slot_stride(),
+                     0) {
   auto& dev = ctx.device();
   scq_ = dev.create_cq(4 * cfg.slot_count);
   rcq_ = dev.create_cq(16);
   verbs::QpConfig qc;
   qc.max_send_wr = 2 * cfg.slot_count + 16;  // messages + credit writes
   qp_ = dev.create_qp(ctx.pd(), *scq_, *rcq_, qc);
-
-  ring_.resize(static_cast<std::size_t>(cfg.slot_count) * slot_stride());
-  credit_cell_.resize(8);
-  bootstrap_buf_.resize(static_cast<std::size_t>(cfg.slot_count) *
-                        slot_stride());  // doubles as the send staging ring
-  // The §III-C exposure: the inbound ring and the credit cell are
-  // remotely writable by anyone holding their rkeys.
-  ring_mr_ = ctx.pd().register_memory(
-      ring_, verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite);
-  credit_mr_ = ctx.pd().register_memory(
-      credit_cell_, verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite);
-  bootstrap_mr_ = ctx.pd().register_memory(bootstrap_buf_, 0);
 }
 
 std::pair<std::unique_ptr<OneSidedChannel>, std::unique_ptr<OneSidedChannel>>
@@ -51,14 +49,14 @@ OneSidedChannel::create_pair(RubinContext& a, RubinContext& b,
   cb->qp_->connect(a.device(), ca->qp_->qp_num());
   // Address/rkey exchange (production would run this bootstrap through
   // the CM or one two-sided round; the helper wires it directly).
-  ca->remote_ring_addr_ = cb->ring_mr_->addr();
-  ca->remote_ring_rkey_ = cb->ring_mr_->rkey();
-  ca->remote_credit_addr_ = cb->credit_mr_->addr();
-  ca->remote_credit_rkey_ = cb->credit_mr_->rkey();
-  cb->remote_ring_addr_ = ca->ring_mr_->addr();
-  cb->remote_ring_rkey_ = ca->ring_mr_->rkey();
-  cb->remote_credit_addr_ = ca->credit_mr_->addr();
-  cb->remote_credit_rkey_ = ca->credit_mr_->rkey();
+  ca->remote_ring_addr_ = cb->ring_.mr()->addr();
+  ca->remote_ring_rkey_ = cb->ring_.mr()->rkey();
+  ca->remote_credit_addr_ = cb->credit_cell_.mr()->addr();
+  ca->remote_credit_rkey_ = cb->credit_cell_.mr()->rkey();
+  cb->remote_ring_addr_ = ca->ring_.mr()->addr();
+  cb->remote_ring_rkey_ = ca->ring_.mr()->rkey();
+  cb->remote_credit_addr_ = ca->credit_cell_.mr()->addr();
+  cb->remote_credit_rkey_ = ca->credit_cell_.mr()->rkey();
   return {std::move(ca), std::move(cb)};
 }
 
@@ -120,9 +118,9 @@ sim::Task<std::size_t> OneSidedChannel::write(ByteView msg) {
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kRdmaWrite;
   wr.wr_id = sent_seq_;
-  wr.sg_list = verbs::Sge{bootstrap_mr_->addr() + idx * slot_stride(),
+  wr.sg_list = verbs::Sge{bootstrap_buf_.mr()->addr() + idx * slot_stride(),
                           static_cast<std::uint32_t>(kHeader + msg.size()),
-                          bootstrap_mr_->lkey()};
+                          bootstrap_buf_.mr()->lkey()};
   wr.remote_addr = remote_ring_addr_ + idx * slot_stride();
   wr.rkey = remote_ring_rkey_;
   wr.signaled = (++wr_seq_ % 16) == 0;
@@ -159,14 +157,15 @@ sim::Task<std::size_t> OneSidedChannel::write(FrameVec msg) {
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kRdmaWrite;
   wr.wr_id = sent_seq_;
-  const std::uint64_t slot_addr = bootstrap_mr_->addr() + idx * slot_stride();
+  const std::uint64_t slot_addr =
+      bootstrap_buf_.mr()->addr() + idx * slot_stride();
   wr.sg_list = verbs::Sge{slot_addr, static_cast<std::uint32_t>(kHeader),
-                          bootstrap_mr_->lkey()};
+                          bootstrap_buf_.mr()->lkey()};
   std::uint64_t addr = slot_addr + kHeader;
   FrameVec wire(std::move(header));
   for (const SharedBytes& s : msg) {
     wr.sg_list.push_back(verbs::Sge{addr, static_cast<std::uint32_t>(s.size()),
-                                    bootstrap_mr_->lkey()});
+                                    bootstrap_buf_.mr()->lkey()});
     addr += s.size();
     wire.append(s);
   }

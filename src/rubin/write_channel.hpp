@@ -85,13 +85,17 @@ class OneSidedChannel {
   std::size_t exposed_bytes() const noexcept { return ring_.size() + 16; }
   /// The ring's rkey — what an attacker needs to corrupt this channel
   /// (exposed for the security-demonstration tests).
-  std::uint32_t ring_rkey() const noexcept { return ring_mr_->rkey(); }
-  std::uint64_t ring_addr() const noexcept { return ring_mr_->addr(); }
+  std::uint32_t ring_rkey() const noexcept { return ring_.mr()->rkey(); }
+  std::uint64_t ring_addr() const noexcept { return ring_.mr()->addr(); }
   /// The credit cell — the *other* remotely writable word on this
   /// endpoint; forging it attacks flow control rather than payloads
   /// (exposed for the forged-credit security test).
-  std::uint32_t credit_rkey() const noexcept { return credit_mr_->rkey(); }
-  std::uint64_t credit_addr() const noexcept { return credit_mr_->addr(); }
+  std::uint32_t credit_rkey() const noexcept {
+    return credit_cell_.mr()->rkey();
+  }
+  std::uint64_t credit_addr() const noexcept {
+    return credit_cell_.mr()->addr();
+  }
   verbs::QueuePair& qp() noexcept { return *qp_; }
 
  private:
@@ -112,13 +116,11 @@ class OneSidedChannel {
   verbs::CompletionQueue* scq_ = nullptr;
   verbs::CompletionQueue* rcq_ = nullptr;
 
-  // Local (exposed) resources.
-  Bytes ring_;                 // inbound slots, remotely written
-  Bytes credit_cell_;          // sender-side: peer writes consumed count
-  verbs::MemoryRegion* ring_mr_ = nullptr;
-  verbs::MemoryRegion* credit_mr_ = nullptr;
-  Bytes bootstrap_buf_;        // two-sided handshake scratch
-  verbs::MemoryRegion* bootstrap_mr_ = nullptr;
+  // Local (exposed) resources. Declaration order is registration order,
+  // which fixes the keys each one gets.
+  verbs::RegisteredBuffer ring_;         // inbound slots, remotely written
+  verbs::RegisteredBuffer credit_cell_;  // peer writes its consumed count
+  verbs::RegisteredBuffer bootstrap_buf_;  // handshake scratch, send staging
 
   // Remote targets (learned in the bootstrap).
   std::uint64_t remote_ring_addr_ = 0;

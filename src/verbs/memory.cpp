@@ -1,5 +1,9 @@
 #include "verbs/memory.hpp"
 
+#include <sys/mman.h>
+
+#include <new>
+
 namespace rubin::verbs {
 
 MemoryRegion* ProtectionDomain::register_memory(MutByteView span,
@@ -53,6 +57,25 @@ const MemoryRegion* ProtectionDomain::check_remote(std::uint32_t rkey,
   if (!mr.contains(addr, len)) return nullptr;
   if ((mr.access() & need) != need) return nullptr;
   return &mr;
+}
+
+RegisteredBuffer::RegisteredBuffer(ProtectionDomain& pd, std::size_t size,
+                                   std::uint32_t access)
+    : pd_(&pd), size_(size) {
+  if (size > 0) {
+    void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    // Commit page by page: a huge page would commit 2 MiB on one touch.
+    (void)::madvise(p, size, MADV_NOHUGEPAGE);
+    data_ = static_cast<std::uint8_t*>(p);
+  }
+  mr_ = pd.register_memory(span(), access);
+}
+
+RegisteredBuffer::~RegisteredBuffer() {
+  pd_->deregister(mr_);
+  if (data_ != nullptr) ::munmap(data_, size_);
 }
 
 }  // namespace rubin::verbs

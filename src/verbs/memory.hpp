@@ -95,4 +95,31 @@ class ProtectionDomain {
   std::uint32_t next_key_ = 0x1000;
 };
 
+/// Registered memory committed on demand. Pre-registration (paper §IV)
+/// pays the *registration* once; it never needed the pages touched. The
+/// bytes come from an anonymous private mapping, so a page costs nothing
+/// until first written and reads as zero before that: a fresh buffer is
+/// all zeros without a memset. The buffer owns its MR and deregisters it
+/// before unmapping, so no key outlives the memory it names. The PD must
+/// outlive the buffer.
+class RegisteredBuffer {
+ public:
+  RegisteredBuffer(ProtectionDomain& pd, std::size_t size,
+                   std::uint32_t access);
+  ~RegisteredBuffer();
+  RegisteredBuffer(const RegisteredBuffer&) = delete;
+  RegisteredBuffer& operator=(const RegisteredBuffer&) = delete;
+
+  std::uint8_t* data() const noexcept { return data_; }
+  std::size_t size() const noexcept { return size_; }
+  MutByteView span() const noexcept { return {data_, size_}; }
+  MemoryRegion* mr() const noexcept { return mr_; }
+
+ private:
+  ProtectionDomain* pd_;
+  std::uint8_t* data_ = nullptr;
+  std::size_t size_;
+  MemoryRegion* mr_ = nullptr;
+};
+
 }  // namespace rubin::verbs

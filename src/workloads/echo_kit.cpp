@@ -141,11 +141,10 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
   qp_s->connect(dev_c, qp_c->qp_num());
 
   Bytes tx_c = patterned_bytes(p.payload, 1);
-  Bytes rx_c(static_cast<std::size_t>(kRecvs) * p.payload);
-  Bytes rx_s(static_cast<std::size_t>(kRecvs) * p.payload);
   auto* mr_tx_c = pd_c.register_memory(tx_c, 0);
-  auto* mr_rx_c = pd_c.register_memory(rx_c, verbs::kAccessLocalWrite);
-  auto* mr_rx_s = pd_s.register_memory(rx_s, verbs::kAccessLocalWrite);
+  const std::size_t rx_bytes = static_cast<std::size_t>(kRecvs) * p.payload;
+  verbs::RegisteredBuffer rx_c(pd_c, rx_bytes, verbs::kAccessLocalWrite);
+  verbs::RegisteredBuffer rx_s(pd_s, rx_bytes, verbs::kAccessLocalWrite);
 
   // Pre-post receives on both sides (wr_id = slot).
   auto post_recvs = [&](std::shared_ptr<verbs::QueuePair> qp,
@@ -158,8 +157,8 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
     }
     (void)qp->post_recv_now(std::move(recvs));
   };
-  post_recvs(qp_c, mr_rx_c);
-  post_recvs(qp_s, mr_rx_s);
+  post_recvs(qp_c, rx_c.mr());
+  post_recvs(qp_s, rx_s.mr());
   rcq_c->req_notify();
   rcq_s->req_notify();
   scq_c->req_notify();
@@ -211,7 +210,7 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
                                 mr->lkey()}});
       }
     }
-  }(sim, p.cost, ch_s, scq_s, rcq_s, qp_s, mr_rx_s, p.payload, server_up));
+  }(sim, p.cost, ch_s, scq_s, rcq_s, qp_s, rx_s.mr(), p.payload, server_up));
 
   LatencyRecorder lat;
   Time started = 0;
@@ -264,7 +263,7 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
     }
     finished = sim.now();
     server_up = false;
-  }(sim, ch_c, scq_c, rcq_c, qp_c, mr_tx_c, mr_rx_c, p, lat, started,
+  }(sim, ch_c, scq_c, rcq_c, qp_c, mr_tx_c, rx_c.mr(), p, lat, started,
     finished, server_up));
 
   sim.run_until(sim::seconds(60));
@@ -293,14 +292,12 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
   // Mailboxes: each side exposes a buffer the peer RDMA-writes into. The
   // last 8 bytes carry the message sequence number — the poll flag.
   const std::size_t slot = p.payload + 8;
-  Bytes inbox_c(slot);
-  Bytes inbox_s(slot);
+  verbs::RegisteredBuffer inbox_c(
+      pd_c, slot, verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite);
+  verbs::RegisteredBuffer inbox_s(
+      pd_s, slot, verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite);
   Bytes out_c = patterned_bytes(slot, 1);
   Bytes out_s = patterned_bytes(slot, 2);
-  auto* mr_inbox_c = pd_c.register_memory(
-      inbox_c, verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite);
-  auto* mr_inbox_s = pd_s.register_memory(
-      inbox_s, verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite);
   auto* mr_out_c = pd_c.register_memory(out_c, 0);
   auto* mr_out_s = pd_s.register_memory(out_s, 0);
 
@@ -310,12 +307,10 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
     sim::Simulator& sim;
     const EchoParams& p;
     std::size_t slot;
-    Bytes& inbox_c;
-    Bytes& inbox_s;
+    verbs::RegisteredBuffer& inbox_c;
+    verbs::RegisteredBuffer& inbox_s;
     Bytes& out_c;
     Bytes& out_s;
-    verbs::MemoryRegion* mr_inbox_c;
-    verbs::MemoryRegion* mr_inbox_s;
     verbs::MemoryRegion* mr_out_c;
     verbs::MemoryRegion* mr_out_s;
     Time poll_interval;
@@ -324,7 +319,7 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
     Time started = 0;
     Time finished = 0;
 
-    static std::uint64_t read_seq(const Bytes& buf) {
+    static std::uint64_t read_seq(ByteView buf) {
       std::uint64_t seq = 0;
       std::memcpy(&seq, buf.data() + buf.size() - 8, 8);
       return seq;
@@ -333,8 +328,8 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
       std::memcpy(buf.data() + buf.size() - 8, &seq, 8);
     }
   };
-  RwCtx ctx{sim, p, slot, inbox_c, inbox_s, out_c, out_s,
-            mr_inbox_c, mr_inbox_s, mr_out_c, mr_out_s, p.rw_poll_interval};
+  RwCtx ctx{sim, p, slot, inbox_c, inbox_s, out_c, out_s, mr_out_c, mr_out_s,
+            p.rw_poll_interval};
 
   // Server: poll the inbox; on a new sequence number, RDMA-write the echo
   // back. The server CPU never takes an interrupt or event (one-sided).
@@ -342,7 +337,7 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
     std::uint64_t expect = 1;
     std::uint64_t sends = 0;
     while (ctx.server_up) {
-      if (RwCtx::read_seq(ctx.inbox_s) < expect) {
+      if (RwCtx::read_seq(ctx.inbox_s.span()) < expect) {
         co_await ctx.sim.sleep(ctx.poll_interval);
         continue;
       }
@@ -353,8 +348,8 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
       wr.sg_list = verbs::Sge{ctx.mr_out_s->addr(),
                           static_cast<std::uint32_t>(ctx.slot),
                           ctx.mr_out_s->lkey()};
-      wr.remote_addr = ctx.mr_inbox_c->addr();
-      wr.rkey = ctx.mr_inbox_c->rkey();
+      wr.remote_addr = ctx.inbox_c.mr()->addr();
+      wr.rkey = ctx.inbox_c.mr()->rkey();
       wr.signaled = (++sends % 64) == 0;
       (void)co_await qp->post_send_one(wr);
       ++expect;
@@ -373,11 +368,12 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
       wr.sg_list = verbs::Sge{ctx.mr_out_c->addr(),
                           static_cast<std::uint32_t>(ctx.slot),
                           ctx.mr_out_c->lkey()};
-      wr.remote_addr = ctx.mr_inbox_s->addr();
-      wr.rkey = ctx.mr_inbox_s->rkey();
+      wr.remote_addr = ctx.inbox_s.mr()->addr();
+      wr.rkey = ctx.inbox_s.mr()->rkey();
       wr.signaled = (++sends % 64) == 0;
       (void)co_await qp->post_send_one(wr);
-      while (RwCtx::read_seq(ctx.inbox_c) < static_cast<std::uint64_t>(i)) {
+      while (RwCtx::read_seq(ctx.inbox_c.span()) <
+             static_cast<std::uint64_t>(i)) {
         co_await ctx.sim.sleep(ctx.poll_interval);
       }
       ctx.lat.add(sim::to_us(ctx.sim.now() - t0));

@@ -1,14 +1,18 @@
 // Tests for the RUBIN core library: channel lifecycle, message-oriented
 // read/write, the §IV optimizations (selective signaling, inlining,
-// zero-copy send cache, batching), and the RdmaSelector with its hybrid
-// event queue.
+// zero-copy send cache, batching, pre-registered pools that commit memory
+// on demand), and the RdmaSelector with its hybrid event queue.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
 #include "common/counters.hpp"
 #include "net/fabric.hpp"
+#include "rubin/buffer_pool.hpp"
 #include "rubin/context.hpp"
 #include "rubin/selector.hpp"
 #include "sim/simulator.hpp"
@@ -588,6 +592,77 @@ TEST_F(RubinTest, SelectorCountsDispatchedEvents) {
   sim.run();
   EXPECT_GE(nready, 1u);
   EXPECT_GE(selector.events_dispatched(), 1u);
+}
+
+// ------------------------------------------------ pool memory contract --
+// A pool pays its registration once and commits a page only when the page
+// is first written; every byte it hands out still reads zero.
+
+constexpr std::uint32_t kPoolSlots = 64;
+constexpr std::size_t kPoolSlotSize = 128 * 1024;
+
+/// Pages of [addr, addr + len) resident in memory, by mincore().
+std::size_t resident_pages(std::uint64_t addr, std::size_t len) {
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t start = addr - addr % page;
+  const std::size_t pages = (addr + len - start + page - 1) / page;
+  std::vector<unsigned char> in_core(pages);
+  EXPECT_EQ(::mincore(reinterpret_cast<void*>(start), pages * page,
+                      in_core.data()),
+            0);
+  return static_cast<std::size_t>(std::count_if(
+      in_core.begin(), in_core.end(), [](unsigned char v) { return v & 1; }));
+}
+
+std::size_t resident_pages(const BufferPool& pool) {
+  return resident_pages(pool.sge(0, 0).addr,
+                        static_cast<std::size_t>(pool.count()) *
+                            pool.slot_size());
+}
+
+bool all_zero(ByteView bytes) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [](std::uint8_t b) { return b == 0; });
+}
+
+TEST(BufferPoolMemory, FreshPoolCommitsNoPages) {
+  verbs::ProtectionDomain pd;
+  BufferPool pool(pd, kPoolSlots, kPoolSlotSize, verbs::kAccessLocalWrite);
+  EXPECT_EQ(resident_pages(pool), 0u);
+}
+
+TEST(BufferPoolMemory, AcquiredSlotReadsZero) {
+  verbs::ProtectionDomain pd;
+  BufferPool pool(pd, kPoolSlots, kPoolSlotSize, verbs::kAccessLocalWrite);
+  const auto slot = pool.acquire();
+  ASSERT_TRUE(slot.has_value());
+  EXPECT_TRUE(all_zero(pool.view(*slot, kPoolSlotSize)));
+  pool.release(*slot);
+}
+
+TEST(BufferPoolMemory, WritingOneSlotCommitsOnlyItsPages) {
+  verbs::ProtectionDomain pd;
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  {
+    BufferPool dirty(pd, kPoolSlots, kPoolSlotSize, verbs::kAccessLocalWrite);
+    const auto slot = dirty.acquire();
+    ASSERT_TRUE(slot.has_value());
+    MutByteView bytes = dirty.view(*slot);
+    std::fill(bytes.begin(), bytes.end(), std::uint8_t{0xA5});
+    EXPECT_EQ(resident_pages(dirty.sge(*slot, 0).addr, kPoolSlotSize),
+              kPoolSlotSize / page);
+    EXPECT_EQ(resident_pages(dirty), kPoolSlotSize / page);
+    dirty.release(*slot);
+  }
+  // A pool built after a dirtied one is destroyed must not see its bytes.
+  BufferPool fresh(pd, kPoolSlots, kPoolSlotSize, verbs::kAccessLocalWrite);
+  std::vector<std::uint32_t> slots;
+  while (const auto slot = fresh.acquire()) slots.push_back(*slot);
+  ASSERT_EQ(slots.size(), kPoolSlots);
+  for (const std::uint32_t slot : slots) {
+    EXPECT_TRUE(all_zero(fresh.view(slot, kPoolSlotSize))) << "slot " << slot;
+    fresh.release(slot);
+  }
 }
 
 }  // namespace

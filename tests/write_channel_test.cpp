@@ -55,6 +55,19 @@ TEST_F(OneSidedTest, MessageRoundTrip) {
   EXPECT_EQ(b->stats().messages_received, 1u);
 }
 
+TEST_F(OneSidedTest, DestroyedPairDeregistersEveryRegion) {
+  // A destroyed channel's ring must not stay reachable through its keys.
+  const std::size_t before_a = ctx_a.pd().region_count();
+  const std::size_t before_b = ctx_b.pd().region_count();
+  {
+    auto [a, b] = OneSidedChannel::create_pair(ctx_a, ctx_b);
+    EXPECT_GT(ctx_a.pd().region_count(), before_a);
+    EXPECT_GT(ctx_b.pd().region_count(), before_b);
+  }
+  EXPECT_EQ(ctx_a.pd().region_count(), before_a);
+  EXPECT_EQ(ctx_b.pd().region_count(), before_b);
+}
+
 TEST_F(OneSidedTest, ManyMessagesInOrderBothDirections) {
   auto [a, b] = OneSidedChannel::create_pair(ctx_a, ctx_b);
   int ok = 0;
@@ -432,6 +445,22 @@ class DecisionLogTest : public ::testing::Test {
   RubinContext c3{dev3, cm};
   std::vector<RubinContext*> ctxs{&c0, &c1, &c2, &c3};
 };
+
+TEST_F(DecisionLogTest, DestroyedGroupDeregistersEveryRegion) {
+  // Rings and ack tables must not stay reachable through their keys once
+  // the group is gone.
+  std::vector<std::size_t> before;
+  for (RubinContext* c : ctxs) before.push_back(c->pd().region_count());
+  {
+    auto logs = DecisionLog::create_group(ctxs);
+    for (std::size_t i = 0; i < ctxs.size(); ++i) {
+      EXPECT_GT(ctxs[i]->pd().region_count(), before[i]);
+    }
+  }
+  for (std::size_t i = 0; i < ctxs.size(); ++i) {
+    EXPECT_EQ(ctxs[i]->pd().region_count(), before[i]) << "replica " << i;
+  }
+}
 
 TEST_F(DecisionLogTest, PublishPollAckQuorumFlow) {
   // The fault-free fast path end to end: the primary writes one record
