@@ -175,8 +175,11 @@ sim::Task<void> Replica::decision_poll_loop() {
     if (!crashed() && !in_view_change_) {
       if (fast_ok_ && !is_primary()) {
         if (fast_expect_ <= last_executed_) {
-          // The message path overtook the poller; skip what it decided.
+          // The message path overtook the poller; skip what it decided,
+          // and tell the primary, which credits the skipped slots from
+          // the consumed cell since no ack will ever land in them.
           fast_expect_ = last_executed_ + 1;
+          co_await dlog.consumed(last_executed_);
         }
         if (in_window(fast_expect_)) co_await fast_poll_once();
       }

@@ -52,9 +52,9 @@ DecisionLog::DecisionLog(RubinContext& ctx, std::uint32_t self,
       self_(self),
       ring_(ctx.pd(), static_cast<std::size_t>(cfg.slot_count) * slot_stride(),
             verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite),
-      ack_buf_(ack_tables(ctx.pd(), self, n,
-                          static_cast<std::size_t>(cfg.slot_count) *
-                              kAckCellBytes)),
+      ack_buf_(ack_tables(
+          ctx.pd(), self, n,
+          cfg.slot_count * kAckCellBytes + kConsumedCellBytes)),
       staging_(ctx.pd(), slot_stride(), 0),
       selector_(ctx.cost(), cfg.policy) {
   auto& dev = ctx.device();
@@ -131,11 +131,18 @@ bool DecisionLog::has_credit(std::uint32_t peer, std::uint64_t seq) const {
   if (seq <= cfg_.slot_count) return true;
   // The slot's previous occupant was seq - slot_count; its ack landed in
   // the *same* cell index of the peer's region. Any acked seq at or past
-  // it proves consumption (acks are monotone per honest peer; a peer
+  // it proves consumption, and so does the peer's consumed cell when the
+  // message path overtook it (both are monotone per honest peer; a peer
   // lying here only risks its own ring).
-  const std::uint8_t* cell =
-      ack_buf_[peer]->data() + (seq % cfg_.slot_count) * kAckCellBytes;
-  return read_u64(cell) >= seq - cfg_.slot_count;
+  const std::uint8_t* table = ack_buf_[peer]->data();
+  const std::uint64_t prev = seq - cfg_.slot_count;
+  return read_u64(table + (seq % cfg_.slot_count) * kAckCellBytes) >= prev ||
+         read_u64(table + consumed_offset()) >= prev;
+}
+
+void DecisionLog::bypass() {
+  ++stats_.bypasses;
+  RUBIN_COUNT("transport.onesided.bypass", 1);
 }
 
 sim::Task<verbs::PostResult> DecisionLog::post_ring_write(
@@ -183,9 +190,14 @@ sim::Task<std::uint32_t> DecisionLog::publish(std::uint64_t seq,
   for (std::uint32_t p = 0; p < n; ++p) {
     if (p == self_) continue;
     const auto grant = group_[p]->grant_for(view);
-    if (!grant.has_value() || !has_credit(p, seq)) {
-      ++stats_.bypasses;
-      RUBIN_COUNT("transport.onesided.bypass", 1);
+    if (!grant.has_value()) {
+      RUBIN_COUNT("transport.onesided.bypass.no_grant", 1);
+      bypass();
+      continue;
+    }
+    if (!has_credit(p, seq)) {
+      RUBIN_COUNT("transport.onesided.bypass.no_credit", 1);
+      bypass();
       continue;
     }
     SelectorInputs in;
@@ -194,8 +206,8 @@ sim::Task<std::uint32_t> DecisionLog::publish(std::uint64_t seq,
     in.ring_credits = 1;
     in.recv_poll_interval = cfg_.poll_interval;
     if (selector_.pick(in) != TransportKind::kWrite) {
-      ++stats_.bypasses;
-      RUBIN_COUNT("transport.onesided.bypass", 1);
+      RUBIN_COUNT("transport.onesided.bypass.pick", 1);
+      bypass();
       continue;
     }
     cached_rkey_[p] = *grant;
@@ -205,8 +217,8 @@ sim::Task<std::uint32_t> DecisionLog::publish(std::uint64_t seq,
     const auto r = co_await post_ring_write(p, slot_offset(seq),
                                             std::move(wire), *grant);
     if (r != verbs::PostResult::kOk) {
-      ++stats_.bypasses;
-      RUBIN_COUNT("transport.onesided.bypass", 1);
+      RUBIN_COUNT("transport.onesided.bypass.post", 1);
+      bypass();
       continue;
     }
     ++written;
@@ -266,27 +278,53 @@ sim::Task<SlotStatus> DecisionLog::poll_slot(std::uint64_t seq,
   co_return SlotStatus::kReady;
 }
 
+sim::Task<bool> DecisionLog::post_cell(std::uint32_t peer,
+                                       std::uint64_t offset,
+                                       const std::uint8_t* cell,
+                                       std::uint32_t len,
+                                       std::uint64_t wr_id) {
+  // A few bytes ride inline in the WQE: no staging, no payload DMA read,
+  // and no completion unless the signaling rule needs one to hand the
+  // queue's unsignaled slots back (a follower's QPs carry nothing else).
+  verbs::SendWr wr;
+  wr.opcode = verbs::Opcode::kRdmaWrite;
+  wr.wr_id = wr_id;
+  wr.inline_data = true;
+  wr.sg_list = verbs::Sge{reinterpret_cast<std::uint64_t>(cell), len, 0};
+  wr.remote_addr = peer_[peer].ack_addr + offset;
+  wr.rkey = peer_[peer].ack_rkey;
+  wr.signaled = qp_[peer]->needs_signal();
+  if (co_await qp_[peer]->post_send_one(wr) != verbs::PostResult::kOk) {
+    ++stats_.cell_post_failures;
+    RUBIN_COUNT("decision_log.cell_post_failed", 1);
+    co_return false;
+  }
+  co_return true;
+}
+
 sim::Task<void> DecisionLog::ack(std::uint64_t seq, std::uint64_t tag) {
+  (void)drain_completions();
   std::uint8_t cell[kAckCellBytes];
   write_u64(cell, seq);
   write_u64(cell + 8, tag);
   const std::uint64_t cell_off = (seq % cfg_.slot_count) * kAckCellBytes;
-  const auto n = static_cast<std::uint32_t>(group_.size());
-  for (std::uint32_t p = 0; p < n; ++p) {
+  for (std::uint32_t p = 0; p < group_.size(); ++p) {
     if (p == self_) continue;
-    // 16 bytes ride inline in the WQE: no staging, no payload DMA read,
-    // no completion — the cheapest write the device offers.
-    verbs::SendWr wr;
-    wr.opcode = verbs::Opcode::kRdmaWrite;
-    wr.wr_id = 0xACC'0000 + seq;
-    wr.inline_data = true;
-    wr.sg_list = verbs::Sge{reinterpret_cast<std::uint64_t>(cell),
-                            kAckCellBytes, 0};
-    wr.remote_addr = peer_[p].ack_addr + cell_off;
-    wr.rkey = peer_[p].ack_rkey;
-    wr.signaled = false;
-    (void)co_await qp_[p]->post_send_one(wr);
-    ++stats_.acks_sent;
+    if (co_await post_cell(p, cell_off, cell, kAckCellBytes,
+                           0xACC'0000 + seq)) {
+      ++stats_.acks_sent;
+    }
+  }
+}
+
+sim::Task<void> DecisionLog::consumed(std::uint64_t seq) {
+  (void)drain_completions();
+  std::uint8_t cell[kConsumedCellBytes];
+  write_u64(cell, seq);
+  for (std::uint32_t p = 0; p < group_.size(); ++p) {
+    if (p == self_) continue;
+    (void)co_await post_cell(p, consumed_offset(), cell, kConsumedCellBytes,
+                             0xC0D'0000 + seq);
   }
 }
 

@@ -16,7 +16,9 @@
 //     endorse it by RDMA-writing a 16-byte (seq, tag) ack cell into every
 //     peer's ack table. Ack cells double as flow-control credits: the
 //     primary reuses ring slot s for seq only after seeing the target's
-//     ack for seq - slot_count in that same cell;
+//     ack for seq - slot_count in that same cell, or the target's
+//     consumed cell at or past it (a follower the message path overtook
+//     skips sequences it never acks);
 //   * at a view change the ring's rkey is *flipped* via
 //     Device::flip_write_permission — revocation is instantaneous, the
 //     grant pays the NIC re-programming charge — so the deposed primary
@@ -78,8 +80,11 @@ struct DecisionLogConfig {
 
 struct DecisionLogStats {
   std::uint64_t records_published = 0;  // one per (seq, peer) write posted
-  std::uint64_t bypasses = 0;           // peer skipped (no grant/credit/pick)
-  std::uint64_t acks_sent = 0;          // one per (seq, peer) ack write
+  /// Peer skipped; the transport.onesided.bypass.* counters split it by
+  /// reason (no_grant, no_credit, pick, post).
+  std::uint64_t bypasses = 0;
+  std::uint64_t acks_sent = 0;          // one per (seq, peer) ack posted
+  std::uint64_t cell_post_failures = 0; // ack/consumed writes not posted
   std::uint64_t torn_slots = 0;
   std::uint64_t stale_slots = 0;
   std::uint64_t write_naks = 0;         // kRemoteAccessError completions seen
@@ -111,6 +116,8 @@ class DecisionLog {
   static constexpr std::size_t kHeaderBytes = 32;  // seq|view|proposed_at|len
   static constexpr std::size_t kCanaryBytes = 8;
   static constexpr std::size_t kAckCellBytes = 16;  // seq | tag
+  /// Per-peer "consumed up to" seq, after the peer's slot_count ack cells.
+  static constexpr std::size_t kConsumedCellBytes = 8;
 
   /// Wires a full mesh: one decision log per context, QPs between every
   /// pair, rings and ack tables registered and their addresses exchanged
@@ -146,7 +153,8 @@ class DecisionLog {
   /// RDMA-writes the framed record into every peer's ring slot
   /// seq % slot_count. Per peer, the write happens only if (a) the peer's
   /// flip for `view` completed, (b) the slot's previous occupant was
-  /// acked (flow control), and (c) the transport selector picks kWrite.
+  /// acked or consumed (flow control), and (c) the transport selector
+  /// picks kWrite.
   /// Returns how many peers were written; the remainder ride the message
   /// path (the caller dual-sends regardless).
   sim::Task<std::uint32_t> publish(std::uint64_t seq, std::uint64_t view,
@@ -160,9 +168,16 @@ class DecisionLog {
                                   DecisionRecord& out);
 
   /// Endorses (seq, tag): writes the 16-byte ack cell into every peer's
-  /// ack table (small inline RDMA WRITEs — no staging, no completion
-  /// events). tag is the record digest truncated to 64 bits.
+  /// ack table (small inline RDMA WRITEs — no staging, and a completion
+  /// only when the QP's signaling rule asks for one). tag is the record
+  /// digest truncated to 64 bits.
   sim::Task<void> ack(std::uint64_t seq, std::uint64_t tag);
+
+  /// A follower the message path overtook: publishes "consumed up to
+  /// `seq`" into this replica's consumed cell in every peer's ack table.
+  /// The skipped sequences never get an ack, so without this their slot
+  /// indices would lose credit for the rest of the view.
+  sim::Task<void> consumed(std::uint64_t seq);
 
   /// Distinct peers whose ack cell for `seq` matches (seq, tag) — the
   /// remote endorsements of the commit rule. Cells are authenticated by
@@ -233,6 +248,15 @@ class DecisionLog {
   void grant_initial();
 
   bool has_credit(std::uint32_t peer, std::uint64_t seq) const;
+  void bypass();
+  /// Posts one small inline write into `peer`'s ack table at `offset`
+  /// (an ack or consumed cell); false, and counted, if the post failed.
+  sim::Task<bool> post_cell(std::uint32_t peer, std::uint64_t offset,
+                            const std::uint8_t* cell, std::uint32_t len,
+                            std::uint64_t wr_id);
+  std::uint64_t consumed_offset() const noexcept {
+    return static_cast<std::uint64_t>(cfg_.slot_count) * kAckCellBytes;
+  }
   sim::Task<verbs::PostResult> post_ring_write(std::uint32_t peer,
                                                std::uint64_t remote_off,
                                                FrameVec wire,
@@ -257,8 +281,9 @@ class DecisionLog {
   /// slot_count framed slots, written by the current primary.
   verbs::RegisteredBuffer ring_;
   /// Per-peer ack tables: ack_buf_[p] holds peer p's (seq, tag) cells,
-  /// cell seq % slot_count; null for self. Registered separately so each
-  /// peer's rkey maps only its own region (placement authentication).
+  /// cell seq % slot_count, then p's consumed cell; null for self.
+  /// Registered separately so each peer's rkey maps only its own region
+  /// (placement authentication).
   std::vector<std::unique_ptr<verbs::RegisteredBuffer>> ack_buf_;
   /// Local-only staging span anchoring the protection checks of the
   /// zero-copy record writes (content never read — the payload rides as

@@ -208,30 +208,25 @@ sim::Task<std::size_t> OneSidedChannel::read(MutByteView out) {
     co_await return_credits();
   }
   // Credit-return cadence: falling further behind than one interval
-  // means the peer will stall on a full ring for no reason.
+  // means the peer will stall on a full ring for no reason. Only a
+  // broken QP (the peer is gone) excuses a return that did not post.
   RUBIN_AUDIT_ASSERT("onesided",
-                     recv_seq_ - credited_seq_ < cfg_.credit_interval,
+                     recv_seq_ - credited_seq_ < cfg_.credit_interval ||
+                         qp_->state() == verbs::QpState::kError,
                      "credit return fell behind its cadence");
   co_return len;
 }
 
 sim::Task<void> OneSidedChannel::return_credits() {
-  // One-sided credit return: write our consumed count into the peer's
-  // credit cell. Staged in our credit_cell_'s sibling… the cell itself is
-  // local-write too, so reuse it as the source (it already holds what the
-  // peer wrote to us — use a small dedicated staging in the slot header
-  // area instead: the first 8 bytes of our staging ring are always free
-  // to carry the counter because slot 0's header is rewritten per send).
-  // Simpler and race-free: a tiny dedicated staging buffer.
-  credited_seq_ = recv_seq_;
-  ++stats_.credit_writes;
-
-  // Stage the counter at the tail of the staging ring (never used by
-  // message slots because indices stay < slot_count).
-  static_assert(sizeof(std::uint64_t) == 8);
+  // One-sided credit return: an inline write of our consumed count into
+  // the peer's credit cell (8 bytes ride in the WQE, no staging needed).
+  // A receive-only endpoint posts nothing else on this QP, so the
+  // signaling rule is what hands its unsignaled slots back; its
+  // completions are retired here, where nothing else polls.
+  (void)scq_->poll(16);
+  const std::uint64_t consumed = recv_seq_;
   std::uint8_t scratch[8];
-  write_u64(scratch, recv_seq_);
-  // Inline write: 8 bytes ride in the WQE itself, no staging needed.
+  write_u64(scratch, consumed);
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kRdmaWrite;
   wr.wr_id = 0xC3ED17;
@@ -239,8 +234,14 @@ sim::Task<void> OneSidedChannel::return_credits() {
   wr.sg_list = verbs::Sge{reinterpret_cast<std::uint64_t>(scratch), 8, 0};
   wr.remote_addr = remote_credit_addr_;
   wr.rkey = remote_credit_rkey_;
-  wr.signaled = false;
-  (void)co_await qp_->post_send_one(wr);
+  wr.signaled = qp_->needs_signal();
+  if (co_await qp_->post_send_one(wr) != verbs::PostResult::kOk) {
+    // Not credited: the next read retries the return.
+    RUBIN_COUNT("onesided.credit_post_failed", 1);
+    co_return;
+  }
+  credited_seq_ = consumed;
+  ++stats_.credit_writes;
 }
 
 sim::Task<std::size_t> OneSidedChannel::read_await(MutByteView out) {

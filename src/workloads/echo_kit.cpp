@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/audit.hpp"
 #include "common/shared_bytes.hpp"
 #include "common/stats.hpp"
 #include "net/fabric.hpp"
@@ -198,7 +199,9 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
         wr.sg_list = verbs::Sge{mr->addr() + c.wr_id * payload, c.byte_len,
                             mr->lkey()};
         wr.signaled = true;
-        (void)co_await qp->post_send_one(wr);
+        const auto posted = co_await qp->post_send_one(wr);
+        RUBIN_AUDIT_ASSERT("harness", posted == verbs::PostResult::kOk,
+                           "a blocking send keeps one WR in the queue");
         // Blocking send: sleep until the send completion event.
         co_await await_cq(scq);
         (void)scq->poll(4);
@@ -229,7 +232,9 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
       wr.sg_list = verbs::Sge{mr_tx->addr(), static_cast<std::uint32_t>(p.payload),
                           mr_tx->lkey()};
       wr.signaled = true;
-      (void)co_await qp->post_send_one(wr);
+      const auto posted = co_await qp->post_send_one(wr);
+      RUBIN_AUDIT_ASSERT("harness", posted == verbs::PostResult::kOk,
+                         "a blocking send keeps one WR in the queue");
       // Blocking send: sleep until the send completion *event* arrives
       // (the echo's receive event may come first — remember it).
       bool echo_event_seen = false;
@@ -351,7 +356,9 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
       wr.remote_addr = ctx.inbox_c.mr()->addr();
       wr.rkey = ctx.inbox_c.mr()->rkey();
       wr.signaled = (++sends % 64) == 0;
-      (void)co_await qp->post_send_one(wr);
+      const auto posted = co_await qp->post_send_one(wr);
+      RUBIN_AUDIT_ASSERT("harness", posted == verbs::PostResult::kOk,
+                         "every 64th write signals, so 128 slots never fill");
       ++expect;
     }
   }(ctx, qp_s));
@@ -371,7 +378,9 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
       wr.remote_addr = ctx.inbox_s.mr()->addr();
       wr.rkey = ctx.inbox_s.mr()->rkey();
       wr.signaled = (++sends % 64) == 0;
-      (void)co_await qp->post_send_one(wr);
+      const auto posted = co_await qp->post_send_one(wr);
+      RUBIN_AUDIT_ASSERT("harness", posted == verbs::PostResult::kOk,
+                         "every 64th write signals, so 128 slots never fill");
       while (RwCtx::read_seq(ctx.inbox_c.span()) <
              static_cast<std::uint64_t>(i)) {
         co_await ctx.sim.sleep(ctx.poll_interval);

@@ -86,6 +86,51 @@ TEST_F(FastPathTest, FaultFreeCommitsRideTheFastPath) {
   EXPECT_EQ(counters::value("decision_log.fallback"), 0u);
 }
 
+TEST_F(FastPathTest, MixedSizesKeepCommittingFastPastManyRingLaps) {
+  // Fault-free, mixed op sizes, and far more sequences than the ring has
+  // slots: every lap reuses each slot only on the credit of the last
+  // one, and every follower QP carries nothing but unsignaled-by-default
+  // ack writes. Both must keep flowing — the fast path may not go quiet
+  // once the ack queues would have filled (96 acks per QP).
+  constexpr int kClients = 2;
+  constexpr int kOps = 150;
+  BftHarness h(Backend::kRubin, 4, kClients);
+  h.enable_decision_log();
+  h.add_replicas({}, fast_cfg());
+  std::vector<std::vector<std::uint64_t>> results(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    h.sim().spawn([](Client& cl, std::vector<std::uint64_t>& out) -> Task<> {
+      co_await cl.start();
+      // Two closed-loop clients batch at most two ops: any pair fits a
+      // slot, so every batch may ride the ring.
+      constexpr std::size_t kSizes[] = {128, 1024, 3072};
+      for (int i = 0; i < kOps; ++i) {
+        std::string op = "add:1 " + std::to_string(i);
+        op.resize(kSizes[i % 3], 'x');
+        const Bytes result = co_await cl.invoke(to_bytes(op));
+        Decoder d(result);
+        out.push_back(d.get_u64().value_or(0));
+      }
+    }(h.add_client(4 + static_cast<NodeId>(c)), results[c]));
+  }
+  counters::reset();
+  h.sim().run_until(sim::milliseconds(200));
+
+  for (const auto& r : results) ASSERT_EQ(r.size(), std::size_t{kOps});
+  expect_no_divergence(h, kClients * kOps, kClients * kOps);
+  const std::uint64_t laps = 4 * nio::DecisionLogConfig{}.slot_count;
+  for (NodeId r = 1; r < 4; ++r) {
+    const ReplicaStats& st = h.replica(r).stats();
+    EXPECT_GT(st.batches_committed, laps) << "replica " << r;
+    EXPECT_GE(10 * st.fast_commits, 9 * st.batches_committed)
+        << "replica " << r << " fast-committed " << st.fast_commits << " of "
+        << st.batches_committed;
+    EXPECT_EQ(h.decision_log(r)->stats().cell_post_failures, 0u);
+  }
+  EXPECT_EQ(h.decision_log(0)->stats().bypasses, 0u);
+  EXPECT_EQ(counters::value("decision_log.fallback"), 0u);
+}
+
 TEST_F(FastPathTest, ForgingPrimaryFallsBackWithoutDivergence) {
   // The primary writes well-framed garbage into every ring instead of
   // its authentic records. Replicas authenticate, reject at the MAC

@@ -210,8 +210,8 @@ TEST(Corpus, CoversEveryPr1BugShape) {
        {"coro-stack-wr", "coro-detached", "coro-ref-capture", "det-random",
         "det-wall-clock", "det-unordered-iter", "house-naked-new",
         "house-using-namespace", "house-include-guard",
-        "house-relative-include", "house-console-io", "audit-xref-unknown",
-        "audit-xref-orphan"})
+        "house-relative-include", "house-console-io", "verbs-discarded-post",
+        "audit-xref-unknown", "audit-xref-orphan"})
     EXPECT_TRUE(rules.count(required)) << "no corpus case for " << required;
 }
 

@@ -135,6 +135,62 @@ TEST_F(OneSidedTest, CreditsPreventOverwritingUnconsumedSlots) {
   EXPECT_EQ(verified, 4);
 }
 
+TEST_F(OneSidedTest, OneWayStreamNeverWedgesTheCreditReturn) {
+  // A one-way stream: b only reads, so its QP carries nothing but credit
+  // writes. Unsignaled slots come back only when a later signaled WR
+  // completes, so a credit path that never signals fills b's send queue
+  // (2 * 32 + 16 = 80 writes, 672 messages in) and every later credit is
+  // lost — a wedges for good. The signaling rule keeps it flowing.
+  auto [a, b] = OneSidedChannel::create_pair(ctx_a, ctx_b);
+  constexpr int kMessages = 2000;
+  int delivered = 0;
+  sim.spawn([](OneSidedChannel& a) -> Task<> {
+    const Bytes msg = patterned_bytes(64, 3);
+    for (int i = 0; i < kMessages; ++i) {
+      while (co_await a.write(msg) == 0) {
+      }
+    }
+  }(*a));
+  sim.spawn([](OneSidedChannel& b, int& delivered) -> Task<> {
+    Bytes rx(1024);
+    for (int i = 0; i < kMessages; ++i) {
+      if (co_await b.read_await(rx) != 64) co_return;
+      ++delivered;
+    }
+  }(*b, delivered));
+  sim.run_until(sim::seconds(1));
+  EXPECT_EQ(delivered, kMessages);
+  EXPECT_EQ(b->stats().credit_writes,
+            static_cast<std::uint64_t>(kMessages) / 8);
+  EXPECT_GT(b->qp().send_slots_free(), 0u);
+}
+
+TEST_F(OneSidedTest, CreditReturnOnBrokenQpIsCountedNotCredited) {
+  // A credit write that cannot be posted is not a credit: the failure is
+  // counted and the consumed count stays uncredited.
+  auto [a, b] = OneSidedChannel::create_pair(ctx_a, ctx_b);
+  sim.spawn([](OneSidedChannel& a) -> Task<> {
+    for (int i = 0; i < 8; ++i) {
+      while (co_await a.write(patterned_bytes(64, 9)) == 0) {
+      }
+    }
+  }(*a));
+  sim.run();
+  counters::reset();
+  b->qp().set_error();
+  int delivered = 0;
+  sim.spawn([](OneSidedChannel& b, int& delivered) -> Task<> {
+    Bytes rx(1024);
+    for (int i = 0; i < 8; ++i) {
+      if (co_await b.read(rx) == 64) ++delivered;
+    }
+  }(*b, delivered));
+  sim.run();
+  EXPECT_EQ(delivered, 8);
+  EXPECT_EQ(b->stats().credit_writes, 0u);
+  EXPECT_EQ(counters::value("onesided.credit_post_failed"), 1u);
+}
+
 TEST_F(OneSidedTest, StolenRkeyCorruptsTheRing) {
   // Paper §III-C: "An adversary might get access to a buffer with STag
   // enabled access… She can now read or modify the contents of this
@@ -660,6 +716,7 @@ TEST_F(DecisionLogTest, ViewFlipRevokesBeforeGranting) {
   EXPECT_EQ(mid_flip, 0u);
   EXPECT_GE(logs[1]->stats().bypasses, 3u);
   EXPECT_GE(counters::value("transport.onesided.bypass"), 3u);
+  EXPECT_GE(counters::value("transport.onesided.bypass.no_grant"), 3u);
   EXPECT_EQ(counters::value("decision_log.permission_flip"),
             static_cast<std::uint64_t>(kN));
 
@@ -722,6 +779,73 @@ TEST_F(DecisionLogTest, DeposedPrimaryWriteNaksOnRevokedRkey) {
   }(*logs[1], st, out));
   sim.run();
   EXPECT_EQ(st, SlotStatus::kEmpty);
+
+  // The NAK broke the deposed primary's QP to the victim, and every later
+  // post on it fails visibly: a record write for the victim's new view
+  // bypasses for kPost (peers 2 and 3, still in view 0, have no grant for
+  // it), and an ack cell is counted as not posted.
+  counters::reset();
+  std::uint32_t w3 = 99;
+  sim.spawn([](DecisionLog& l, SharedBytes rec, std::uint32_t& w) -> Task<> {
+    w = co_await l.publish(3, 1, 0, std::move(rec));
+    co_await l.ack(3, 0x7a61);
+  }(*logs[0], signed_record(0, 1, 3), w3));
+  sim.run();
+  EXPECT_EQ(w3, 0u);
+  EXPECT_EQ(counters::value("transport.onesided.bypass.post"), 1u);
+  EXPECT_EQ(counters::value("transport.onesided.bypass.no_grant"), 2u);
+  EXPECT_EQ(logs[0]->stats().cell_post_failures, 1u);
+  EXPECT_EQ(counters::value("decision_log.cell_post_failed"), 1u);
+}
+
+TEST_F(DecisionLogTest, SelectorDeclineBypassesForPick) {
+  // A policy that never picks kWrite leaves every peer to the message
+  // path, and says why.
+  DecisionLogConfig cfg;
+  cfg.policy = {TransportPolicy::Mode::kFixed, TransportKind::kSendRecv};
+  auto logs = DecisionLog::create_group(ctxs, cfg);
+  counters::reset();
+  std::uint32_t w = 99;
+  sim.spawn([](DecisionLog& l, SharedBytes rec, std::uint32_t& w) -> Task<> {
+    w = co_await l.publish(1, 0, 0, std::move(rec));
+  }(*logs[0], signed_record(0, 0, 1), w));
+  sim.run();
+  EXPECT_EQ(w, 0u);
+  EXPECT_EQ(counters::value("transport.onesided.bypass.pick"), 3u);
+}
+
+TEST_F(DecisionLogTest, CreditSurvivesAnOvertakenFollower) {
+  // A follower the message path overtook skips sequences it never acks.
+  // Its consumed cell still hands the primary the credit for the skipped
+  // slot one lap later.
+  DecisionLogConfig cfg;
+  cfg.slot_count = 4;
+  auto logs = DecisionLog::create_group(ctxs, cfg);
+  const auto publish = [&](std::uint64_t seq) {
+    std::uint32_t w = 99;
+    sim.spawn([](DecisionLog& l, std::uint64_t seq, SharedBytes rec,
+                 std::uint32_t& w) -> Task<> {
+      w = co_await l.publish(seq, 0, 0, std::move(rec));
+    }(*logs[0], seq, signed_record(0, 0, seq), w));
+    sim.run();
+    return w;
+  };
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) ASSERT_EQ(publish(seq), 3u);
+
+  // Followers 1 and 2 ack seq 1; follower 3 was overtaken and skips it.
+  for (std::uint32_t r = 1; r <= 2; ++r) {
+    sim.spawn([](DecisionLog& l) -> Task<> { co_await l.ack(1, 0x7a61); }(*logs[r]));
+  }
+  sim.run();
+  EXPECT_EQ(publish(5), 2u) << "follower 3 neither acked nor consumed seq 1";
+
+  sim.spawn([](DecisionLog& l) -> Task<> { co_await l.consumed(2); }(*logs[3]));
+  sim.run();
+  // Seq 6 (slot 2, after seq 2) has credit at follower 3 from the consumed
+  // cell alone; followers 1 and 2 never acked seq 2.
+  EXPECT_EQ(publish(6), 1u);
+  // And seq 5 is now credited everywhere.
+  EXPECT_EQ(publish(5), 3u);
 }
 
 TEST_F(DecisionLogTest, AckCreditsGateSlotReuse) {
@@ -732,6 +856,7 @@ TEST_F(DecisionLogTest, AckCreditsGateSlotReuse) {
   DecisionLogConfig cfg;
   cfg.slot_count = 4;
   auto logs = DecisionLog::create_group(ctxs, cfg);
+  counters::reset();
 
   // Fill the first lap: seqs 1..4 always have credit.
   for (std::uint64_t seq = 1; seq <= 4; ++seq) {
@@ -754,6 +879,7 @@ TEST_F(DecisionLogTest, AckCreditsGateSlotReuse) {
   sim.run();
   EXPECT_EQ(w5, 0u);
   EXPECT_GE(logs[0]->stats().bypasses, 3u);
+  EXPECT_EQ(counters::value("transport.onesided.bypass.no_credit"), 3u);
 
   // Followers ack seq 1 (tag content is irrelevant to flow control).
   for (std::uint32_t r = 1; r < kN; ++r) {
@@ -773,14 +899,16 @@ TEST_F(DecisionLogTest, AckCreditsGateSlotReuse) {
 
 TEST_F(DecisionLogTest, ExposedSurfaceIsRingPlusAckTables) {
   // §III-C exposure accounting for the fast path: one ring (written by
-  // the current primary) plus one ack region per peer. Everything else —
+  // the current primary) plus one ack region per peer, its ack cells and
+  // consumed cell. Everything else —
   // staging, QPs, CQs — stays local-only.
   auto logs = DecisionLog::create_group(ctxs);
   const std::size_t stride = logs[0]->slot_stride();
   const DecisionLogConfig cfg;
   EXPECT_EQ(logs[0]->exposed_bytes(),
             cfg.slot_count * stride +
-                (kN - 1) * cfg.slot_count * DecisionLog::kAckCellBytes);
+                (kN - 1) * (cfg.slot_count * DecisionLog::kAckCellBytes +
+                            DecisionLog::kConsumedCellBytes));
 }
 
 }  // namespace

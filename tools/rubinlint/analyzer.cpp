@@ -106,6 +106,7 @@ std::vector<std::string> Analyzer::rule_ids() {
           "det-random",        "det-wall-clock",       "det-unordered-iter",
           "house-naked-new",   "house-using-namespace", "house-include-guard",
           "house-relative-include", "house-console-io",
+          "verbs-discarded-post",
           "audit-xref-unknown", "audit-xref-orphan"};
 }
 
@@ -215,6 +216,24 @@ void Analyzer::add_file(const LexedFile& f) {
                "range-for over unordered container '" + t[j].text +
                    "' — iteration order is address-dependent and "
                    "non-deterministic");
+          break;
+        }
+    }
+  }
+
+  // ---- verbs-discarded-post: a send post whose result is thrown away -----
+
+  if (src) {
+    for (std::size_t i = 0; i + 3 < t.size(); ++i) {
+      if (!punct(t[i], "(") || !ident(t[i + 1], "void") ||
+          !punct(t[i + 2], ")") || !ident(t[i + 3], "co_await"))
+        continue;
+      for (std::size_t j = i + 4; j < t.size() && !punct(t[j], ";"); ++j)
+        if (ident(t[j], "post_send") || ident(t[j], "post_send_one")) {
+          diag(f, t[i].line, "verbs-discarded-post",
+               "send post result discarded: kQueueFull or kInvalidState "
+               "vanishes silently (a QP that never signals fills up) — "
+               "check the PostResult");
           break;
         }
     }

@@ -1,6 +1,6 @@
 // rubinlint rule engine.
 //
-// Four rule families over the lexed token stream (DESIGN.md §10):
+// Five rule families over the lexed token stream (DESIGN.md §10):
 //
 //   coroutine-suspension lifetime
 //     coro-ref-capture   lambda passed to spawn()/co_spawn() captures by
@@ -29,6 +29,11 @@
 //   house rules (src/ only; ported from the scripts/check.sh grep era)
 //     house-naked-new, house-using-namespace (headers), house-include-guard
 //     (#pragma once), house-relative-include, house-console-io
+//
+//   verbs (src/ only)
+//     verbs-discarded-post  `(void)co_await …post_send…`: a failed send
+//                        post (full queue, broken QP) is silently lost —
+//                        how an ack path that never signaled went quiet.
 //
 //   counter cross-reference (whole-tree; ids keep their old audit- prefix)
 //     audit-xref-unknown a test asserts counters::value("x") but no
