@@ -8,6 +8,11 @@
 //
 // Sends are queued and flushed in batches during poll() (the batching
 // optimization, paper §IV); receives surface as whole protocol frames.
+// Wake rule: a frame queued by another coroutine while the owner is
+// parked in poll()'s select wakes that select (Java NIO's
+// Selector.wakeup()), so it leaves on the owner's next poll() instead of
+// waiting for inbound traffic or the timeout. One select consumes at most
+// one wakeup: a wakeup never leaks into the select after it.
 // Connection identification: the initiator's first frame on a connection
 // is a 4-byte hello carrying its node id. (Identity is *not* trusted from
 // the hello alone — every protocol frame is MAC-verified upstream; a
@@ -20,6 +25,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/counters.hpp"
 #include "common/shared_bytes.hpp"
 #include "net/fabric.hpp"
 #include "reptor/messages.hpp"
@@ -88,6 +94,7 @@ class Transport {
   /// shared, never copied — a frame queued to n peers is one allocation.
   void send(NodeId peer, SharedBytes frame) {
     outbound_[peer].push_back(FrameVec(std::move(frame)));
+    wake_if_parked();
   }
 
   /// Queues a multi-slice frame (e.g. a header skeleton plus a refcounted
@@ -96,6 +103,7 @@ class Transport {
   /// them into its TCP staging buffer (streams have no scatter/gather).
   void send(NodeId peer, FrameVec frame) {
     outbound_[peer].push_back(std::move(frame));
+    wake_if_parked();
   }
 
   /// Queues a frame for every replica except self (refcount bumps only).
@@ -121,10 +129,17 @@ class Transport {
 
   /// Flushes queued sends (batched), then waits up to `timeout` for
   /// inbound traffic. Returns every complete frame available. An empty
-  /// result means the timeout elapsed.
+  /// result means the timeout elapsed or a send() woke the wait.
   virtual sim::Task<std::vector<InboundMsg>> poll(sim::Time timeout) = 0;
 
  protected:
+  /// Unblocks the select poll() is parked in (the backend's selector).
+  virtual void wakeup() = 0;
+
+  /// Set by poll() around its select: the owner is parked, and a frame
+  /// queued now would otherwise wait for inbound traffic or the timeout.
+  bool parked_ = false;
+
   GroupLayout layout_;
   NodeId self_;
   /// Per-peer send queues. Single-slice frames behave exactly as the old
@@ -133,6 +148,14 @@ class Transport {
   std::map<NodeId, std::deque<FrameVec>> outbound_;
   TransportStats stats_;
   StackCost stack_cost_;
+
+ private:
+  void wake_if_parked() {
+    if (!parked_) return;
+    parked_ = false;  // one wake per park
+    RUBIN_COUNT("transport.send_wakeup", 1);
+    wakeup();
+  }
 };
 
 }  // namespace rubin::reptor

@@ -211,7 +211,9 @@ sim::Task<std::vector<InboundMsg>> NioTransport::poll(sim::Time timeout) {
     effective = 0;
   }
 
+  parked_ = true;
   const std::size_t n = co_await poller_.select(effective);
+  parked_ = false;
   if (n > 0) {
     for (tcpsim::SelectionKey* key : poller_.selected()) {
       if (key->attachment() == kAttachListener) {

@@ -21,6 +21,8 @@ class NioTransport final : public Transport {
   sim::Task<std::vector<InboundMsg>> poll(sim::Time timeout) override;
 
  private:
+  void wakeup() override { poller_.wakeup(); }
+
   struct Conn {
     std::shared_ptr<tcpsim::TcpSocket> socket;
     Bytes rx_acc;       // reassembly buffer

@@ -301,7 +301,9 @@ sim::Task<std::vector<InboundMsg>> RubinTransport::poll(sim::Time timeout) {
     early_inbound_.clear();
     effective = 0;  // just sweep what else is already there
   }
+  parked_ = true;
   const std::size_t n = co_await selector_.select(effective);
+  parked_ = false;
   if (n > 0) {
     for (nio::RdmaSelectionKey* key : selector_.selected()) {
       if (key->server_channel()) {

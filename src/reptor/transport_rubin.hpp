@@ -48,6 +48,8 @@ class RubinTransport final : public Transport {
   const nio::RdmaSelector& selector() const noexcept { return selector_; }
 
  private:
+  void wakeup() override { selector_.wakeup(); }
+
   struct Conn {
     std::shared_ptr<nio::RdmaChannel> channel;
     // No in-flight parking list: frames are refcounted SharedBytes, and

@@ -127,6 +127,9 @@ class RdmaSelector {
     return selected_;
   }
 
+  /// Unblocks the pending select — or the next one, if none is in
+  /// progress (Java Selector::wakeup semantics). A select consumes the
+  /// wakeup however it returns.
   void wakeup() {
     wakeup_pending_ = true;
     em_.wake_.set();

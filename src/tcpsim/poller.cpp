@@ -85,10 +85,11 @@ sim::Task<std::size_t> Poller::select(sim::Time timeout) {
         selected_.push_back(key.get());
       }
     }
-    if (!selected_.empty()) co_return selected_.size();
-    if (wakeup_pending_) {
+    // One selection consumes a wakeup, whether it returns on ready keys
+    // or on the wakeup itself; a stale one must not end the next select.
+    if (!selected_.empty() || wakeup_pending_) {
       wakeup_pending_ = false;
-      co_return 0;
+      co_return selected_.size();
     }
     if (deadline >= 0 && sim.now() >= deadline) co_return 0;
 

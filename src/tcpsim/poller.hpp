@@ -89,7 +89,8 @@ class Poller {
   const std::vector<SelectionKey*>& selected() const noexcept { return selected_; }
 
   /// Unblocks the pending select — or the next one, if none is in
-  /// progress (Java Selector::wakeup semantics).
+  /// progress (Java Selector::wakeup semantics). A select consumes the
+  /// wakeup however it returns.
   void wakeup() {
     wakeup_pending_ = true;
     wake_.set();

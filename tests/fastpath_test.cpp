@@ -131,6 +131,46 @@ TEST_F(FastPathTest, MixedSizesKeepCommittingFastPastManyRingLaps) {
   EXPECT_EQ(counters::value("decision_log.fallback"), 0u);
 }
 
+TEST_F(FastPathTest, FastCommittedRepliesLeaveWithoutWaitingForTraffic) {
+  // A batch the decision-log poller commits executes on the poller, so
+  // its REPLYs are queued while the dispatcher is parked in its select.
+  // The transport's wake rule sends them at once; before it, they sat
+  // until the next inbound frame woke the dispatcher, and this run's mean
+  // write latency was 117.5 µs (106.9 µs with the rule).
+  constexpr int kClients = 4;
+  constexpr int kOps = 160;
+  BftHarness h(Backend::kRubin, 4, kClients);
+  h.enable_decision_log();
+  h.add_replicas({}, fast_cfg());
+  sim::Time total = 0;
+  int done = 0;
+  for (int c = 0; c < kClients; ++c) {
+    h.sim().spawn([](sim::Simulator& s, Client& cl, sim::Time& total,
+                     int& done) -> Task<> {
+      co_await cl.start();
+      for (int i = 0; i < kOps; ++i) {
+        std::string op = "add:1 " + std::to_string(i);
+        op.resize(1024, 'x');
+        const sim::Time t0 = s.now();
+        (void)co_await cl.invoke(to_bytes(op));
+        total += s.now() - t0;
+        ++done;
+      }
+    }(h.sim(), h.add_client(4 + static_cast<NodeId>(c)), total, done));
+  }
+  h.sim().run_until(sim::milliseconds(400));
+
+  ASSERT_EQ(done, kClients * kOps);
+  expect_no_divergence(h, kClients * kOps, kClients * kOps);
+  const std::uint64_t laps = 4 * nio::DecisionLogConfig{}.slot_count;
+  for (NodeId r = 1; r < 4; ++r) {
+    const ReplicaStats& st = h.replica(r).stats();
+    EXPECT_GT(st.batches_committed, laps) << "replica " << r;
+    EXPECT_EQ(st.fast_commits, st.batches_committed) << "replica " << r;
+  }
+  EXPECT_LT(total / done, sim::microseconds(112));
+}
+
 TEST_F(FastPathTest, ForgingPrimaryFallsBackWithoutDivergence) {
   // The primary writes well-framed garbage into every ring instead of
   // its authentic records. Replicas authenticate, reject at the MAC

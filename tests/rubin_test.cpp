@@ -481,6 +481,35 @@ TEST_F(RubinTest, SelectorTimeoutAndWakeup) {
   EXPECT_GE(t2, sim::microseconds(400));
 }
 
+TEST_F(RubinTest, SelectorConsumesWakeupWhenReturningReadyKeys) {
+  // Java semantics: one selection consumes a wakeup. A select that
+  // returns on a ready key while a wakeup is pending must clear it, or
+  // the stale wakeup ends the next select at once.
+  auto listener = ctx_b.listen(4711);
+  RdmaSelector selector(ctx_b);
+  selector.register_server(listener, kOpConnect);
+  auto client = ctx_a.connect(1, 4711);
+  sim.run_until(sim.now() + sim::microseconds(50));
+  ASSERT_EQ(listener->pending_requests(), 1u);
+  std::size_t n1 = 99;
+  std::size_t n2 = 99;
+  Time waited = -1;
+  sim.spawn([](sim::Simulator& s, RdmaSelector& sel,
+               std::shared_ptr<RdmaServerChannel> l, std::size_t& n1,
+               std::size_t& n2, Time& waited) -> Task<> {
+    sel.wakeup();
+    n1 = co_await sel.select();
+    (void)l->accept();  // the connect request is no longer ready
+    const Time t1 = s.now();
+    n2 = co_await sel.select(sim::microseconds(100));
+    waited = s.now() - t1;
+  }(sim, selector, listener, n1, n2, waited));
+  sim.run();
+  EXPECT_EQ(n1, 1u);
+  EXPECT_EQ(n2, 0u);
+  EXPECT_GE(waited, sim::microseconds(100));
+}
+
 TEST_F(RubinTest, CancelledKeyRemoved) {
   auto listener = ctx_b.listen(4711);
   RdmaSelector selector(ctx_b);

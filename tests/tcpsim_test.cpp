@@ -334,6 +334,34 @@ TEST_F(TcpTest, WakeupUnblocksSelect) {
   EXPECT_GE(returned_at, sim::microseconds(300));
 }
 
+TEST_F(TcpTest, SelectConsumesWakeupWhenReturningReadyKeys) {
+  // Java semantics: one selection consumes a wakeup. A select that
+  // returns on a ready key while a wakeup is pending must clear it, or
+  // the stale wakeup ends the next select at once.
+  auto listener = net.listen(1, 7000);
+  auto client = net.connect(0, {1, 7000});
+  sim.run();
+  ASSERT_EQ(listener->pending(), 1u);
+  Poller poller(net);
+  poller.register_listener(listener, kOpAccept);
+  std::size_t n1 = 99;
+  std::size_t n2 = 99;
+  Time waited = -1;
+  sim.spawn([](sim::Simulator& s, Poller& p, std::shared_ptr<TcpListener> l,
+               std::size_t& n1, std::size_t& n2, Time& waited) -> Task<> {
+    p.wakeup();
+    n1 = co_await p.select();
+    (void)l->accept();  // the listener is no longer acceptable
+    const Time t1 = s.now();
+    n2 = co_await p.select(sim::microseconds(100));
+    waited = s.now() - t1;
+  }(sim, poller, listener, n1, n2, waited));
+  sim.run();
+  EXPECT_EQ(n1, 1u);
+  EXPECT_EQ(n2, 0u);
+  EXPECT_GE(waited, sim::microseconds(100));
+}
+
 TEST_F(TcpTest, InterestOpsFilterReadiness) {
   auto listener = net.listen(1, 7000);
   auto client = net.connect(0, {1, 7000});

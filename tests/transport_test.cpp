@@ -3,6 +3,7 @@
 // broadcast, batching, and the shared stack-cost accounting.
 #include <gtest/gtest.h>
 
+#include "common/counters.hpp"
 #include "workloads/bft_harness.hpp"
 
 namespace rubin::reptor {
@@ -179,6 +180,42 @@ TEST_P(TransportTest, PollTimeoutOnIdleMesh) {
     h.sim().run_until(h.sim().now() + sim::milliseconds(5));
     EXPECT_TRUE(empty);
     EXPECT_GE(waited, sim::microseconds(300));
+  });
+}
+
+TEST_P(TransportTest, SendWhileOwnerParkedWakesTheSelect) {
+  // A frame queued by another coroutine while the owner is parked in
+  // poll(1 ms) wakes the select, so it leaves on the owner's next poll
+  // instead of after the timeout.
+  with_mesh(2, 0, [](BftHarness& h, auto& ts) {
+    const SharedBytes frame = SharedBytes::copy_of(patterned_bytes(256, 5));
+    bool done = false;
+    sim::Time sent_at = -1;
+    sim::Time got_at = -1;
+    counters::reset();
+    h.sim().spawn([](Transport& t, bool& done) -> Task<> {
+      while (!done) (void)co_await t.poll(sim::milliseconds(1));
+    }(*ts[0], done));
+    h.sim().spawn([](sim::Simulator& s, Transport& t, const SharedBytes& frame,
+                     sim::Time& sent_at) -> Task<> {
+      co_await s.sleep(sim::microseconds(100));  // the owner is parked now
+      sent_at = s.now();
+      t.send(1, frame);
+    }(h.sim(), *ts[0], frame, sent_at));
+    h.sim().spawn([](sim::Simulator& s, Transport& t, const SharedBytes& frame,
+                     bool& done, sim::Time& got_at) -> Task<> {
+      while (got_at < 0) {
+        const auto msgs = co_await t.poll(sim::milliseconds(5));
+        for (const auto& m : msgs) {
+          if (m.peer == 0 && m.frame == frame) got_at = s.now();
+        }
+      }
+      done = true;
+    }(h.sim(), *ts[1], frame, done, got_at));
+    h.sim().run_until(h.sim().now() + sim::milliseconds(5));
+    ASSERT_GE(got_at, 0);
+    EXPECT_LT(got_at - sent_at, sim::microseconds(20));
+    EXPECT_EQ(counters::value("transport.send_wakeup"), 1u);
   });
 }
 
