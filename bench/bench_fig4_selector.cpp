@@ -25,17 +25,11 @@ using namespace rubin::reptor;
 
 namespace {
 
-/// The swept series: the paper's two backends, plus this repo's adaptive
-/// policy — same Reptor stack, but the channel runs TransportPolicy
-/// kAdaptive (inline threshold derived from the cost model's crossover,
-/// per-frame transport.pick.* decisions). On a two-sided-only transport
-/// the selector's argmin lands on send/recv at every swept payload — the
-/// same primitive the paper hand-tuned — so the adaptive series must
-/// reproduce the fixed series exactly; the check at the bottom enforces
-/// it. kRubinSge (informational section) keeps the fixed policy but posts
-/// each client message as a two-slice FrameVec (id header + payload)
-/// exercising the scatter/gather path end-to-end.
-enum class Stack { kTcp, kRubinFixed, kRubinAdaptive, kRubinSge };
+/// The swept series: the paper's two backends. kRubinSge (informational
+/// section) keeps the RUBIN stack but posts each client message as a
+/// two-slice FrameVec (id header + payload), exercising the
+/// scatter/gather path end-to-end.
+enum class Stack { kTcp, kRubin, kRubinSge };
 
 EchoResult run_stack(Stack which, std::size_t payload, std::uint64_t messages) {
   const bool use_rubin = which != Stack::kTcp;
@@ -66,9 +60,6 @@ EchoResult run_stack(Stack which, std::size_t payload, std::uint64_t messages) {
     // copies too. Zero-copy send stays off — exactly the configuration
     // the paper measured through Reptor.
     ccfg.zero_copy_send = false;
-    if (which == Stack::kRubinAdaptive) {
-      ccfg.policy.mode = nio::TransportPolicy::Mode::kAdaptive;
-    }
     server_t = std::make_unique<RubinTransport>(*ctxs[0], layout, 0, ccfg,
                                                 /*batch_limit=*/10);
     client_t = std::make_unique<RubinTransport>(*ctxs[1], layout, 1, ccfg,
@@ -112,29 +103,27 @@ int main() {
 
   struct Row {
     std::size_t payload;
-    EchoResult tcp, rubin, adaptive;
+    EchoResult tcp, rubin;
   };
   std::vector<Row> rows;
   for (std::size_t payload : paper_payloads()) {
     rows.push_back(Row{payload, run_stack(Stack::kTcp, payload, 1000),
-                       run_stack(Stack::kRubinFixed, payload, 1000),
-                       run_stack(Stack::kRubinAdaptive, payload, 1000)});
+                       run_stack(Stack::kRubin, payload, 1000)});
   }
 
   std::printf("--- Fig. 4a: latency (us, mean; window-induced queueing included) ---\n");
-  print_row({"payload", "TCP(NIO)", "Rubin(RDMA)", "Rubin-adapt", "rubin-vs-tcp"});
+  print_row({"payload", "TCP(NIO)", "Rubin(RDMA)", "rubin-vs-tcp"});
   for (const Row& r : rows) {
     print_row({kb(r.payload), fmt(r.tcp.mean_latency_us),
-               fmt(r.rubin.mean_latency_us), fmt(r.adaptive.mean_latency_us),
+               fmt(r.rubin.mean_latency_us),
                fmt(100.0 * (1.0 - r.rubin.mean_latency_us / r.tcp.mean_latency_us)) + "%"});
   }
 
   std::printf("\n--- Fig. 4b: throughput (requests/s) ---\n");
-  print_row({"payload", "TCP(NIO)", "Rubin(RDMA)", "Rubin-adapt", "rdma-vs-tcp"});
+  print_row({"payload", "TCP(NIO)", "Rubin(RDMA)", "rdma-vs-tcp"});
   for (const Row& r : rows) {
     print_row({kb(r.payload), fmt(r.tcp.requests_per_second, 0),
                fmt(r.rubin.requests_per_second, 0),
-               fmt(r.adaptive.requests_per_second, 0),
                fmt(100.0 * (r.rubin.requests_per_second /
                                 r.tcp.requests_per_second - 1.0)) + "%"});
   }
@@ -162,42 +151,18 @@ int main() {
   std::printf("  peak RDMA throughput gain: %.1f %% at %s (paper: ~38 %% at 20KB)\n",
               best, kb(best_payload).c_str());
 
-  std::printf("\n--- adaptive selector vs the fixed RUBIN strategy ---\n");
-  // On a transport with no one-sided lane, the selector's argmin is
-  // send/recv at every swept payload — the primitive the paper fixed by
-  // hand. The adaptive run must therefore trace the fixed envelope
-  // *exactly*: picks are recorded via send_slots_hint() with no pump, so
-  // even the event order matches. Any divergence is a selector bug.
-  bool envelope_ok = true;
-  for (const Row& r : rows) {
-    if (r.adaptive.mean_latency_us > r.rubin.mean_latency_us * 1.0001) {
-      envelope_ok = false;
-      std::printf("  ENVELOPE MISS at %s: adaptive %.2f us vs fixed %.2f us\n",
-                  kb(r.payload).c_str(), r.adaptive.mean_latency_us,
-                  r.rubin.mean_latency_us);
-    }
-  }
-  if (envelope_ok) {
-    std::printf("  adaptive == fixed envelope at every payload (selector's "
-                "argmin lands on the paper's hand-tuned choice)\n");
-  }
-
   std::printf("\n--- multi-slice SGE client frames (informational) ---\n");
-  // Same stack, fixed policy, but the client posts two-slice FrameVecs:
-  // the staging gather memcpy (charge and physical copy) disappears from
-  // the send path. End-to-end the echo loop is wire/stack-bound, so the
+  // Same stack, but the client posts two-slice FrameVecs: the staging
+  // gather memcpy (charge and physical copy) disappears from the send path. End-to-end the echo loop is wire/stack-bound, so the
   // virtual-time effect is a wash (small payloads can even shift batching
   // phase); the eliminated copy shows up as host CPU in bench_datapath
   // and as datapath.copy_bytes staying flat.
   print_row({"payload", "1-slice", "2-slice SGE", "delta"});
   for (const std::size_t payload : {std::size_t{1024}, std::size_t{102400}}) {
-    const EchoResult flat = run_stack(Stack::kRubinFixed, payload, 1000);
+    const EchoResult flat = run_stack(Stack::kRubin, payload, 1000);
     const EchoResult sge = run_stack(Stack::kRubinSge, payload, 1000);
     print_row({kb(payload), fmt(flat.mean_latency_us), fmt(sge.mean_latency_us),
                fmt(100.0 * (sge.mean_latency_us / flat.mean_latency_us - 1.0)) +
                    "%"});
   }
-  // Mirror bench_fig3_micro: an envelope miss fails the CI bench-smoke
-  // job instead of hiding in the printed table.
-  return envelope_ok ? 0 : 1;
 }

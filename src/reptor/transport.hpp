@@ -6,22 +6,31 @@
 //   * RubinTransport  — RUBIN RdmaChannels + RdmaSelector
 // Fig. 4 is exactly this stack under an echo workload, once per backend.
 //
-// Sends are queued and flushed in batches during poll() (the batching
-// optimization, paper §IV); receives surface as whole protocol frames.
+// One poll() serves both backends (transport.cpp): flush the queued sends
+// (batched — the paper's §IV optimization), cap the wait at 200 µs while
+// backpressure holds frames back, sweep frames that arrived during
+// start(), select, drain the ready keys, then charge the stack cost for
+// what was received. A backend plugs in only its selector and wire
+// through five hooks: flush(), backlog(), select(), drain_selected() and
+// wakeup(). Receives surface as whole protocol frames.
 // Wake rule: a frame queued by another coroutine while the owner is
 // parked in poll()'s select wakes that select (Java NIO's
 // Selector.wakeup()), so it leaves on the owner's next poll() instead of
 // waiting for inbound traffic or the timeout. One select consumes at most
 // one wakeup: a wakeup never leaks into the select after it.
 // Connection identification: the initiator's first frame on a connection
-// is a 4-byte hello carrying its node id. (Identity is *not* trusted from
-// the hello alone — every protocol frame is MAC-verified upstream; a
-// mislabeled connection only misroutes frames that then fail to verify.)
+// is a hello, its 4-byte little-endian node id. A valid hello is exactly
+// 4 bytes and names another node of the layout; both backends close a
+// connection whose first frame is anything else. (Identity is *not*
+// trusted from the hello alone — every protocol frame is MAC-verified
+// upstream; a mislabeled connection only misroutes frames that then fail
+// to verify.)
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -29,6 +38,7 @@
 #include "common/shared_bytes.hpp"
 #include "net/fabric.hpp"
 #include "reptor/messages.hpp"
+#include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
 namespace rubin::reptor {
@@ -78,8 +88,8 @@ struct TransportStats {
 
 class Transport {
  public:
-  Transport(GroupLayout layout, NodeId self)
-      : layout_(std::move(layout)), self_(self) {}
+  Transport(sim::Simulator& sim, GroupLayout layout, NodeId self)
+      : layout_(std::move(layout)), self_(self), sim_(&sim) {}
   virtual ~Transport() = default;
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
@@ -124,21 +134,34 @@ class Transport {
 
   /// Brings up this node's side of the mesh: replicas listen and connect
   /// to lower-numbered replicas; clients connect to every replica.
-  /// Completes when all *initiated* connections are established.
+  /// Completes when all *initiated* connections are established. Frames
+  /// that arrive meanwhile go to early_inbound_.
   virtual sim::Task<void> start() = 0;
 
   /// Flushes queued sends (batched), then waits up to `timeout` for
   /// inbound traffic. Returns every complete frame available. An empty
   /// result means the timeout elapsed or a send() woke the wait.
-  virtual sim::Task<std::vector<InboundMsg>> poll(sim::Time timeout) = 0;
+  sim::Task<std::vector<InboundMsg>> poll(sim::Time timeout);
 
  protected:
+  /// Sends as much of outbound_ as the wire accepts now.
+  virtual sim::Task<void> flush() = 0;
+  /// True while flush() left frames behind (backpressure): poll() then
+  /// waits at most 200 µs before it flushes again.
+  virtual bool backlog() const;
+  /// Waits up to `timeout` in the backend's selector; returns the number
+  /// of ready keys (0 on timeout or wakeup).
+  virtual sim::Task<std::size_t> select(sim::Time timeout) = 0;
+  /// Services the keys the last select() made ready: accepts, reads,
+  /// identifies connections by their hello, appends frames to `out`.
+  virtual sim::Task<void> drain_selected(std::vector<InboundMsg>& out) = 0;
   /// Unblocks the select poll() is parked in (the backend's selector).
   virtual void wakeup() = 0;
 
-  /// Set by poll() around its select: the owner is parked, and a frame
-  /// queued now would otherwise wait for inbound traffic or the timeout.
-  bool parked_ = false;
+  /// This node's hello (see the file comment).
+  Bytes hello_frame() const;
+  /// The node a first frame names, or nullopt when it is no valid hello.
+  std::optional<NodeId> parse_hello(ByteView frame) const;
 
   GroupLayout layout_;
   NodeId self_;
@@ -146,6 +169,9 @@ class Transport {
   /// SharedBytes queues did (the channel's staging path is bit-identical
   /// for them); multi-slice frames ride the SGE list on the RUBIN backend.
   std::map<NodeId, std::deque<FrameVec>> outbound_;
+  /// Protocol frames that arrived while start() was still establishing
+  /// connections — surfaced by the first poll().
+  std::vector<InboundMsg> early_inbound_;
   TransportStats stats_;
   StackCost stack_cost_;
 
@@ -156,6 +182,11 @@ class Transport {
     RUBIN_COUNT("transport.send_wakeup", 1);
     wakeup();
   }
+
+  sim::Simulator* sim_;
+  /// Set by poll() around its select: the owner is parked, and a frame
+  /// queued now would otherwise wait for inbound traffic or the timeout.
+  bool parked_ = false;
 };
 
 }  // namespace rubin::reptor

@@ -26,7 +26,7 @@ void append_framed(Bytes& out, const FrameVec& frame) {
 
 NioTransport::NioTransport(tcpsim::TcpNetwork& net, GroupLayout layout,
                            NodeId self)
-    : Transport(std::move(layout), self),
+    : Transport(net.simulator(), std::move(layout), self),
       net_(&net),
       poller_(net),
       rx_buf_(64 * 1024) {}
@@ -64,57 +64,62 @@ sim::Task<void> NioTransport::start() {
     return true;
   };
   while (!all_up()) {
-    const std::size_t n = co_await poller_.select(sim::milliseconds(1));
-    if (n > 0) {
-      for (tcpsim::SelectionKey* key : poller_.selected()) {
-        if (key->attachment() == kAttachListener && key->is_acceptable()) {
-          while (auto sock = listener_->accept()) {
-            const std::uint64_t temp = kTempFlag | next_temp_++;
-            poller_.register_socket(sock, tcpsim::kOpRead, temp);
-            Conn conn;
-            conn.socket = std::move(sock);
-            unidentified_[temp] = std::move(conn);
-          }
-        } else if (key->is_readable()) {
-          std::uint64_t att = key->attachment();
-          if (att & kTempFlag) {
-            if (auto it = unidentified_.find(att); it != unidentified_.end()) {
-              co_await drain_socket(it->second, att, early_inbound_);
-              std::uint64_t new_att = att;
-              extract_frames(it->second, new_att, early_inbound_);
-              if (new_att != att) {
-                key->attach(new_att);
-                conns_[static_cast<NodeId>(new_att - kAttachPeerBase)] =
-                    std::move(it->second);
-                unidentified_.erase(it);
-              }
-            }
-          } else if (att >= kAttachPeerBase) {
-            const NodeId peer = static_cast<NodeId>(att - kAttachPeerBase);
-            co_await drain_socket(conns_[peer], att, early_inbound_);
-            extract_frames(conns_[peer], att, early_inbound_);
-          }
-        }
-      }
+    if (co_await poller_.select(sim::milliseconds(1)) > 0) {
+      co_await drain_selected(early_inbound_);
     }
   }
 
   // Hello must be the first thing on each dialed connection.
+  Bytes hello;
+  append_framed(hello, hello_frame());
   for (NodeId peer : targets) {
-    Bytes hello(4);
-    for (int i = 0; i < 4; ++i) hello[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(self_ >> (8 * i));
-    Bytes framed;
-    append_framed(framed, hello);
     std::size_t off = 0;
-    while (off < framed.size()) {
-      off += co_await conns_[peer].socket->write(ByteView(framed).subspan(off));
+    while (off < hello.size()) {
+      off += co_await conns_[peer].socket->write(ByteView(hello).subspan(off));
     }
   }
   co_return;
 }
 
-sim::Task<void> NioTransport::drain_socket(Conn& conn, std::uint64_t,
-                                           std::vector<InboundMsg>&) {
+sim::Task<void> NioTransport::drain_selected(std::vector<InboundMsg>& out) {
+  for (tcpsim::SelectionKey* key : poller_.selected()) {
+    if (key->attachment() == kAttachListener) {
+      if (key->is_acceptable()) {
+        while (auto sock = listener_->accept()) {
+          const std::uint64_t temp = kTempFlag | next_temp_++;
+          poller_.register_socket(sock, tcpsim::kOpRead, temp);
+          Conn conn;
+          conn.socket = std::move(sock);
+          unidentified_[temp] = std::move(conn);
+        }
+      }
+      continue;
+    }
+    if (!key->is_readable()) continue;
+    std::uint64_t att = key->attachment();
+    if (att & kTempFlag) {
+      const auto it = unidentified_.find(att);
+      if (it == unidentified_.end()) continue;
+      co_await drain_socket(it->second);
+      if (!extract_frames(it->second, att, out)) {
+        key->cancel();
+        it->second.socket->close();
+        unidentified_.erase(it);
+      } else if (att != key->attachment()) {
+        key->attach(att);
+        conns_[static_cast<NodeId>(att - kAttachPeerBase)] =
+            std::move(it->second);
+        unidentified_.erase(it);
+      }
+    } else if (att >= kAttachPeerBase) {
+      Conn& conn = conns_[static_cast<NodeId>(att - kAttachPeerBase)];
+      co_await drain_socket(conn);
+      extract_frames(conn, att, out);
+    }
+  }
+}
+
+sim::Task<void> NioTransport::drain_socket(Conn& conn) {
   for (;;) {
     const std::size_t n = co_await conn.socket->read(rx_buf_);
     if (n == 0) break;
@@ -125,7 +130,7 @@ sim::Task<void> NioTransport::drain_socket(Conn& conn, std::uint64_t,
   co_return;
 }
 
-void NioTransport::extract_frames(Conn& conn, std::uint64_t& attachment,
+bool NioTransport::extract_frames(Conn& conn, std::uint64_t& attachment,
                                   std::vector<InboundMsg>& out) {
   std::size_t pos = 0;
   while (conn.rx_acc.size() - pos >= 4) {
@@ -134,25 +139,23 @@ void NioTransport::extract_frames(Conn& conn, std::uint64_t& attachment,
       len |= static_cast<std::uint32_t>(conn.rx_acc[pos + static_cast<std::size_t>(i)]) << (8 * i);
     }
     if (conn.rx_acc.size() - pos - 4 < len) break;
-    const auto* frame = conn.rx_acc.data() + pos + 4;
+    const ByteView frame(conn.rx_acc.data() + pos + 4, len);
     if (!conn.identified) {
-      // The hello: 4-byte little-endian node id.
-      NodeId peer = 0;
-      for (std::uint32_t i = 0; i < len && i < 4; ++i) {
-        peer |= static_cast<NodeId>(frame[i]) << (8 * i);
-      }
+      const std::optional<NodeId> peer = parse_hello(frame);
+      if (!peer) return false;
       conn.identified = true;
-      attachment = kAttachPeerBase + peer;
+      attachment = kAttachPeerBase + *peer;
     } else {
       ++stats_.frames_received;
       out.push_back(InboundMsg{
           static_cast<NodeId>(attachment - kAttachPeerBase),
-          SharedBytes::copy_of(ByteView(frame, len))});
+          SharedBytes::copy_of(frame)});
     }
     pos += 4 + len;
   }
   conn.rx_acc.erase(conn.rx_acc.begin(),
                     conn.rx_acc.begin() + static_cast<std::ptrdiff_t>(pos));
+  return true;
 }
 
 sim::Task<void> NioTransport::flush() {
@@ -188,73 +191,11 @@ sim::Task<void> NioTransport::flush() {
   co_return;
 }
 
-sim::Task<std::vector<InboundMsg>> NioTransport::poll(sim::Time timeout) {
-  co_await flush();
-
-  bool backlog = false;
-  for (const auto& [peer, queue] : outbound_) {
-    if (!queue.empty()) backlog = true;
-  }
+bool NioTransport::backlog() const {
   for (const auto& [peer, conn] : conns_) {
-    if (conn.tx_off < conn.tx_pending.size()) backlog = true;
+    if (conn.tx_off < conn.tx_pending.size()) return true;
   }
-  sim::Time effective = timeout;
-  if (backlog) {
-    const sim::Time retry = sim::microseconds(200);
-    effective = (timeout < 0 || timeout > retry) ? retry : timeout;
-  }
-
-  std::vector<InboundMsg> out;
-  if (!early_inbound_.empty()) {
-    out = std::move(early_inbound_);
-    early_inbound_.clear();
-    effective = 0;
-  }
-
-  parked_ = true;
-  const std::size_t n = co_await poller_.select(effective);
-  parked_ = false;
-  if (n > 0) {
-    for (tcpsim::SelectionKey* key : poller_.selected()) {
-      if (key->attachment() == kAttachListener) {
-        if (key->is_acceptable()) {
-          while (auto sock = listener_->accept()) {
-            const std::uint64_t temp = kTempFlag | next_temp_++;
-            poller_.register_socket(sock, tcpsim::kOpRead, temp);
-            Conn conn;
-            conn.socket = std::move(sock);
-            unidentified_[temp] = std::move(conn);
-          }
-        }
-        continue;
-      }
-      if (!key->is_readable()) continue;
-      std::uint64_t att = key->attachment();
-      if (att & kTempFlag) {
-        if (auto it = unidentified_.find(att); it != unidentified_.end()) {
-          co_await drain_socket(it->second, att, out);
-          std::uint64_t new_att = att;
-          extract_frames(it->second, new_att, out);
-          if (new_att != att) {
-            key->attach(new_att);
-            conns_[static_cast<NodeId>(new_att - kAttachPeerBase)] =
-                std::move(it->second);
-            unidentified_.erase(it);
-          }
-        }
-      } else if (att >= kAttachPeerBase) {
-        const NodeId peer = static_cast<NodeId>(att - kAttachPeerBase);
-        co_await drain_socket(conns_[peer], att, out);
-        extract_frames(conns_[peer], att, out);
-      }
-    }
-  }
-  if (!out.empty()) {
-    std::size_t bytes = 0;
-    for (const InboundMsg& m : out) bytes += m.frame.size();
-    co_await net_->simulator().sleep(stack_cost_.time(out.size(), bytes));
-  }
-  co_return out;
+  return Transport::backlog();
 }
 
 }  // namespace rubin::reptor

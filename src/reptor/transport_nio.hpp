@@ -18,9 +18,15 @@ class NioTransport final : public Transport {
 
   bool connected(NodeId peer) const override;
   sim::Task<void> start() override;
-  sim::Task<std::vector<InboundMsg>> poll(sim::Time timeout) override;
 
  private:
+  sim::Task<void> flush() override;
+  /// Frames queued, or encoded bytes the kernel buffer has not taken yet.
+  bool backlog() const override;
+  sim::Task<std::size_t> select(sim::Time timeout) override {
+    return poller_.select(timeout);
+  }
+  sim::Task<void> drain_selected(std::vector<InboundMsg>& out) override;
   void wakeup() override { poller_.wakeup(); }
 
   struct Conn {
@@ -31,10 +37,11 @@ class NioTransport final : public Transport {
     bool identified = false;
   };
 
-  sim::Task<void> flush();
-  sim::Task<void> drain_socket(Conn& conn, std::uint64_t attachment,
-                               std::vector<InboundMsg>& out);
-  void extract_frames(Conn& conn, std::uint64_t& attachment,
+  sim::Task<void> drain_socket(Conn& conn);
+  /// Moves every complete frame out of `conn.rx_acc`. On an unidentified
+  /// connection the first frame is the hello, which rewrites `attachment`
+  /// to the peer it names; false when that hello is invalid.
+  bool extract_frames(Conn& conn, std::uint64_t& attachment,
                       std::vector<InboundMsg>& out);
 
   tcpsim::TcpNetwork* net_;
@@ -45,7 +52,6 @@ class NioTransport final : public Transport {
   /// temporary id carried in the poller attachment.
   std::map<std::uint64_t, Conn> unidentified_;
   std::uint64_t next_temp_ = 0;
-  std::vector<InboundMsg> early_inbound_;
   Bytes rx_buf_;
 };
 

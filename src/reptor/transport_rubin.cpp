@@ -8,42 +8,18 @@ namespace {
 constexpr std::uint64_t kAttachServer = 0;
 constexpr std::uint64_t kAttachUnidentified = 1;
 constexpr std::uint64_t kAttachPeerBase = 2;
-
-Bytes hello_frame(NodeId self) {
-  Bytes b(4);
-  for (int i = 0; i < 4; ++i) b[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(self >> (8 * i));
-  return b;
-}
-
-NodeId parse_hello(ByteView b) {
-  NodeId id = 0;
-  for (int i = 0; i < 4 && i < static_cast<int>(b.size()); ++i) {
-    id |= static_cast<NodeId>(b[static_cast<std::size_t>(i)]) << (8 * i);
-  }
-  return id;
-}
 }  // namespace
 
 RubinTransport::RubinTransport(nio::RubinContext& ctx, GroupLayout layout,
                                NodeId self, nio::ChannelConfig ccfg,
                                std::size_t batch_limit,
                                std::optional<nio::ChannelConfig> accept_cfg)
-    : Transport(std::move(layout), self),
+    : Transport(ctx.simulator(), std::move(layout), self),
       ctx_(&ctx),
       ccfg_(ccfg),
       accept_cfg_(accept_cfg),
       batch_limit_(batch_limit == 0 ? 1 : batch_limit),
-      selector_(ctx) {
-  if (ccfg_.policy.mode == nio::TransportPolicy::Mode::kAdaptive) {
-    // The context's cost model outlives this transport (selector lifetime
-    // contract). Derive the inline threshold from the model's crossover
-    // instead of the configured magic number: with the threshold at the
-    // crossover, the channel's size test reproduces pick()'s argmin over
-    // the two-sided kinds frame for frame.
-    xport_sel_.emplace(ctx_->cost(), ccfg_.policy);
-    ccfg_.inline_threshold = xport_sel_->inline_crossover();
-  }
-}
+      selector_(ctx) {}
 
 bool RubinTransport::connected(NodeId peer) const {
   const auto it = conns_.find(peer);
@@ -108,7 +84,7 @@ sim::Task<void> RubinTransport::maintain_connections() {
           // A SharedBytes handle rides the WR, so the payload stays pinned
           // even under zero_copy_send configs (channel.hpp lifetime
           // contract) — a frame-local Bytes here would dangle.
-          const SharedBytes hello = SharedBytes::copy_of(hello_frame(self_));
+          const SharedBytes hello = SharedBytes::copy_of(hello_frame());
           if (co_await conn.channel->write(hello) > 0) conn.hello_sent = true;
         }
       }
@@ -141,7 +117,7 @@ sim::Task<void> RubinTransport::start() {
     adopt_channel(peer, std::move(ch));
     // The hello is owed on first establishment, exactly as after a
     // redial; maintain_connections() sends it (hello precedes any
-    // protocol frame because poll() runs maintenance before flush()).
+    // protocol frame because flush() runs maintenance first).
     conns_[peer].hello_sent = false;
     conns_[peer].dial_time = ctx_->simulator().now();
   }
@@ -161,27 +137,27 @@ sim::Task<void> RubinTransport::start() {
     return true;
   };
   while (!all_up()) {
-    const std::size_t n = co_await selector_.select(sim::milliseconds(1));
-    if (n > 0) {
-      for (nio::RdmaSelectionKey* key : selector_.selected()) {
-        if (key->server_channel()) {
-          while (server_->pending_requests() > 0) (void)server_->accept();
-          while (auto ch = server_->next_established()) {
-            selector_.register_channel(ch, nio::kOpReceive,
-                                       kAttachUnidentified);
-            unidentified_.push_back(std::move(ch));
-          }
-        } else if (key->is_receivable() && key->channel()) {
-          // Frames landing during startup are kept for the first poll().
-          co_await drain_channel(*key->channel(),
-                                 static_cast<NodeId>(key->attachment()),
-                                 early_inbound_);
-        }
-      }
+    if (co_await selector_.select(sim::milliseconds(1)) > 0) {
+      co_await drain_selected(early_inbound_);
     }
     co_await maintain_connections();
   }
   co_return;
+}
+
+sim::Task<void> RubinTransport::drain_selected(std::vector<InboundMsg>& out) {
+  for (nio::RdmaSelectionKey* key : selector_.selected()) {
+    if (key->server_channel()) {
+      while (server_->pending_requests() > 0) (void)server_->accept();
+      while (auto ch = server_->next_established()) {
+        selector_.register_channel(ch, nio::kOpReceive, kAttachUnidentified);
+        unidentified_.push_back(std::move(ch));
+      }
+    } else if (key->is_receivable() && key->channel()) {
+      co_await drain_channel(*key->channel(),
+                             static_cast<NodeId>(key->attachment()), out);
+    }
+  }
 }
 
 sim::Task<void> RubinTransport::drain_channel(nio::RdmaChannel& ch,
@@ -200,18 +176,18 @@ sim::Task<void> RubinTransport::drain_channel(nio::RdmaChannel& ch,
       // a reordered protocol frame or a corrupted hello — and a garbage
       // peer id would wedge this connection forever. Validate and drop
       // the channel instead; the dialer's backoff redials.
-      const NodeId peer = parse_hello(frame.view());
-      if (frame.size() != 4 || peer >= layout_.hosts.size() || peer == self_) {
+      const std::optional<NodeId> peer = parse_hello(frame.view());
+      if (!peer) {
         if (auto* key = selector_.find_key(ch.id())) key->cancel();
         ch.close();
         std::erase_if(unidentified_,
                       [&](const auto& c) { return c.get() == &ch; });
         break;
       }
-      adopt_channel(peer, ch.shared_from_this());
+      adopt_channel(*peer, ch.shared_from_this());
       std::erase_if(unidentified_,
                     [&](const auto& c) { return c.get() == &ch; });
-      attachment = kAttachPeerBase + peer;
+      attachment = kAttachPeerBase + *peer;
       // Rebind the selection key so later drains route directly.
       if (auto* key = selector_.find_key(ch.id())) key->attach(attachment);
       continue;
@@ -224,6 +200,7 @@ sim::Task<void> RubinTransport::drain_channel(nio::RdmaChannel& ch,
 }
 
 sim::Task<void> RubinTransport::flush() {
+  co_await maintain_connections();
   for (auto& [peer, queue] : outbound_) {
     if (queue.empty()) continue;
     const auto it = conns_.find(peer);
@@ -237,28 +214,6 @@ sim::Task<void> RubinTransport::flush() {
       const std::size_t take = std::min(batch_limit_, queue.size());
       batch.reserve(take);
       for (std::size_t i = 0; i < take; ++i) batch.push_back(queue[i]);
-      if (xport_sel_) {
-        // Record the selector's per-frame decision (transport.pick.*
-        // counters). With no one-sided lane, ring_credits stays 0;
-        // the channel enacts the inline/send-recv choice itself because
-        // its threshold equals the selector's crossover (see header).
-        // send_slots_hint() deliberately: pick must not pump, or the
-        // adaptive run would drift from the fixed run's event order.
-        const std::uint32_t slots = conn.channel->send_slots_hint();
-        for (std::size_t i = 0; i < take; ++i) {
-          nio::SelectorInputs in;
-          in.payload = batch[i].total_size();
-          in.send_slots_free =
-              slots > i ? slots - static_cast<std::uint32_t>(i) : 0;
-          in.ring_credits = 0;
-          // A Reptor peer drains completions via events and polls no
-          // remote-writable memory, so the polled lanes' effective
-          // detection interval is unbounded — price them out honestly
-          // rather than masking them.
-          in.recv_poll_interval = sim::seconds(1);
-          (void)xport_sel_->pick(in);
-        }
-      }
       const std::size_t accepted =
           co_await conn.channel->write_batch(std::move(batch));
       ++stats_.flush_batches;
@@ -279,51 +234,6 @@ sim::Task<void> RubinTransport::flush() {
     }
   }
   co_return;
-}
-
-sim::Task<std::vector<InboundMsg>> RubinTransport::poll(sim::Time timeout) {
-  co_await maintain_connections();
-  co_await flush();
-
-  bool backlog = false;
-  for (const auto& [peer, queue] : outbound_) {
-    if (!queue.empty()) backlog = true;
-  }
-  sim::Time effective = timeout;
-  if (backlog) {
-    const sim::Time retry = sim::microseconds(200);
-    effective = (timeout < 0 || timeout > retry) ? retry : timeout;
-  }
-
-  std::vector<InboundMsg> out;
-  if (!early_inbound_.empty()) {
-    out = std::move(early_inbound_);
-    early_inbound_.clear();
-    effective = 0;  // just sweep what else is already there
-  }
-  parked_ = true;
-  const std::size_t n = co_await selector_.select(effective);
-  parked_ = false;
-  if (n > 0) {
-    for (nio::RdmaSelectionKey* key : selector_.selected()) {
-      if (key->server_channel()) {
-        while (server_->pending_requests() > 0) (void)server_->accept();
-        while (auto ch = server_->next_established()) {
-          selector_.register_channel(ch, nio::kOpReceive, kAttachUnidentified);
-          unidentified_.push_back(std::move(ch));
-        }
-      } else if (key->is_receivable() && key->channel()) {
-        co_await drain_channel(*key->channel(),
-                               static_cast<NodeId>(key->attachment()), out);
-      }
-    }
-  }
-  if (!out.empty()) {
-    std::size_t bytes = 0;
-    for (const InboundMsg& m : out) bytes += m.frame.size();
-    co_await ctx_->simulator().sleep(stack_cost_.time(out.size(), bytes));
-  }
-  co_return out;
 }
 
 }  // namespace rubin::reptor

@@ -10,7 +10,6 @@
 #include "reptor/transport.hpp"
 #include "rubin/context.hpp"
 #include "rubin/selector.hpp"
-#include "rubin/transport_select.hpp"
 
 namespace rubin::reptor {
 
@@ -43,11 +42,16 @@ class RubinTransport final : public Transport {
 
   bool connected(NodeId peer) const override;
   sim::Task<void> start() override;
-  sim::Task<std::vector<InboundMsg>> poll(sim::Time timeout) override;
 
   const nio::RdmaSelector& selector() const noexcept { return selector_; }
 
  private:
+  /// Repairs connections first, so a pending hello precedes any frame.
+  sim::Task<void> flush() override;
+  sim::Task<std::size_t> select(sim::Time timeout) override {
+    return selector_.select(timeout);
+  }
+  sim::Task<void> drain_selected(std::vector<InboundMsg>& out) override;
   void wakeup() override { selector_.wakeup(); }
 
   struct Conn {
@@ -63,7 +67,6 @@ class RubinTransport final : public Transport {
     sim::Time backoff = sim::milliseconds(1);
   };
 
-  sim::Task<void> flush();
   /// True when this node is the connection initiator toward `peer` and is
   /// therefore responsible for re-dialing after a broken connection.
   bool is_dialer(NodeId peer) const;
@@ -81,24 +84,10 @@ class RubinTransport final : public Transport {
   std::optional<nio::ChannelConfig> accept_cfg_;
   std::size_t batch_limit_;
   nio::RdmaSelector selector_;
-  /// Engaged when ccfg_.policy is kAdaptive: the per-frame transport
-  /// selector (transport_select.hpp). A Reptor transport has no one-sided
-  /// lane, so the selector's reachable picks are kInline/kSendRecv — and
-  /// the constructor sets the channel inline threshold to the selector's
-  /// cost-model crossover, so the channel's per-frame inline decision is
-  /// exactly pick()'s argmin. flush() still runs pick() per frame to keep
-  /// the decision auditable (transport.pick.* counters); the pick itself
-  /// is side-effect-free (slots via send_slots_hint(), no pump), so an
-  /// adaptive run's event order is bit-identical to the fixed run it
-  /// agrees with.
-  std::optional<nio::TransportSelector> xport_sel_;
   std::shared_ptr<nio::RdmaServerChannel> server_;
   std::map<NodeId, Conn> conns_;
   /// Accepted channels whose hello has not arrived yet.
   std::vector<std::shared_ptr<nio::RdmaChannel>> unidentified_;
-  /// Protocol frames that arrived while start() was still establishing
-  /// connections — surfaced by the first poll().
-  std::vector<InboundMsg> early_inbound_;
 };
 
 }  // namespace rubin::reptor

@@ -589,11 +589,6 @@ std::uint32_t RdmaChannel::send_slots_free() noexcept {
   return qp_->send_slots_free();
 }
 
-std::uint32_t RdmaChannel::send_slots_hint() const noexcept {
-  if (state_ != State::kEstablished) return 0;
-  return qp_->send_slots_free();
-}
-
 sim::Task<std::size_t> RdmaChannel::read_await(MutByteView out) {
   for (;;) {
     const std::size_t n = co_await read(out);

@@ -129,12 +129,6 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   /// Free send-queue slots right now (0 while not established) — the
   /// queue-depth pressure input of the transport selector.
   std::uint32_t send_slots_free() noexcept;
-  /// Side-effect-free variant of send_slots_free(): reports the slots as
-  /// of the last pump, without processing completions. A selector reading
-  /// this (e.g. per-frame picks inside a flush loop) perturbs nothing —
-  /// pumping here would shift the selective-signaling cadence and break
-  /// the fixed-policy bit-identity guarantee.
-  std::uint32_t send_slots_hint() const noexcept;
 
   /// Standalone (selector-less) helper: waits until a message arrives or
   /// the channel dies, then reads it. Used by the Fig-3 micro-benchmark.

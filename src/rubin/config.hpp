@@ -19,11 +19,10 @@ enum class TransportKind : std::uint8_t {
   kReadDrain,
 };
 
-/// Per-channel transport policy. The default (kFixed) reproduces every
-/// pre-existing configuration bit-identically: the channel uses exactly
-/// the primitive the config names and the selector never runs. kAdaptive
-/// turns on the per-frame selector (transport_select.hpp), which picks the
-/// cheapest primitive from the cost model's crossover constants.
+/// Transport policy of a TransportSelector (the decision log's and the
+/// Fig. 3 adaptive echo's). kFixed always picks `fixed`; kAdaptive picks
+/// the cheapest primitive from the cost model's crossover constants
+/// (transport_select.hpp).
 struct TransportPolicy {
   enum class Mode : std::uint8_t { kFixed, kAdaptive };
   Mode mode = Mode::kFixed;
@@ -61,9 +60,6 @@ struct ChannelConfig {
   /// what degrades large-message latency in Figs. 3/4 (Ablation A3 flips
   /// this).
   bool zero_copy_receive = false;
-  /// Per-frame transport selection (PR 7). kFixed keeps the classic
-  /// behaviour; kAdaptive consults the TransportSelector per frame.
-  TransportPolicy policy;
 };
 
 }  // namespace rubin::nio

@@ -68,6 +68,9 @@ class BftHarness {
   verbs::Device& device(net::HostId host) { return *devices_.at(host); }
   bool has_devices() const noexcept { return !devices_.empty(); }
 
+  /// NIO backend only: the simulated TCP stack (tests dial bare sockets).
+  tcpsim::TcpNetwork& tcp() { return *tcp_; }
+
   /// RUBIN backend only: host id's nio context, for tests that build
   /// custom transports (e.g. a leaner accept-side channel config) over
   /// the harness's fabric instead of going through make_transport.

@@ -565,10 +565,8 @@ EchoPoint run_adaptive_echo(const EchoParams& p, nio::TransportPolicy policy) {
   nio::RubinContext ctx_c(dev_c, cm);
   nio::RubinContext ctx_s(dev_s, cm);
 
-  // Two-sided lane: the RUBIN channel with the §IV defaults. The policy
-  // rides the config so the channel's owner can introspect it.
-  nio::ChannelConfig cfg = default_channel_config(p.payload);
-  cfg.policy = policy;
+  // Two-sided lane: the RUBIN channel with the §IV defaults.
+  const nio::ChannelConfig cfg = default_channel_config(p.payload);
   auto listener = ctx_s.listen(4711, cfg);
   auto client = ctx_c.connect(1, 4711, cfg);
   sim.run_until(sim::microseconds(100));

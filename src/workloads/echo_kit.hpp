@@ -61,7 +61,7 @@ nio::ChannelConfig default_channel_config(std::size_t payload);
 /// routes every message over the TransportSelector's pick for the live
 /// (payload, send-slot, ring-credit) state. `policy` kFixed pins the
 /// harness to one primitive — the fixed series the adaptive line is
-/// compared against in Fig. 3/4 — and kAdaptive traces their envelope.
+/// compared against in Fig. 3 — and kAdaptive traces their envelope.
 /// kReadDrain picks (the sender-starved escape hatch) back off for one
 /// poll interval and re-pick; a fixed kReadDrain policy is rejected (the
 /// echo harness has no receiver-driven pull lane).

@@ -13,9 +13,11 @@
 #include "crypto/sha256.hpp"
 #include "net/fabric.hpp"
 #include "reptor/messages.hpp"
+#include "rubin/config.hpp"
 #include "rubin/transport_select.hpp"
 #include "sim/simulator.hpp"
 #include "verbs/device.hpp"
+#include "../bench/bench_util.hpp"
 
 namespace rubin {
 namespace {
@@ -437,6 +439,35 @@ TEST_P(SelectorArgmin, InlineCrossoverSeparatesTheCostCurves) {
     const bool inline_wins = sel.cost_of(nio::TransportKind::kInline, in) <=
                              sel.cost_of(nio::TransportKind::kSendRecv, in);
     EXPECT_EQ(inline_wins, in.payload <= cross) << "payload=" << in.payload;
+  }
+}
+
+TEST(ReptorStackSelector, ArgminIsTheFixedInlineThreshold) {
+  // EXPERIMENTS.md E7: on the Reptor stack a frame has one lane, the
+  // two-sided channel. No ring credit, and a receiver that polls no
+  // remote-writable memory (a 1 s interval prices the polled lanes out),
+  // leave the selector kInline vs kSendRecv, split at the inline
+  // crossover, which is the channel's default inline threshold. So a
+  // per-frame selector on that stack can only reproduce the fixed
+  // channel.
+  const net::CostModel cm = net::CostModel::roce_10g();
+  const nio::TransportSelector sel(
+      cm, {nio::TransportPolicy::Mode::kAdaptive, nio::TransportKind::kSendRecv});
+  const nio::ChannelConfig channel;
+  ASSERT_EQ(sel.inline_crossover(), channel.inline_threshold);
+
+  nio::SelectorInputs in;
+  in.send_slots_free = channel.buffer_count;
+  in.ring_credits = 0;
+  in.recv_poll_interval = sim::seconds(1);
+  std::vector<std::size_t> payloads = bench::paper_payloads();
+  for (std::size_t p = 1; p <= 256; ++p) payloads.push_back(p);
+  for (const std::size_t p : payloads) {
+    in.payload = p;
+    EXPECT_EQ(sel.pick(in), p <= channel.inline_threshold
+                                ? nio::TransportKind::kInline
+                                : nio::TransportKind::kSendRecv)
+        << "payload=" << p;
   }
 }
 

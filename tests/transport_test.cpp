@@ -49,7 +49,80 @@ class TransportTest : public ::testing::TestWithParam<Backend> {
     h.sim().run_until(h.sim().now() + sim::milliseconds(2));
     body(h, ts);
   }
+
+  struct RawDial {
+    std::vector<InboundMsg> got;  // what replica 0's poll() surfaced
+    bool closed = false;          // replica 0 closed the connection
+  };
+
+  /// Dials replica 0 from the client's host (node 2 of a 2-replica,
+  /// 1-client mesh) with a bare socket or channel, sends `hello` and then
+  /// one protocol frame, and reports what replica 0 made of them.
+  RawDial raw_dial(const Bytes& hello) {
+    RawDial r;
+    with_mesh(2, 1, [&](BftHarness& h, auto& ts) {
+      const SharedBytes frame = SharedBytes::copy_of(patterned_bytes(64, 3));
+      bool done = false;
+      h.sim().spawn([](Transport& t, bool& done,
+                       std::vector<InboundMsg>& got) -> Task<> {
+        while (!done) {
+          for (InboundMsg& m : co_await t.poll(sim::microseconds(100))) {
+            got.push_back(std::move(m));
+          }
+        }
+      }(*ts[0], done, r.got));
+      if (GetParam() == Backend::kNio) {
+        h.sim().spawn([](BftHarness& h, const Bytes& hello,
+                         const SharedBytes& frame, bool& closed) -> Task<> {
+          auto sock = h.tcp().connect(
+              h.layout().hosts[2], {h.layout().hosts[0], h.layout().base_port});
+          while (sock->state() == tcpsim::TcpSocket::State::kConnecting) {
+            co_await h.sim().sleep(sim::microseconds(10));
+          }
+          Bytes wire;
+          for (const ByteView f : {ByteView(hello), frame.view()}) {
+            for (int i = 0; i < 4; ++i) {
+              wire.push_back(static_cast<std::uint8_t>(f.size() >> (8 * i)));
+            }
+            wire.insert(wire.end(), f.begin(), f.end());
+          }
+          std::size_t off = 0;
+          while (off < wire.size()) {
+            off += co_await sock->write(ByteView(wire).subspan(off));
+          }
+          co_await h.sim().sleep(sim::milliseconds(2));
+          closed = sock->eof();
+        }(h, hello, frame, r.closed));
+      } else {
+        h.sim().spawn([](BftHarness& h, const Bytes& hello,
+                         const SharedBytes& frame, bool& closed) -> Task<> {
+          auto ch = h.context(2).connect(h.layout().hosts[0],
+                                         h.layout().base_port,
+                                         RubinTransport::default_config());
+          while (ch->state() == nio::RdmaChannel::State::kConnecting) {
+            co_await h.sim().sleep(sim::microseconds(10));
+          }
+          EXPECT_GT(co_await ch->write(SharedBytes::copy_of(hello)), 0u);
+          EXPECT_GT(co_await ch->write(frame), 0u);
+          co_await h.sim().sleep(sim::milliseconds(2));
+          closed = ch->state() == nio::RdmaChannel::State::kClosed;
+        }(h, hello, frame, r.closed));
+      }
+      h.sim().run_until(h.sim().now() + sim::milliseconds(3));
+      done = true;
+      h.sim().run_until(h.sim().now() + sim::milliseconds(1));
+    });
+    return r;
+  }
 };
+
+Bytes hello_naming(NodeId id, std::size_t size = 4) {
+  Bytes b(size);
+  for (std::size_t i = 0; i < 4; ++i) {
+    b[i] = static_cast<std::uint8_t>(id >> (8 * i));
+  }
+  return b;
+}
 
 TEST_P(TransportTest, MeshBringUpConnectsEveryPair) {
   with_mesh(4, 2, [](BftHarness&, auto& ts) {
@@ -216,6 +289,59 @@ TEST_P(TransportTest, SendWhileOwnerParkedWakesTheSelect) {
     ASSERT_GE(got_at, 0);
     EXPECT_LT(got_at - sent_at, sim::microseconds(20));
     EXPECT_EQ(counters::value("transport.send_wakeup"), 1u);
+  });
+}
+
+TEST_P(TransportTest, ValidHelloIdentifiesTheDialer) {
+  // Control for the rejections below: the same bare dialer, with a
+  // well-formed hello, gets its frame through as node 2.
+  const RawDial r = raw_dial(hello_naming(2));
+  ASSERT_EQ(r.got.size(), 1u);
+  EXPECT_EQ(r.got[0].peer, 2u);
+  EXPECT_FALSE(r.closed);
+}
+
+// An invalid hello identifies nobody: the acceptor closes the connection
+// and no frame behind the hello surfaces.
+void expect_rejected(const TransportTest::RawDial& r) {
+  EXPECT_TRUE(r.got.empty()) << r.got.size() << " frame(s), first from "
+                             << (r.got.empty() ? 0 : r.got[0].peer);
+  EXPECT_TRUE(r.closed);
+}
+
+TEST_P(TransportTest, HelloNamingANodeOutsideTheLayoutIsRejected) {
+  expect_rejected(raw_dial(hello_naming(99)));
+}
+
+TEST_P(TransportTest, HelloNamingTheAcceptorIsRejected) {
+  expect_rejected(raw_dial(hello_naming(0)));
+}
+
+TEST_P(TransportTest, HelloOfTheWrongSizeIsRejected) {
+  expect_rejected(raw_dial(hello_naming(2, 6)));
+}
+
+TEST_P(TransportTest, BacklogCapsThePollWait) {
+  // The peer does not read, so the frames below fill the NIO kernel
+  // buffers or the RUBIN send queue and backpressure holds the rest back.
+  // poll() then waits at most 200 µs before it flushes again, whatever
+  // timeout it was given.
+  with_mesh(2, 0, [](BftHarness& h, auto& ts) {
+    const SharedBytes frame =
+        SharedBytes::copy_of(patterned_bytes(32 * 1024, 7));
+    for (int i = 0; i < 256; ++i) ts[0]->send(1, frame);
+    sim::Time waited = -1;
+    h.sim().spawn([](sim::Simulator& s, Transport& t,
+                     sim::Time& waited) -> Task<> {
+      (void)co_await t.poll(0);  // the first flush fills the wire
+      const sim::Time t0 = s.now();
+      (void)co_await t.poll(sim::milliseconds(10));
+      waited = s.now() - t0;
+    }(h.sim(), *ts[0], waited));
+    h.sim().run_until(h.sim().now() + sim::milliseconds(20));
+    EXPECT_LT(ts[0]->stats().frames_sent, 256u);
+    EXPECT_GE(waited, sim::microseconds(200));
+    EXPECT_LT(waited, sim::microseconds(300));
   });
 }
 
