@@ -5,12 +5,19 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "common/audit.hpp"
 #include "common/counters.hpp"
 #include "rubin/context.hpp"
 
 namespace rubin::nio {
+namespace {
+
+std::size_t message_size(ByteView msg) { return msg.size(); }
+std::size_t message_size(const FrameVec& msg) { return msg.total_size(); }
+
+}  // namespace
 
 // --------------------------------------------------------- RdmaChannel ---
 
@@ -182,9 +189,6 @@ sim::Task<bool> RdmaChannel::stage_message(ByteView msg,
   const bool zero_copy = handle != nullptr && !handle->empty();
   auto& sim = ctx_->simulator();
   const auto& cost = ctx_->cost();
-  if (msg.size() > cfg_.buffer_size) {
-    throw std::invalid_argument("RdmaChannel::write: message exceeds buffer_size");
-  }
   // Slots consumed by WRs already staged in this batch are not visible in
   // send_slots_free() until the post, so subtract them here.
   if (qp_->send_slots_free() <= out.size()) co_return false;
@@ -292,10 +296,6 @@ sim::Task<bool> RdmaChannel::stage_frame(const FrameVec& frame,
     co_return co_await stage_message(whole.view(), &whole, out);
   }
   const std::size_t total = frame.total_size();
-  if (total > cfg_.buffer_size) {
-    throw std::invalid_argument(
-        "RdmaChannel::write: frame exceeds buffer_size");
-  }
   if (qp_->send_slots_free() <= out.size()) co_return false;
 
   verbs::SendWr wr;
@@ -343,49 +343,9 @@ sim::Task<bool> RdmaChannel::stage_frame(const FrameVec& frame,
   co_return true;
 }
 
-// The single-message writes inline the batch prologue/epilogue instead
-// of wrapping the message in a one-element vector: they are the
-// closed-loop hot path, and the wrapper vector was pure churn. The
-// charge sequence is identical to write_batch with one message.
-sim::Task<std::size_t> RdmaChannel::write(ByteView msg) {
-  co_return co_await write_one(msg, nullptr);
-}
-
-sim::Task<std::size_t> RdmaChannel::write(SharedBytes msg) {
-  co_return co_await write_one(msg.view(), &msg);
-}
-
-sim::Task<std::size_t> RdmaChannel::write_one(ByteView msg,
-                                              const SharedBytes* handle) {
-  co_await ack_events();
-  pump();
-  RUBIN_AUDIT_ASSERT("channel",
-                     outstanding_.size() == posted_wrs_ - reclaimed_wrs_,
-                     "posted/reclaimed WR accounting diverged from the "
-                     "outstanding queue");
-  if (state_ != State::kEstablished) {
-    co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
-    co_return 0;
-  }
-
-  StagingLease lease(*this);
-  std::vector<verbs::SendWr>& wrs = lease.wrs();
-  if (!co_await stage_message(msg, handle, wrs) || wrs.empty()) {
-    co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
-    co_return 0;
-  }
-
-  ++stats_.doorbells;
-  const verbs::PostResult r =
-      co_await qp_->post_send(std::span<verbs::SendWr>(wrs));
-  if (r != verbs::PostResult::kOk) {
-    fail(verbs::WcStatus::kWorkRequestFlushed);
-    co_return 0;
-  }
-  co_return msg.size();
-}
-
-sim::Task<std::size_t> RdmaChannel::write_batch(std::vector<ByteView> msgs) {
+// The single-message writes post a span of one: no wrapper vector.
+template <typename Msg>
+sim::Task<std::size_t> RdmaChannel::post(std::span<const Msg> msgs) {
   co_await ack_events();
   pump();
   RUBIN_AUDIT_ASSERT("channel",
@@ -398,16 +358,27 @@ sim::Task<std::size_t> RdmaChannel::write_batch(std::vector<ByteView> msgs) {
     co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
     co_return 0;
   }
+  // Every size is checked before anything is staged: a throw must not
+  // leave a WR in the ledger that was never posted.
+  for (const Msg& m : msgs) {
+    if (message_size(m) > cfg_.buffer_size) {
+      throw std::invalid_argument(
+          "RdmaChannel::write: message exceeds buffer_size");
+    }
+  }
 
   StagingLease lease(*this);
   std::vector<verbs::SendWr>& wrs = lease.wrs();
   wrs.reserve(msgs.size());
-  std::size_t accepted = 0;
-  for (const ByteView msg : msgs) {
-    if (!co_await stage_message(msg, nullptr, wrs)) break;
-    ++accepted;
+  for (const Msg& m : msgs) {
+    if constexpr (std::is_same_v<Msg, FrameVec>) {
+      if (!co_await stage_frame(m, wrs)) break;
+    } else {
+      if (!co_await stage_message(m, nullptr, wrs)) break;
+    }
   }
-  if (wrs.empty()) {
+  const std::size_t accepted = wrs.size();
+  if (accepted == 0) {
     co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
     co_return 0;
   }
@@ -424,82 +395,22 @@ sim::Task<std::size_t> RdmaChannel::write_batch(std::vector<ByteView> msgs) {
   co_return accepted;
 }
 
-sim::Task<std::size_t> RdmaChannel::write_batch(std::vector<SharedBytes> msgs) {
-  co_await ack_events();
-  pump();
-  RUBIN_AUDIT_ASSERT("channel",
-                     outstanding_.size() == posted_wrs_ - reclaimed_wrs_,
-                     "posted/reclaimed WR accounting diverged from the "
-                     "outstanding queue");
-  if (state_ != State::kEstablished || msgs.empty()) {
-    co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
-    co_return 0;
-  }
+sim::Task<std::size_t> RdmaChannel::write(ByteView msg) {
+  const std::size_t n = co_await post(std::span<const ByteView>(&msg, 1));
+  co_return n == 1 ? msg.size() : 0;
+}
 
-  StagingLease lease(*this);
-  std::vector<verbs::SendWr>& wrs = lease.wrs();
-  wrs.reserve(msgs.size());
-  std::size_t accepted = 0;
-  for (const SharedBytes& msg : msgs) {
-    if (!co_await stage_message(msg.view(), &msg, wrs)) break;
-    ++accepted;
-  }
-  if (wrs.empty()) {
-    co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
-    co_return 0;
-  }
-
-  ++stats_.doorbells;
-  const verbs::PostResult r =
-      co_await qp_->post_send(std::span<verbs::SendWr>(wrs));
-  if (r != verbs::PostResult::kOk) {
-    fail(verbs::WcStatus::kWorkRequestFlushed);
-    co_return 0;
-  }
-  co_return accepted;
+sim::Task<std::size_t> RdmaChannel::write(SharedBytes msg) {
+  return write(FrameVec(std::move(msg)));
 }
 
 sim::Task<std::size_t> RdmaChannel::write(FrameVec msg) {
-  const std::size_t len = msg.total_size();
-  std::vector<FrameVec> one;
-  one.push_back(std::move(msg));
-  const std::size_t n = co_await write_batch(std::move(one));
-  co_return n == 1 ? len : 0;
+  const std::size_t n = co_await post(std::span<const FrameVec>(&msg, 1));
+  co_return n == 1 ? msg.total_size() : 0;
 }
 
 sim::Task<std::size_t> RdmaChannel::write_batch(std::vector<FrameVec> msgs) {
-  co_await ack_events();
-  pump();
-  RUBIN_AUDIT_ASSERT("channel",
-                     outstanding_.size() == posted_wrs_ - reclaimed_wrs_,
-                     "posted/reclaimed WR accounting diverged from the "
-                     "outstanding queue");
-  if (state_ != State::kEstablished || msgs.empty()) {
-    co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
-    co_return 0;
-  }
-
-  StagingLease lease(*this);
-  std::vector<verbs::SendWr>& wrs = lease.wrs();
-  wrs.reserve(msgs.size());
-  std::size_t accepted = 0;
-  for (const FrameVec& msg : msgs) {
-    if (!co_await stage_frame(msg, wrs)) break;
-    ++accepted;
-  }
-  if (wrs.empty()) {
-    co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
-    co_return 0;
-  }
-
-  ++stats_.doorbells;
-  const verbs::PostResult r =
-      co_await qp_->post_send(std::span<verbs::SendWr>(wrs));
-  if (r != verbs::PostResult::kOk) {
-    fail(verbs::WcStatus::kWorkRequestFlushed);
-    co_return 0;
-  }
-  co_return accepted;
+  co_return co_await post(std::span<const FrameVec>(msgs));
 }
 
 sim::Task<void> RdmaChannel::finish_read(const FilledRecv& msg) {

@@ -6,7 +6,7 @@
 // return), and carries a unique connection identifier the selector uses to
 // match events to channels. All §IV optimizations live here:
 //   * pre-registered send/receive buffer pools, receives pre-posted;
-//   * batched WR posting (write_batch -> one doorbell);
+//   * batched WR posting (write_batch -> one doorbell per batch);
 //   * selective signaling (signal every Nth send, reclaim in order);
 //   * inline sends below a threshold;
 //   * cached registration of application send buffers (zero-copy send);
@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -71,7 +72,8 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   /// readiness). Throws std::invalid_argument for messages larger than
   /// the configured buffer size.
   ///
-  /// Lifetime: with zero_copy_send (default), messages above the inline
+  /// Lifetime: this is the one entry point that takes a buffer the caller
+  /// owns. With zero_copy_send (default), messages above the inline
   /// threshold are DMA-read from the caller's buffer *after* write
   /// returns — the buffer must stay alive and unmodified until the WR
   /// completes (in practice: until the peer has consumed the message).
@@ -82,33 +84,27 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   ///
   /// rubinlint enforces this contract statically (coro-stack-wr,
   /// DESIGN.md §10): a buffer owned by the sending coroutine's frame is
-  /// flagged — hoist it to the caller, or use the SharedBytes overload
-  /// below, which pins the payload for the WR's lifetime.
+  /// flagged — hoist it to the caller, or send a SharedBytes handle,
+  /// which pins the payload for the WR's lifetime.
   sim::Task<std::size_t> write(ByteView msg);
 
-  /// Zero-copy variant: the refcounted handle rides the WR all the way to
-  /// the peer, so neither the inline WQE copy, the pool-staging copy, nor
-  /// the NIC DMA snapshot is physically performed — their virtual-time
-  /// charges are unchanged. The buffer-lifetime caveat of zero_copy_send
-  /// disappears: the handle pins the payload until the NIC is done.
+  /// Handle variant, a one-slice write(FrameVec): the refcounted handle
+  /// rides the WR to the peer and pins the payload until the NIC is done
+  /// (no lifetime caveat), and neither the inline WQE copy, the
+  /// pool-staging copy, nor the NIC DMA snapshot is physically performed
+  /// — their virtual-time charges are unchanged.
   sim::Task<std::size_t> write(SharedBytes msg);
-
-  /// Sends up to msgs.size() messages with a single doorbell (§IV batch
-  /// posting); stops early when capacity runs out. Returns the number of
-  /// messages accepted.
-  sim::Task<std::size_t> write_batch(std::vector<ByteView> msgs);
-
-  /// Zero-copy batch; see write(SharedBytes).
-  sim::Task<std::size_t> write_batch(std::vector<SharedBytes> msgs);
 
   /// Scatter/gather send: a multi-slice frame is posted as one WR whose
   /// SGE list maps 1:1 onto the slices — the gather memcpy the flattening
-  /// path performed (and charged) does not happen at all. Single-slice
-  /// frames take exactly the write(SharedBytes) path. The peer receives
-  /// one contiguous message either way.
+  /// path performed (and charged) does not happen at all. A single-slice
+  /// frame stages exactly like write(ByteView) of its bytes. The peer
+  /// receives one contiguous message either way.
   sim::Task<std::size_t> write(FrameVec msg);
 
-  /// Scatter/gather batch; see write(FrameVec).
+  /// Sends up to msgs.size() frames with a single doorbell (§IV batch
+  /// posting); stops early when capacity runs out. Returns the number of
+  /// frames accepted. An oversized frame throws before any is staged.
   sim::Task<std::size_t> write_batch(std::vector<FrameVec> msgs);
 
   /// Receives one message into `out`. Returns its size, or 0 when no
@@ -200,10 +196,12 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   /// copy when configured and recycles the receive buffer.
   sim::Task<void> finish_read(const FilledRecv& msg);
 
-  /// Single-message write body (the hot path of both write() overloads):
-  /// identical charge sequence to write_batch with one message, minus
-  /// the wrapper vector.
-  sim::Task<std::size_t> write_one(ByteView msg, const SharedBytes* handle);
+  /// The one write body behind every public write, so each charges the
+  /// same for the same message: stages every message (ByteView via
+  /// stage_message, FrameVec via stage_frame) and rings one doorbell.
+  /// Returns the number of messages accepted.
+  template <typename Msg>
+  sim::Task<std::size_t> post(std::span<const Msg> msgs);
 
   /// Hands a write path the channel's reusable WR staging vector, or a
   /// throwaway local one when another write on this channel is already

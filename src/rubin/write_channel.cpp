@@ -98,6 +98,28 @@ sim::Task<bool> OneSidedChannel::acquire_credit() {
   co_return true;
 }
 
+void OneSidedChannel::stamp_header(std::uint8_t* h, std::size_t len) const {
+  const std::uint32_t len32 = static_cast<std::uint32_t>(len);
+  std::memcpy(h, &len32, 4);
+  std::memset(h + 4, 0, 4);
+  write_u64(h + 8, sent_seq_ + 1);
+}
+
+sim::Task<std::size_t> OneSidedChannel::post_slot(verbs::SendWr wr,
+                                                  std::size_t idx,
+                                                  std::size_t len) {
+  wr.opcode = verbs::Opcode::kRdmaWrite;
+  wr.wr_id = sent_seq_;
+  wr.remote_addr = remote_ring_addr_ + idx * slot_stride();
+  wr.rkey = remote_ring_rkey_;
+  wr.signaled = (++wr_seq_ % 16) == 0;
+  const auto r = co_await qp_->post_send_one(std::move(wr));
+  if (r != verbs::PostResult::kOk) co_return 0;
+  ++sent_seq_;
+  ++stats_.messages_sent;
+  co_return len;
+}
+
 sim::Task<std::size_t> OneSidedChannel::write(ByteView msg) {
   if (msg.size() > cfg_.slot_payload) {
     throw std::invalid_argument("OneSidedChannel::write: message too large");
@@ -108,27 +130,15 @@ sim::Task<std::size_t> OneSidedChannel::write(ByteView msg) {
   // RDMA WRITE places the whole message in the peer's ring.
   const std::size_t idx = sent_seq_ % cfg_.slot_count;
   std::uint8_t* slot = bootstrap_buf_.data() + idx * slot_stride();
-  const std::uint32_t len = static_cast<std::uint32_t>(msg.size());
-  std::memcpy(slot, &len, 4);
-  std::memset(slot + 4, 0, 4);
-  write_u64(slot + 8, sent_seq_ + 1);
+  stamp_header(slot, msg.size());
   co_await ctx_->simulator().sleep(ctx_->cost().copy_time(msg.size()));
   std::memcpy(slot + kHeader, msg.data(), msg.size());
 
   verbs::SendWr wr;
-  wr.opcode = verbs::Opcode::kRdmaWrite;
-  wr.wr_id = sent_seq_;
   wr.sg_list = verbs::Sge{bootstrap_buf_.mr()->addr() + idx * slot_stride(),
                           static_cast<std::uint32_t>(kHeader + msg.size()),
                           bootstrap_buf_.mr()->lkey()};
-  wr.remote_addr = remote_ring_addr_ + idx * slot_stride();
-  wr.rkey = remote_ring_rkey_;
-  wr.signaled = (++wr_seq_ % 16) == 0;
-  const auto r = co_await qp_->post_send_one(wr);
-  if (r != verbs::PostResult::kOk) co_return 0;
-  ++sent_seq_;
-  ++stats_.messages_sent;
-  co_return msg.size();
+  co_return co_await post_slot(std::move(wr), idx, msg.size());
 }
 
 sim::Task<std::size_t> OneSidedChannel::write(FrameVec msg) {
@@ -147,16 +157,10 @@ sim::Task<std::size_t> OneSidedChannel::write(FrameVec msg) {
   // copy) never happens. The SGE list addresses the staging slot, whose
   // registered address space anchors the protection checks.
   const std::size_t idx = sent_seq_ % cfg_.slot_count;
-  const std::uint32_t len = static_cast<std::uint32_t>(msg.total_size());
   SharedBytes header = SharedBytes::allocate(kHeader);
-  std::uint8_t* h = header.mutable_data();
-  std::memcpy(h, &len, 4);
-  std::memset(h + 4, 0, 4);
-  write_u64(h + 8, sent_seq_ + 1);
+  stamp_header(header.mutable_data(), msg.total_size());
 
   verbs::SendWr wr;
-  wr.opcode = verbs::Opcode::kRdmaWrite;
-  wr.wr_id = sent_seq_;
   const std::uint64_t slot_addr =
       bootstrap_buf_.mr()->addr() + idx * slot_stride();
   wr.sg_list = verbs::Sge{slot_addr, static_cast<std::uint32_t>(kHeader),
@@ -170,14 +174,7 @@ sim::Task<std::size_t> OneSidedChannel::write(FrameVec msg) {
     wire.append(s);
   }
   wr.shared_payload = std::move(wire);
-  wr.remote_addr = remote_ring_addr_ + idx * slot_stride();
-  wr.rkey = remote_ring_rkey_;
-  wr.signaled = (++wr_seq_ % 16) == 0;
-  const auto r = co_await qp_->post_send_one(std::move(wr));
-  if (r != verbs::PostResult::kOk) co_return 0;
-  ++sent_seq_;
-  ++stats_.messages_sent;
-  co_return msg.total_size();
+  co_return co_await post_slot(std::move(wr), idx, msg.total_size());
 }
 
 sim::Task<std::size_t> OneSidedChannel::read(MutByteView out) {

@@ -109,6 +109,13 @@ class OneSidedChannel {
   /// reads the (remotely writable) credit cell, and reports whether a
   /// ring slot is available. Sleeps post_call_cpu when stalled.
   sim::Task<bool> acquire_credit();
+  /// Writes the next message's slot header: u32 len | u32 pad | u64 seq.
+  void stamp_header(std::uint8_t* h, std::size_t len) const;
+  /// Shared post tail of the write paths: aims `wr` (SGE list built) at
+  /// the peer's ring slot `idx`, signals every 16th WR, posts, and counts
+  /// the message. Returns `len`, or 0 when the post fails.
+  sim::Task<std::size_t> post_slot(verbs::SendWr wr, std::size_t idx,
+                                   std::size_t len);
 
   RubinContext* ctx_;
   OneSidedConfig cfg_;

@@ -399,21 +399,44 @@ TEST_F(RubinTest, ZeroCopyReceiveSkipsTheCopy) {
 
 TEST_F(RubinTest, BatchedWritesShareOneDoorbell) {
   auto [client, server] = make_pair();
-  const Bytes m1 = patterned_bytes(1000, 1);  // outlive the zero-copy WRs
-  const Bytes m2 = patterned_bytes(2000, 2);
-  const Bytes m3 = patterned_bytes(3000, 3);
-  sim.spawn([](std::shared_ptr<RdmaChannel> c, const Bytes& m1,
-               const Bytes& m2, const Bytes& m3) -> Task<> {
-    std::vector<ByteView> batch;
-    batch.push_back(m1);
-    batch.push_back(m2);
-    batch.push_back(m3);
+  sim.spawn([](std::shared_ptr<RdmaChannel> c) -> Task<> {
+    std::vector<FrameVec> batch;
+    for (const std::size_t size : {1000, 2000, 3000}) {
+      batch.emplace_back(SharedBytes::copy_of(patterned_bytes(size, size)));
+    }
     const std::size_t n = co_await c->write_batch(std::move(batch));
     EXPECT_EQ(n, 3u);
-  }(client, m1, m2, m3));
+  }(client));
   sim.run();
   EXPECT_EQ(client->stats().messages_sent, 3u);
   EXPECT_EQ(client->stats().doorbells, 1u);
+}
+
+TEST_F(RubinTest, BatchThatThrowsStagesNothing) {
+  // Every size in a batch is checked before any message is staged: an
+  // oversized frame must not leave an earlier one in the WR ledger —
+  // counted as sent and holding a pool slot — without it ever being
+  // posted.
+  ChannelConfig cfg;
+  cfg.buffer_size = 4096;
+  cfg.zero_copy_send = false;
+  auto [client, server] = make_pair(cfg);
+  bool threw = false;
+  sim.spawn([](std::shared_ptr<RdmaChannel> c, std::size_t too_big,
+               bool& threw) -> Task<> {
+    std::vector<FrameVec> batch;
+    batch.emplace_back(SharedBytes::copy_of(patterned_bytes(1000, 1)));
+    batch.emplace_back(SharedBytes::copy_of(patterned_bytes(too_big, 2)));
+    try {
+      (void)co_await c->write_batch(std::move(batch));
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+  }(client, cfg.buffer_size + 1, threw));
+  sim.run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(client->stats().messages_sent, 0u);
+  EXPECT_EQ(client->stats().doorbells, 0u);
 }
 
 // --------------------------------------------------------------- selector -
@@ -621,6 +644,108 @@ TEST_F(RubinTest, SelectorCountsDispatchedEvents) {
   sim.run();
   EXPECT_GE(nready, 1u);
   EXPECT_GE(selector.events_dispatched(), 1u);
+}
+
+// ------------------------------------------------- write entry points --
+// Every public write entry point posts through the same body, so one
+// message costs the same through each of them, in every staging mode.
+
+enum class Entry { kByteView, kSharedBytes, kFrameVec, kBatchOfOne };
+
+struct WriteOutcome {
+  Time write_done = 0;
+  Time received = 0;
+  ChannelStats stats;
+};
+
+/// Sends one `size`-byte message through `entry` on a fresh world and
+/// records when the write returned, when the peer read it, and the
+/// sender's channel stats.
+WriteOutcome write_once(Entry entry, ChannelConfig cfg, std::size_t size) {
+  sim::Simulator sim;
+  net::Fabric fabric{sim, net::CostModel::roce_10g(), 4};
+  verbs::Device dev_a{fabric, 0};
+  verbs::Device dev_b{fabric, 1};
+  verbs::ConnectionManager cm{fabric};
+  RubinContext ctx_a{dev_a, cm};
+  RubinContext ctx_b{dev_b, cm};
+  auto listener = ctx_b.listen(4711, cfg);
+  auto client = ctx_a.connect(1, 4711, cfg);
+  sim.run_until(sim::microseconds(50));
+  auto server = listener->accept();
+  sim.run_until(sim.now() + sim::microseconds(50));
+  EXPECT_EQ(client->state(), RdmaChannel::State::kEstablished);
+
+  const Bytes payload = patterned_bytes(size, 5);  // outlives zero-copy WRs
+  WriteOutcome out;
+  sim.spawn([](sim::Simulator& sim, std::shared_ptr<RdmaChannel> c,
+               Entry entry, const Bytes& payload,
+               WriteOutcome& out) -> Task<> {
+    const SharedBytes shared = SharedBytes::copy_of(payload);
+    std::size_t n = 0;
+    switch (entry) {
+      case Entry::kByteView:
+        n = co_await c->write(ByteView(payload));
+        break;
+      case Entry::kSharedBytes:
+        n = co_await c->write(shared);
+        break;
+      case Entry::kFrameVec:
+        n = co_await c->write(FrameVec(shared));
+        break;
+      case Entry::kBatchOfOne: {
+        std::vector<FrameVec> batch;
+        batch.emplace_back(shared);
+        n = co_await c->write_batch(std::move(batch)) == 1 ? payload.size()
+                                                          : 0;
+        break;
+      }
+    }
+    EXPECT_EQ(n, payload.size());
+    out.write_done = sim.now();
+  }(sim, client, entry, payload, out));
+  sim.spawn([](sim::Simulator& sim, std::shared_ptr<RdmaChannel> s,
+               std::size_t size, WriteOutcome& out) -> Task<> {
+    Bytes rx(size);
+    EXPECT_EQ(co_await s->read_await(rx), size);
+    EXPECT_TRUE(check_pattern(rx, 5));
+    out.received = sim.now();
+  }(sim, server, size, out));
+  sim.run();
+  out.stats = client->stats();
+  return out;
+}
+
+TEST(RubinWriteParity, EveryEntryPointChargesTheSame) {
+  struct Mode {
+    const char* name;
+    std::size_t size;
+    bool zero_copy_send;
+    std::uint64_t ChannelStats::*staged;  // the counter the mode bumps
+  };
+  for (const Mode mode :
+       {Mode{"inline", 128, true, &ChannelStats::inline_sends},
+        Mode{"zero-copy", 8 * 1024, true, &ChannelStats::zero_copy_sends},
+        Mode{"pool-copy", 8 * 1024, false, &ChannelStats::pool_copy_sends}}) {
+    SCOPED_TRACE(mode.name);
+    ChannelConfig cfg;
+    cfg.zero_copy_send = mode.zero_copy_send;
+    const WriteOutcome base = write_once(Entry::kByteView, cfg, mode.size);
+    EXPECT_EQ(base.stats.*mode.staged, 1u);
+    for (const Entry entry :
+         {Entry::kSharedBytes, Entry::kFrameVec, Entry::kBatchOfOne}) {
+      SCOPED_TRACE(static_cast<int>(entry));
+      const WriteOutcome got = write_once(entry, cfg, mode.size);
+      EXPECT_EQ(got.write_done, base.write_done);
+      EXPECT_EQ(got.received, base.received);
+      EXPECT_EQ(got.stats.inline_sends, base.stats.inline_sends);
+      EXPECT_EQ(got.stats.zero_copy_sends, base.stats.zero_copy_sends);
+      EXPECT_EQ(got.stats.pool_copy_sends, base.stats.pool_copy_sends);
+      EXPECT_EQ(got.stats.doorbells, base.stats.doorbells);
+      EXPECT_EQ(got.stats.send_registrations, base.stats.send_registrations);
+      EXPECT_EQ(got.stats.messages_sent, base.stats.messages_sent);
+    }
+  }
 }
 
 // ------------------------------------------------ pool memory contract --

@@ -11,12 +11,13 @@
 //                        a locally declared Task function, or `.detach()`):
 //                        nobody owns the frame — the PR 1 teardown leak.
 //     coro-stack-wr      a byte-owning local declared inside a coroutine
-//                        body escapes into a posted WR (RdmaChannel::write /
-//                        write_batch zero-copy payloads, SendWr/Sge buffers):
-//                        the DMA read happens after the call returns, and
-//                        the coroutine frame can die first — the exact PR 1
-//                        use-after-free shape (see the lifetime contract at
-//                        src/rubin/channel.hpp:71).
+//                        body escapes into a posted WR (RdmaChannel::write
+//                        zero-copy payloads, SendWr/Sge buffers): the DMA
+//                        read happens after the call returns, and the
+//                        coroutine frame can die first — the exact PR 1
+//                        use-after-free shape (see the lifetime contract on
+//                        RdmaChannel::write(ByteView) in
+//                        src/rubin/channel.hpp).
 //
 //   determinism (src/ only; the simulator must replay bit-identically)
 //     det-random         std::rand / srand / std::random_device
