@@ -132,8 +132,8 @@ inline void* allocate(std::size_t n) {
 inline void deallocate(void* p) noexcept {
   if (p == nullptr) return;
   void* raw = static_cast<unsigned char*>(p) - kHeader;
-  const std::uint32_t b = *static_cast<std::uint32_t*>(raw);
 #if !defined(RUBIN_FRAME_POOL_OFF)
+  const std::uint32_t b = *static_cast<std::uint32_t*>(raw);
   if (b != kUnpooled) {
     detail::State& s = detail::state();
     if (!s.disabled && s.depth[b] < kMaxFree) {

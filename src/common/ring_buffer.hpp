@@ -53,9 +53,9 @@ class RingBuffer {
 
 /// Unbounded FIFO ring with geometric (power-of-two) growth: the backing
 /// store for software queues on hot paths — the simulator's same-instant
-/// event queue, Mailbox, the selector's hybrid event queue, channel WR
-/// accounting. Unlike std::deque it allocates nothing until the first
-/// push, and steady-state push/pop are two array ops and a mask.
+/// event queue, Mailbox, channel WR accounting. Unlike std::deque it
+/// allocates nothing until the first push, and steady-state push/pop are
+/// two array ops and a mask.
 /// Requires T to be default-constructible (slots are value-initialized).
 template <typename T>
 class GrowingRing {

@@ -1,30 +1,9 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace rubin {
-
-void Summary::add(double x) noexcept {
-  ++n_;
-  if (n_ == 1) {
-    mean_ = min_ = max_ = x;
-    m2_ = 0.0;
-    return;
-  }
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double Summary::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double Summary::stddev() const noexcept { return std::sqrt(variance()); }
 
 double LatencyRecorder::mean() const noexcept {
   if (samples_.empty()) return 0.0;

@@ -180,7 +180,7 @@ sim::Task<void> RdmaChannel::ack_events() {
 void RdmaChannel::notify() {
   activity_.set();
   activity_.reset();  // edge semantics: wake current waiters only
-  if (selector_notify_) selector_notify_();
+  if (notifier_ != nullptr) notifier_->notify();
 }
 
 sim::Task<bool> RdmaChannel::stage_message(ByteView msg,
@@ -572,7 +572,7 @@ std::shared_ptr<RdmaChannel> RdmaServerChannel::next_established() {
 }
 
 void RdmaServerChannel::notify() {
-  if (selector_notify_) selector_notify_();
+  if (notifier_ != nullptr) notifier_->notify();
 }
 
 void RdmaServerChannel::close() {

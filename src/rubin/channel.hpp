@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -28,6 +27,7 @@
 #include "rubin/buffer_pool.hpp"
 #include "rubin/config.hpp"
 #include "sim/event.hpp"
+#include "sim/selector.hpp"
 #include "sim/task.hpp"
 #include "verbs/cm.hpp"
 #include "verbs/device.hpp"
@@ -35,7 +35,6 @@
 namespace rubin::nio {
 
 class RubinContext;
-class RdmaSelector;
 class RdmaServerChannel;
 
 /// Channel statistics for the ablation benches.
@@ -143,8 +142,9 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
 
  private:
   friend class RubinContext;
-  friend class RdmaSelector;
   friend class RdmaServerChannel;
+  template <typename, typename>
+  friend class sim::Selector;
 
   RdmaChannel(RubinContext& ctx, std::uint64_t id, ChannelConfig cfg);
 
@@ -276,8 +276,8 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   std::vector<verbs::SendWr> staging_;
   bool staging_busy_ = false;
 
-  /// Selector hookup (null when unregistered).
-  std::function<void()> selector_notify_;
+  /// The selector this channel is registered with (null when none).
+  sim::SelectNotifier* notifier_ = nullptr;
   /// Standalone wakeup for read_await().
   sim::Event activity_;
 
@@ -308,7 +308,8 @@ class RdmaServerChannel
 
  private:
   friend class RubinContext;
-  friend class RdmaSelector;
+  template <typename, typename>
+  friend class sim::Selector;
 
   RdmaServerChannel(RubinContext& ctx, std::uint64_t id, std::uint16_t port,
                     ChannelConfig cfg);
@@ -326,7 +327,7 @@ class RdmaServerChannel
   GrowingRing<verbs::CmEvent> pending_;  // unaccepted kConnectRequest events
   std::map<std::uint64_t, std::shared_ptr<RdmaChannel>> accepting_;
   GrowingRing<std::shared_ptr<RdmaChannel>> established_;
-  std::function<void()> selector_notify_;
+  sim::SelectNotifier* notifier_ = nullptr;
   bool closed_ = false;
 };
 

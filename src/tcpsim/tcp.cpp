@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/counters.hpp"
-#include "tcpsim/poller.hpp"
 
 namespace rubin::tcpsim {
 
@@ -165,7 +164,7 @@ void TcpSocket::coalesce_tx() {
 }
 
 void TcpSocket::notify_poller() {
-  if (poller_ != nullptr) poller_->channel_changed();
+  if (notifier_ != nullptr) notifier_->notify();
 }
 
 // --------------------------------------------------------- TcpListener ---
@@ -183,7 +182,7 @@ void TcpListener::close() {
 }
 
 void TcpListener::notify_poller() {
-  if (poller_ != nullptr) poller_->channel_changed();
+  if (notifier_ != nullptr) notifier_->notify();
 }
 
 // ---------------------------------------------------------- TcpNetwork ---

@@ -25,11 +25,11 @@
 #include "common/shared_bytes.hpp"
 #include "net/fabric.hpp"
 #include "sim/mailbox.hpp"
+#include "sim/selector.hpp"
 #include "sim/task.hpp"
 
 namespace rubin::tcpsim {
 
-class Poller;
 class TcpNetwork;
 
 /// One endpoint address.
@@ -73,7 +73,8 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
  private:
   friend class TcpNetwork;
   friend class TcpListener;
-  friend class Poller;
+  template <typename, typename>
+  friend class sim::Selector;
 
   explicit TcpSocket(TcpNetwork& net) : net_(&net) {}
 
@@ -104,7 +105,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   std::size_t rx_in_flight_ = 0;  // bytes sent by peer, not yet read by app
   bool remote_closed_ = false;
   bool fin_sent_ = false;
-  Poller* poller_ = nullptr;  // set when registered with a Poller
+  sim::SelectNotifier* notifier_ = nullptr;  // set while registered
 };
 
 /// Passive socket. Readiness = pending connections to accept.
@@ -120,7 +121,8 @@ class TcpListener : public std::enable_shared_from_this<TcpListener> {
 
  private:
   friend class TcpNetwork;
-  friend class Poller;
+  template <typename, typename>
+  friend class sim::Selector;
 
   explicit TcpListener(TcpNetwork& net) : net_(&net) {}
   void notify_poller();
@@ -129,7 +131,7 @@ class TcpListener : public std::enable_shared_from_this<TcpListener> {
   Endpoint local_{};
   std::deque<std::shared_ptr<TcpSocket>> pending_;
   bool closed_ = false;
-  Poller* poller_ = nullptr;
+  sim::SelectNotifier* notifier_ = nullptr;
 };
 
 /// Factory + per-host kernel model. One instance per simulation.

@@ -397,39 +397,63 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
 
 // --------------------------------------------------------- RDMA Channel --
 
+namespace {
+
+/// Two hosts joined by one established RUBIN channel (listen → connect →
+/// 100 µs → accept → 100 µs), the world of every channel echo.
+struct RubinPair {
+  RubinPair(const net::CostModel& cost, const nio::ChannelConfig& cfg)
+      : fabric(sim, cost, 2),
+        dev_c(fabric, 0),
+        dev_s(fabric, 1),
+        cm(fabric),
+        ctx_c(dev_c, cm),
+        ctx_s(dev_s, cm),
+        listener(ctx_s.listen(4711, cfg)),
+        client(ctx_c.connect(1, 4711, cfg)) {
+    sim.run_until(sim::microseconds(100));
+    server = listener->accept();
+    sim.run_until(sim.now() + sim::microseconds(100));
+  }
+
+  sim::Simulator sim;
+  net::Fabric fabric;
+  verbs::Device dev_c;
+  verbs::Device dev_s;
+  verbs::ConnectionManager cm;
+  nio::RubinContext ctx_c;
+  nio::RubinContext ctx_s;
+  std::shared_ptr<nio::RdmaServerChannel> listener;
+  std::shared_ptr<nio::RdmaChannel> client;
+  std::shared_ptr<nio::RdmaChannel> server;
+};
+
+/// Echoes every message back on `ch` until `up` drops or it closes.
+Task<> echo_server(std::shared_ptr<nio::RdmaChannel> ch, std::size_t payload,
+                   const bool& up) {
+  Bytes rx(std::max<std::size_t>(payload, 4096));
+  while (up && ch->is_open()) {
+    const std::size_t n = co_await ch->read_await(rx);
+    if (n == 0) co_return;
+    std::size_t w = 0;
+    // Closed-loop echo: the client sends its next request only after
+    // consuming this echo, so the WR always completes before rx is
+    // overwritten or the frame exits; hoisting would add a copy the
+    // Fig. 3/4 latency benches must not pay.
+    // rubinlint:allow(coro-stack-wr) closed-loop: WR done before rx reuse
+    while (w == 0) w = co_await ch->write(ByteView(rx).first(n));
+  }
+}
+
+}  // namespace
+
 EchoPoint run_channel_echo_windowed(const EchoParams& p,
                                     nio::ChannelConfig cfg,
                                     std::uint32_t window) {
-  sim::Simulator sim;
-  net::Fabric fabric(sim, p.cost, 2);
-  verbs::Device dev_c(fabric, 0);
-  verbs::Device dev_s(fabric, 1);
-  verbs::ConnectionManager cm(fabric);
-  nio::RubinContext ctx_c(dev_c, cm);
-  nio::RubinContext ctx_s(dev_s, cm);
-
-  auto listener = ctx_s.listen(4711, cfg);
-  auto client = ctx_c.connect(1, 4711, cfg);
-  sim.run_until(sim::microseconds(100));
-  auto server = listener->accept();
-  sim.run_until(sim.now() + sim::microseconds(100));
-
+  RubinPair world(p.cost, cfg);
+  auto& sim = world.sim;
   bool server_up = true;
-  sim.spawn([](std::shared_ptr<nio::RdmaChannel> ch, std::size_t payload,
-               bool& up) -> Task<> {
-    Bytes rx(std::max<std::size_t>(payload, 4096));
-    while (up && ch->is_open()) {
-      const std::size_t n = co_await ch->read_await(rx);
-      if (n == 0) co_return;
-      std::size_t w = 0;
-      // Closed-loop echo: the client sends its next request only after
-      // consuming this echo, so the WR always completes before rx is
-      // overwritten or the frame exits; hoisting would add a copy the
-      // Fig. 3/4 latency benches must not pay.
-      // rubinlint:allow(coro-stack-wr) closed-loop: WR done before rx reuse
-      while (w == 0) w = co_await ch->write(ByteView(rx).first(n));
-    }
-  }(server, p.payload, server_up));
+  sim.spawn(echo_server(world.server, p.payload, server_up));
 
   LatencyRecorder lat;
   Time started = 0;
@@ -471,7 +495,7 @@ EchoPoint run_channel_echo_windowed(const EchoParams& p,
     finished = sim.now();
     up = false;
     ch->close();
-  }(sim, client, p, window, lat, started, finished, server_up));
+  }(sim, world.client, p, window, lat, started, finished, server_up));
 
   sim.run_until(sim::seconds(60));
   return finish(lat, finished - started, p.messages);
@@ -489,36 +513,10 @@ nio::ChannelConfig default_channel_config(std::size_t payload) {
 }
 
 EchoPoint run_channel_echo(const EchoParams& p, nio::ChannelConfig cfg) {
-  sim::Simulator sim;
-  net::Fabric fabric(sim, p.cost, 2);
-  verbs::Device dev_c(fabric, 0);
-  verbs::Device dev_s(fabric, 1);
-  verbs::ConnectionManager cm(fabric);
-  nio::RubinContext ctx_c(dev_c, cm);
-  nio::RubinContext ctx_s(dev_s, cm);
-
-  auto listener = ctx_s.listen(4711, cfg);
-  auto client = ctx_c.connect(1, 4711, cfg);
-  sim.run_until(sim::microseconds(100));
-  auto server = listener->accept();
-  sim.run_until(sim.now() + sim::microseconds(100));
-
+  RubinPair world(p.cost, cfg);
+  auto& sim = world.sim;
   bool server_up = true;
-  sim.spawn([](std::shared_ptr<nio::RdmaChannel> ch, std::size_t payload,
-               bool& up) -> Task<> {
-    Bytes rx(std::max<std::size_t>(payload, 4096));
-    while (up && ch->is_open()) {
-      const std::size_t n = co_await ch->read_await(rx);
-      if (n == 0) co_return;
-      std::size_t w = 0;
-      // Closed-loop echo: the client sends its next request only after
-      // consuming this echo, so the WR always completes before rx is
-      // overwritten or the frame exits; hoisting would add a copy the
-      // Fig. 3/4 latency benches must not pay.
-      // rubinlint:allow(coro-stack-wr) closed-loop: WR done before rx reuse
-      while (w == 0) w = co_await ch->write(ByteView(rx).first(n));
-    }
-  }(server, p.payload, server_up));
+  sim.spawn(echo_server(world.server, p.payload, server_up));
 
   LatencyRecorder lat;
   Time started = 0;
@@ -542,7 +540,7 @@ EchoPoint run_channel_echo(const EchoParams& p, nio::ChannelConfig cfg) {
     finished = sim.now();
     up = false;
     ch->close();
-  }(sim, client, p, lat, started, finished, server_up));
+  }(sim, world.client, p, lat, started, finished, server_up));
 
   sim.run_until(sim::seconds(60));
   return finish(lat, finished - started, p.messages);
@@ -557,26 +555,14 @@ EchoPoint run_adaptive_echo(const EchoParams& p, nio::TransportPolicy policy) {
         "run_adaptive_echo: the echo harness has no receiver-driven pull "
         "lane; a fixed kReadDrain policy cannot carry messages");
   }
-  sim::Simulator sim;
-  net::Fabric fabric(sim, p.cost, 2);
-  verbs::Device dev_c(fabric, 0);
-  verbs::Device dev_s(fabric, 1);
-  verbs::ConnectionManager cm(fabric);
-  nio::RubinContext ctx_c(dev_c, cm);
-  nio::RubinContext ctx_s(dev_s, cm);
-
   // Two-sided lane: the RUBIN channel with the §IV defaults.
-  const nio::ChannelConfig cfg = default_channel_config(p.payload);
-  auto listener = ctx_s.listen(4711, cfg);
-  auto client = ctx_c.connect(1, 4711, cfg);
-  sim.run_until(sim::microseconds(100));
-  auto server = listener->accept();
-  sim.run_until(sim.now() + sim::microseconds(100));
+  RubinPair world(p.cost, default_channel_config(p.payload));
+  auto& sim = world.sim;
 
   // One-sided lane: a mailbox pair sized for the payload.
   nio::OneSidedConfig oc;
   oc.slot_payload = std::max<std::size_t>(p.payload, 4096);
-  auto pair = nio::OneSidedChannel::create_pair(ctx_c, ctx_s, oc);
+  auto pair = nio::OneSidedChannel::create_pair(world.ctx_c, world.ctx_s, oc);
 
   struct AdCtx {
     sim::Simulator& sim;
@@ -592,7 +578,7 @@ EchoPoint run_adaptive_echo(const EchoParams& p, nio::TransportPolicy policy) {
     Time finished = 0;
   };
   AdCtx ctx{sim,          p,
-            client,       server,
+            world.client, world.server,
             pair.first.get(), pair.second.get(),
             nio::TransportSelector(p.cost, policy)};
 
@@ -615,7 +601,7 @@ EchoPoint run_adaptive_echo(const EchoParams& p, nio::TransportPolicy policy) {
       n = co_await c.ch_s->read(rx);
       if (n > 0) {
         std::size_t w = 0;
-        // Closed-loop echo (see run_channel_echo for why this is safe).
+        // Closed-loop echo (see echo_server for why this is safe).
         // rubinlint:allow(coro-stack-wr) closed-loop: WR done before rx reuse
         while (w == 0) w = co_await c.ch_s->write(ByteView(rx).first(n));
         continue;

@@ -1,6 +1,7 @@
 // Tests for the runtime invariant-audit layer (common/audit) and the
 // misuse classes it is wired to catch: BufferPool lifecycle violations,
-// operations on cancelled selector keys, and simulator heap corruption.
+// operations on cancelled selector keys, channels registered twice, and
+// simulator heap corruption.
 //
 // Audit failures normally abort; these tests install audit::ScopedCapture
 // so destructor-side checks can be exercised without death tests. One
@@ -17,6 +18,7 @@
 #include "rubin/context.hpp"
 #include "rubin/selector.hpp"
 #include "sim/simulator.hpp"
+#include "tcpsim/poller.hpp"
 #include "verbs/cm.hpp"
 #include "verbs/memory.hpp"
 
@@ -200,6 +202,62 @@ TEST_F(SelectorAudit, NormalKeyUseIsSilent) {
   }(selector_));
   sim.run_until(sim.now() + sim::microseconds(50));
   EXPECT_EQ(cap.count(), 0u);
+}
+
+TEST_F(SelectorAudit, ChannelRegisteredWithTwoSelectorsIsCaught) {
+  auto* key = make_registered_key();
+  nio::RdmaSelector other{ctx_b};
+
+  audit::ScopedCapture cap;
+  // The misuse: the second registration would steal the channel's
+  // notifications from the first selector.
+  other.register_channel(key->channel(), nio::kOpReceive);
+  EXPECT_EQ(cap.count(), 1u);
+  EXPECT_TRUE(cap.saw("channel already registered with a selector"));
+}
+
+// ---------------------------------------------------------------- poller -
+
+class PollerAudit : public ::testing::Test {
+ protected:
+  ~PollerAudit() override { sim.terminate_processes(); }
+
+  /// Connects one socket pair and returns the server end.
+  std::shared_ptr<tcpsim::TcpSocket> make_socket() {
+    listener_ = net.listen(1, 7000);
+    client_ = net.connect(0, {1, 7000});
+    sim.run();
+    return listener_->accept();
+  }
+
+  sim::Simulator sim;
+  net::Fabric fabric{sim, net::CostModel::roce_10g(), 4};
+  tcpsim::TcpNetwork net{fabric};
+  tcpsim::Poller poller_{net};
+  std::shared_ptr<tcpsim::TcpListener> listener_;
+  std::shared_ptr<tcpsim::TcpSocket> client_;
+};
+
+TEST_F(PollerAudit, SocketRegisteredTwiceIsCaught) {
+  auto socket = make_socket();
+  poller_.register_socket(socket, tcpsim::kOpRead);
+
+  audit::ScopedCapture cap;
+  // The misuse: sweeping either key would unlink the socket the other
+  // key still watches, leaving it deaf to the poller.
+  poller_.register_socket(socket, tcpsim::kOpRead);
+  EXPECT_EQ(cap.count(), 1u);
+  EXPECT_TRUE(cap.saw("channel already registered with a selector"));
+}
+
+TEST_F(PollerAudit, InterestChangeOnCancelledKeyIsCaught) {
+  auto* key = poller_.register_socket(make_socket(), tcpsim::kOpRead);
+  key->cancel();
+
+  audit::ScopedCapture cap;
+  key->set_interest_ops(tcpsim::kOpWrite);  // the misuse
+  EXPECT_EQ(cap.count(), 1u);
+  EXPECT_TRUE(cap.saw("set_interest_ops on a cancelled key"));
 }
 
 // ------------------------------------------------------------- simulator -

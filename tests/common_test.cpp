@@ -251,29 +251,6 @@ TEST(RingBuffer, ClearEmpties) {
 
 // --------------------------------------------------------------- stats ---
 
-TEST(Summary, MeanMinMax) {
-  Summary s;
-  for (double x : {4.0, 8.0, 6.0}) s.add(x);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 6.0);
-  EXPECT_DOUBLE_EQ(s.min(), 4.0);
-  EXPECT_DOUBLE_EQ(s.max(), 8.0);
-}
-
-TEST(Summary, VarianceMatchesTextbook) {
-  Summary s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  // Sample variance with n-1 denominator: 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(Summary, EmptyIsZeroed) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
 TEST(LatencyRecorder, ExactPercentiles) {
   LatencyRecorder r;
   for (int i = 1; i <= 100; ++i) r.add(static_cast<double>(i));

@@ -1,7 +1,8 @@
 // Edge-case tests for the RUBIN selector and channels, plus tcpsim and
 // verbs corner cases that the main suites do not reach: runtime interest
-// mutation, multiple selectors, closed-channel semantics, empty posts,
-// CQ rebinding, and socket end-of-life behaviour.
+// mutation, multiple selectors, closed-channel semantics, exact select
+// times on both selector backends, empty posts, CQ rebinding, and socket
+// end-of-life behaviour.
 #include <gtest/gtest.h>
 
 #include "common/audit.hpp"
@@ -189,6 +190,90 @@ TEST_F(EdgeTest, SelectZeroTimeoutNeverParks) {
   sim.run();
   ASSERT_GE(elapsed, 0);
   EXPECT_LT(elapsed, sim::microseconds(5));  // entry cost only
+}
+
+// ------------------------------------------------- select timing pins --
+//
+// Exact virtual times of one select() on each backend. RUBIN pays
+// rubin_select_entry plus rubin_event_dispatch per notification queued
+// since the last select; NIO pays one kernel_crossing. Both pay
+// thread_wakeup whenever the selector thread parked.
+
+struct SelectPins {
+  sim::Time idle = -1;   // nothing ready, select(100 µs)
+  sim::Time woken = -1;  // parked select(1 ms), wakeup() 30 µs in
+  sim::Time ready = -1;  // a message delivered before the call
+  std::size_t idle_n = 99, woken_n = 99, ready_n = 0;
+};
+
+/// Runs the three pinned selects in order; `send` delivers one message
+/// to the registered channel.
+template <typename Selector, typename Send>
+Task<> run_select_pins(sim::Simulator& s, Selector& sel, Send send,
+                       SelectPins& p) {
+  sim::Time t0 = s.now();
+  p.idle_n = co_await sel.select(sim::microseconds(100));
+  p.idle = s.now() - t0;
+
+  t0 = s.now();
+  s.schedule_after(sim::microseconds(30), [&sel] { sel.wakeup(); });
+  p.woken_n = co_await sel.select(sim::milliseconds(1));
+  p.woken = s.now() - t0;
+
+  co_await send();
+  co_await s.sleep(sim::microseconds(50));
+  t0 = s.now();
+  p.ready_n = co_await sel.select(sim::milliseconds(1));
+  p.ready = s.now() - t0;
+}
+
+TEST_F(EdgeTest, RubinSelectTimesArePinned) {
+  auto [client, server] = make_pair();
+  nio::RdmaSelector selector(ctx_b);
+  selector.register_channel(server, nio::kOpReceive);
+  const Bytes m = patterned_bytes(128, 3);  // outlives the zero-copy WR
+  auto send = [&client, &m]() -> Task<> {
+    std::size_t n = 0;
+    while (n == 0) n = co_await client->write(m);
+  };
+  SelectPins p;
+  sim.spawn(run_select_pins(sim, selector, send, p));
+  sim.run();
+  const auto& c = fabric.cost();
+  EXPECT_EQ(p.idle_n, 0u);
+  EXPECT_EQ(p.idle,
+            c.rubin_select_entry + sim::microseconds(100) + c.thread_wakeup);
+  EXPECT_EQ(p.woken_n, 0u);
+  EXPECT_EQ(p.woken, sim::microseconds(30) + c.thread_wakeup);
+  EXPECT_EQ(p.ready_n, 1u);
+  // The message queued the only notification of the run.
+  EXPECT_EQ(selector.events_dispatched(), 1u);
+  EXPECT_EQ(p.ready, c.rubin_select_entry + c.rubin_event_dispatch);
+}
+
+TEST_F(EdgeTest, NioSelectTimesArePinned) {
+  tcpsim::TcpNetwork net(fabric);
+  auto listener = net.listen(1, 6102);
+  auto client = net.connect(0, {1, 6102});
+  sim.run();
+  auto server = listener->accept();
+  ASSERT_NE(server, nullptr);
+  tcpsim::Poller poller(net);
+  poller.register_socket(server, tcpsim::kOpRead);
+  auto send = [&client]() -> Task<> {
+    (void)co_await client->write(to_bytes("ping"));
+  };
+  SelectPins p;
+  sim.spawn(run_select_pins(sim, poller, send, p));
+  sim.run();
+  const auto& c = fabric.cost();
+  EXPECT_EQ(p.idle_n, 0u);
+  EXPECT_EQ(p.idle,
+            c.kernel_crossing + sim::microseconds(100) + c.thread_wakeup);
+  EXPECT_EQ(p.woken_n, 0u);
+  EXPECT_EQ(p.woken, sim::microseconds(30) + c.thread_wakeup);
+  EXPECT_EQ(p.ready_n, 1u);
+  EXPECT_EQ(p.ready, c.kernel_crossing);
 }
 
 // --------------------------------------------------------------- tcpsim --
