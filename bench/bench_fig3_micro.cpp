@@ -8,11 +8,9 @@
 //   * RDMA Channel 33-43 % below TCP across the sweep;
 //   * Channel beats Send/Receive by up to ~30 % below 16 KB (selective
 //     signaling), degrades above (receive-side copy).
-#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "rubin/transport_select.hpp"
 #include "workloads/echo_kit.hpp"
 
 using namespace rubin;
@@ -26,19 +24,9 @@ int main() {
 
   struct Row {
     std::size_t payload;
-    EchoPoint tcp, sr, rw, chan, fixed_sr, fixed_w, adaptive;
+    EchoPoint tcp, sr, rw, chan;
   };
   std::vector<Row> rows;
-
-  // The adaptive comparison runs over one two-lane harness
-  // (run_adaptive_echo): kFixed policies pin it to a single primitive,
-  // kAdaptive picks per frame — so the envelope claim compares equals.
-  nio::TransportPolicy fixed_sr{nio::TransportPolicy::Mode::kFixed,
-                                nio::TransportKind::kSendRecv};
-  nio::TransportPolicy fixed_w{nio::TransportPolicy::Mode::kFixed,
-                               nio::TransportKind::kWrite};
-  nio::TransportPolicy adaptive{nio::TransportPolicy::Mode::kAdaptive,
-                                nio::TransportKind::kSendRecv};
 
   for (std::size_t payload : paper_payloads()) {
     EchoParams p;
@@ -48,30 +36,22 @@ int main() {
             run_tcp_echo(p),
             run_sendrecv_echo(p),
             run_readwrite_echo(p),
-            run_channel_echo(p, default_channel_config(payload)),
-            run_adaptive_echo(p, fixed_sr),
-            run_adaptive_echo(p, fixed_w),
-            run_adaptive_echo(p, adaptive)};
+            run_channel_echo(p, default_channel_config(payload))};
     rows.push_back(row);
   }
 
   std::printf("--- Fig. 3a: latency (us, mean round trip) ---\n");
-  print_row({"payload", "TCP", "Send/Recv", "Read/Write", "RDMA-Channel",
-             "Fix-S/R", "Fix-Write", "Adaptive"});
+  print_row({"payload", "TCP", "Send/Recv", "Read/Write", "RDMA-Channel"});
   for (const Row& r : rows) {
     print_row({kb(r.payload), fmt(r.tcp.latency_us), fmt(r.sr.latency_us),
-               fmt(r.rw.latency_us), fmt(r.chan.latency_us),
-               fmt(r.fixed_sr.latency_us), fmt(r.fixed_w.latency_us),
-               fmt(r.adaptive.latency_us)});
+               fmt(r.rw.latency_us), fmt(r.chan.latency_us)});
   }
 
   std::printf("\n--- Fig. 3b: throughput (krps, closed loop) ---\n");
-  print_row({"payload", "TCP", "Send/Recv", "Read/Write", "RDMA-Channel",
-             "Fix-S/R", "Fix-Write", "Adaptive"});
+  print_row({"payload", "TCP", "Send/Recv", "Read/Write", "RDMA-Channel"});
   for (const Row& r : rows) {
     print_row({kb(r.payload), fmt(r.tcp.krps, 2), fmt(r.sr.krps, 2),
-               fmt(r.rw.krps, 2), fmt(r.chan.krps, 2), fmt(r.fixed_sr.krps, 2),
-               fmt(r.fixed_w.krps, 2), fmt(r.adaptive.krps, 2)});
+               fmt(r.rw.krps, 2), fmt(r.chan.krps, 2)});
   }
 
   std::printf("\n--- shape checks vs. paper claims ---\n");
@@ -101,32 +81,4 @@ int main() {
       break;
     }
   }
-
-  std::printf("\n--- adaptive selector vs fixed strategies (same harness) ---\n");
-  {
-    const net::CostModel cm = net::CostModel::roce_10g();
-    nio::TransportSelector sel(cm, adaptive);
-    std::printf("  cost-model crossovers: inline<=%zuB (device cap), "
-                "write beats send/recv from %zuB\n",
-                sel.inline_crossover(), sel.write_crossover());
-  }
-  bool envelope_ok = true;
-  for (const Row& r : rows) {
-    const double best_fixed =
-        std::min(r.fixed_sr.latency_us, r.fixed_w.latency_us);
-    // Tolerance: the adaptive client recomputes selector inputs per frame
-    // (a few post_call_cpu probes); allow 1% over the envelope.
-    if (r.adaptive.latency_us > best_fixed * 1.01) {
-      envelope_ok = false;
-      std::printf("  ENVELOPE MISS @%s: adaptive %.2fus > best fixed %.2fus\n",
-                  kb(r.payload).c_str(), r.adaptive.latency_us, best_fixed);
-    }
-  }
-  if (envelope_ok) {
-    std::printf("  adaptive traces the fixed-strategy envelope at every "
-                "payload (<=1%% over min(Fix-S/R, Fix-Write))\n");
-  }
-  // Non-zero exit on an envelope miss: the CI bench-smoke job runs this
-  // binary, so a selector regression fails the job, not just a table.
-  return envelope_ok ? 0 : 1;
 }

@@ -494,12 +494,6 @@ bool RdmaChannel::writable() noexcept {
   return true;
 }
 
-std::uint32_t RdmaChannel::send_slots_free() noexcept {
-  if (state_ != State::kEstablished) return 0;
-  pump();
-  return qp_->send_slots_free();
-}
-
 sim::Task<std::size_t> RdmaChannel::read_await(MutByteView out) {
   for (;;) {
     const std::size_t n = co_await read(out);

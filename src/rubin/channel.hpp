@@ -121,9 +121,6 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   std::size_t readable_messages() noexcept;
   /// True when write() would accept a message right now.
   bool writable() noexcept;
-  /// Free send-queue slots right now (0 while not established) — the
-  /// queue-depth pressure input of the transport selector.
-  std::uint32_t send_slots_free() noexcept;
 
   /// Standalone (selector-less) helper: waits until a message arrives or
   /// the channel dies, then reads it. Used by the Fig-3 micro-benchmark.

@@ -9,27 +9,6 @@
 
 namespace rubin::nio {
 
-/// The transport primitives a frame can travel by (paper §II/III: inline
-/// WQE, two-sided send/receive, one-sided write into a mailbox ring, and
-/// responder-driven read-drain).
-enum class TransportKind : std::uint8_t {
-  kInline,
-  kSendRecv,
-  kWrite,
-  kReadDrain,
-};
-
-/// Transport policy of a TransportSelector (the decision log's and the
-/// Fig. 3 adaptive echo's). kFixed always picks `fixed`; kAdaptive picks
-/// the cheapest primitive from the cost model's crossover constants
-/// (transport_select.hpp).
-struct TransportPolicy {
-  enum class Mode : std::uint8_t { kFixed, kAdaptive };
-  Mode mode = Mode::kFixed;
-  /// The primitive used under kFixed (ignored under kAdaptive).
-  TransportKind fixed = TransportKind::kSendRecv;
-};
-
 struct ChannelConfig {
   /// Buffers (== work requests) per direction. Receives are pre-posted in
   /// full at channel creation — under-provisioning shows up as RNR stalls,

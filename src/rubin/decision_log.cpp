@@ -55,8 +55,7 @@ DecisionLog::DecisionLog(RubinContext& ctx, std::uint32_t self,
       ack_buf_(ack_tables(
           ctx.pd(), self, n,
           cfg.slot_count * kAckCellBytes + kConsumedCellBytes)),
-      staging_(ctx.pd(), slot_stride(), 0),
-      selector_(ctx.cost(), cfg.policy) {
+      staging_(ctx.pd(), slot_stride(), 0) {
   auto& dev = ctx.device();
   scq_ = dev.create_cq(4 * cfg_.slot_count + 4 * n);
   rcq_ = dev.create_cq(16);
@@ -99,12 +98,9 @@ std::vector<std::unique_ptr<DecisionLog>> DecisionLog::create_group(
       logs[i]->peer_[j].ack_addr = ack.addr();
       logs[i]->peer_[j].ack_rkey = ack.rkey();
     }
-    logs[i]->grant_initial();
   }
   return logs;
 }
-
-void DecisionLog::grant_initial() { granted_view_ = 0; }
 
 std::size_t DecisionLog::exposed_bytes() const noexcept {
   std::size_t total = ring_.size();
@@ -152,7 +148,7 @@ sim::Task<verbs::PostResult> DecisionLog::post_ring_write(
   wr.opcode = verbs::Opcode::kRdmaWrite;
   wr.wr_id = wr_seq_;
   // SGEs anchor the protection checks in the staging span; the bytes ride
-  // zero-copy as the refcounted wire slices (the FrameVec write path).
+  // zero-copy as the refcounted wire slices.
   std::uint64_t addr = staging_.mr()->addr();
   for (const SharedBytes& s : wire) {
     wr.sg_list.push_back(verbs::Sge{
@@ -197,16 +193,6 @@ sim::Task<std::uint32_t> DecisionLog::publish(std::uint64_t seq,
     }
     if (!has_credit(p, seq)) {
       RUBIN_COUNT("transport.onesided.bypass.no_credit", 1);
-      bypass();
-      continue;
-    }
-    SelectorInputs in;
-    in.payload = kHeaderBytes + record.size() + kCanaryBytes;
-    in.send_slots_free = qp_[p]->send_slots_free();
-    in.ring_credits = 1;
-    in.recv_poll_interval = cfg_.poll_interval;
-    if (selector_.pick(in) != TransportKind::kWrite) {
-      RUBIN_COUNT("transport.onesided.bypass.pick", 1);
       bypass();
       continue;
     }

@@ -59,7 +59,6 @@
 #include "common/bytes.hpp"
 #include "common/shared_bytes.hpp"
 #include "rubin/context.hpp"
-#include "rubin/transport_select.hpp"
 #include "sim/task.hpp"
 #include "verbs/device.hpp"
 
@@ -72,16 +71,12 @@ struct DecisionLogConfig {
   /// Replica poll granularity: a record is noticed, in expectation, half
   /// an interval after it lands (the ablation knob of bench_bft_e2e).
   sim::Time poll_interval = sim::microseconds(0.5);
-  /// Per-record transport gate. kFixed/kWrite always takes the one-sided
-  /// path when a credit exists; kAdaptive lets the selector bypass it for
-  /// frames where the cost model favours the message path anyway.
-  TransportPolicy policy{TransportPolicy::Mode::kFixed, TransportKind::kWrite};
 };
 
 struct DecisionLogStats {
   std::uint64_t records_published = 0;  // one per (seq, peer) write posted
   /// Peer skipped; the transport.onesided.bypass.* counters split it by
-  /// reason (no_grant, no_credit, pick, post).
+  /// reason (no_grant, no_credit, post).
   std::uint64_t bypasses = 0;
   std::uint64_t acks_sent = 0;          // one per (seq, peer) ack posted
   std::uint64_t cell_post_failures = 0; // ack/consumed writes not posted
@@ -152,9 +147,8 @@ class DecisionLog {
   // ------------------------------------------------------ primary side --
   /// RDMA-writes the framed record into every peer's ring slot
   /// seq % slot_count. Per peer, the write happens only if (a) the peer's
-  /// flip for `view` completed, (b) the slot's previous occupant was
-  /// acked or consumed (flow control), and (c) the transport selector
-  /// picks kWrite.
+  /// flip for `view` completed and (b) the slot's previous occupant was
+  /// acked or consumed (flow control); a failed post also falls back.
   /// Returns how many peers were written; the remainder ride the message
   /// path (the caller dual-sends regardless).
   sim::Task<std::uint32_t> publish(std::uint64_t seq, std::uint64_t view,
@@ -243,10 +237,6 @@ class DecisionLog {
   DecisionLog(RubinContext& ctx, std::uint32_t self, std::uint32_t n,
               DecisionLogConfig cfg);
 
-  /// Setup-path initial grant for view 0 (no NIC charge — like
-  /// post_recv_now, the cost sits off the measured data path).
-  void grant_initial();
-
   bool has_credit(std::uint32_t peer, std::uint64_t seq) const;
   void bypass();
   /// Posts one small inline write into `peer`'s ack table at `offset`
@@ -287,7 +277,7 @@ class DecisionLog {
   std::vector<std::unique_ptr<verbs::RegisteredBuffer>> ack_buf_;
   /// Local-only staging span anchoring the protection checks of the
   /// zero-copy record writes (content never read — the payload rides as
-  /// refcounted slices, exactly the OneSidedChannel FrameVec path).
+  /// refcounted slices).
   verbs::RegisteredBuffer staging_;
 
   // Remote targets (exchanged at create_group).
@@ -301,8 +291,6 @@ class DecisionLog {
 
   std::uint64_t granted_view_ = 0;
   std::uint64_t wr_seq_ = 0;  // selective-signaling counter
-
-  TransportSelector selector_;
   DecisionLogStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "rubin/write_channel.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -29,9 +30,8 @@ OneSidedChannel::OneSidedChannel(RubinContext& ctx, OneSidedConfig cfg)
             verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite),
       credit_cell_(ctx.pd(), 8,
                    verbs::kAccessLocalWrite | verbs::kAccessRemoteWrite),
-      bootstrap_buf_(ctx.pd(),
-                     static_cast<std::size_t>(cfg.slot_count) * slot_stride(),
-                     0) {
+      staging_(ctx.pd(),
+               static_cast<std::size_t>(cfg.slot_count) * slot_stride(), 0) {
   auto& dev = ctx.device();
   scq_ = dev.create_cq(4 * cfg.slot_count);
   rcq_ = dev.create_cq(16);
@@ -47,8 +47,8 @@ OneSidedChannel::create_pair(RubinContext& a, RubinContext& b,
   auto cb = std::unique_ptr<OneSidedChannel>(new OneSidedChannel(b, cfg));
   ca->qp_->connect(b.device(), cb->qp_->qp_num());
   cb->qp_->connect(a.device(), ca->qp_->qp_num());
-  // Address/rkey exchange (production would run this bootstrap through
-  // the CM or one two-sided round; the helper wires it directly).
+  // Address/rkey exchange (production would run it through the CM; the
+  // helper wires it directly).
   ca->remote_ring_addr_ = cb->ring_.mr()->addr();
   ca->remote_ring_rkey_ = cb->ring_.mr()->rkey();
   ca->remote_credit_addr_ = cb->credit_cell_.mr()->addr();
@@ -58,17 +58,6 @@ OneSidedChannel::create_pair(RubinContext& a, RubinContext& b,
   cb->remote_credit_addr_ = ca->credit_cell_.mr()->addr();
   cb->remote_credit_rkey_ = ca->credit_cell_.mr()->rkey();
   return {std::move(ca), std::move(cb)};
-}
-
-std::uint64_t OneSidedChannel::credits_available() const noexcept {
-  // Same plausibility filter as acquire_credit(), but pure: an implausible
-  // (forgeable, §III-C) cell value falls back to the last accepted one.
-  const std::uint64_t consumed = read_u64(credit_cell_.data());
-  const std::uint64_t plausible =
-      (consumed < last_credit_ || consumed > sent_seq_) ? last_credit_
-                                                        : consumed;
-  const std::uint64_t in_flight = sent_seq_ - plausible;
-  return in_flight >= cfg_.slot_count ? 0 : cfg_.slot_count - in_flight;
 }
 
 sim::Task<bool> OneSidedChannel::acquire_credit() {
@@ -98,18 +87,30 @@ sim::Task<bool> OneSidedChannel::acquire_credit() {
   co_return true;
 }
 
-void OneSidedChannel::stamp_header(std::uint8_t* h, std::size_t len) const {
-  const std::uint32_t len32 = static_cast<std::uint32_t>(len);
-  std::memcpy(h, &len32, 4);
-  std::memset(h + 4, 0, 4);
-  write_u64(h + 8, sent_seq_ + 1);
-}
+sim::Task<std::size_t> OneSidedChannel::write(ByteView msg) {
+  if (msg.size() > cfg_.slot_payload) {
+    throw std::invalid_argument("OneSidedChannel::write: message too large");
+  }
+  if (!co_await acquire_credit()) co_return 0;
 
-sim::Task<std::size_t> OneSidedChannel::post_slot(verbs::SendWr wr,
-                                                  std::size_t idx,
-                                                  std::size_t len) {
+  // Stage header (u32 len | u32 pad | u64 seq) + payload in our
+  // registered staging slot, then one RDMA WRITE places the whole message
+  // in the peer's ring.
+  const std::size_t idx = sent_seq_ % cfg_.slot_count;
+  std::uint8_t* slot = staging_.data() + idx * slot_stride();
+  const auto len32 = static_cast<std::uint32_t>(msg.size());
+  std::memcpy(slot, &len32, 4);
+  std::memset(slot + 4, 0, 4);
+  write_u64(slot + 8, sent_seq_ + 1);
+  co_await ctx_->simulator().sleep(ctx_->cost().copy_time(msg.size()));
+  std::memcpy(slot + kHeader, msg.data(), msg.size());
+
+  verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kRdmaWrite;
   wr.wr_id = sent_seq_;
+  wr.sg_list = verbs::Sge{staging_.mr()->addr() + idx * slot_stride(),
+                          static_cast<std::uint32_t>(kHeader + msg.size()),
+                          staging_.mr()->lkey()};
   wr.remote_addr = remote_ring_addr_ + idx * slot_stride();
   wr.rkey = remote_ring_rkey_;
   wr.signaled = (++wr_seq_ % 16) == 0;
@@ -117,64 +118,7 @@ sim::Task<std::size_t> OneSidedChannel::post_slot(verbs::SendWr wr,
   if (r != verbs::PostResult::kOk) co_return 0;
   ++sent_seq_;
   ++stats_.messages_sent;
-  co_return len;
-}
-
-sim::Task<std::size_t> OneSidedChannel::write(ByteView msg) {
-  if (msg.size() > cfg_.slot_payload) {
-    throw std::invalid_argument("OneSidedChannel::write: message too large");
-  }
-  if (!co_await acquire_credit()) co_return 0;
-
-  // Stage header + payload in our registered staging slot, then one
-  // RDMA WRITE places the whole message in the peer's ring.
-  const std::size_t idx = sent_seq_ % cfg_.slot_count;
-  std::uint8_t* slot = bootstrap_buf_.data() + idx * slot_stride();
-  stamp_header(slot, msg.size());
-  co_await ctx_->simulator().sleep(ctx_->cost().copy_time(msg.size()));
-  std::memcpy(slot + kHeader, msg.data(), msg.size());
-
-  verbs::SendWr wr;
-  wr.sg_list = verbs::Sge{bootstrap_buf_.mr()->addr() + idx * slot_stride(),
-                          static_cast<std::uint32_t>(kHeader + msg.size()),
-                          bootstrap_buf_.mr()->lkey()};
-  co_return co_await post_slot(std::move(wr), idx, msg.size());
-}
-
-sim::Task<std::size_t> OneSidedChannel::write(FrameVec msg) {
-  if (msg.total_size() > cfg_.slot_payload) {
-    throw std::invalid_argument("OneSidedChannel::write: message too large");
-  }
-  if (1 + msg.slice_count() > verbs::SgeList::kMaxSges) {
-    throw std::invalid_argument(
-        "OneSidedChannel::write: frame has too many slices for the SGE list");
-  }
-  if (!co_await acquire_credit()) co_return 0;
-
-  // Scatter/gather one-sided write: the header is built in a fresh
-  // refcounted slice and the payload slices ride as-is — the staging
-  // memcpy of the flat path (both its copy_time charge and the physical
-  // copy) never happens. The SGE list addresses the staging slot, whose
-  // registered address space anchors the protection checks.
-  const std::size_t idx = sent_seq_ % cfg_.slot_count;
-  SharedBytes header = SharedBytes::allocate(kHeader);
-  stamp_header(header.mutable_data(), msg.total_size());
-
-  verbs::SendWr wr;
-  const std::uint64_t slot_addr =
-      bootstrap_buf_.mr()->addr() + idx * slot_stride();
-  wr.sg_list = verbs::Sge{slot_addr, static_cast<std::uint32_t>(kHeader),
-                          bootstrap_buf_.mr()->lkey()};
-  std::uint64_t addr = slot_addr + kHeader;
-  FrameVec wire(std::move(header));
-  for (const SharedBytes& s : msg) {
-    wr.sg_list.push_back(verbs::Sge{addr, static_cast<std::uint32_t>(s.size()),
-                                    bootstrap_buf_.mr()->lkey()});
-    addr += s.size();
-    wire.append(s);
-  }
-  wr.shared_payload = std::move(wire);
-  co_return co_await post_slot(std::move(wr), idx, msg.total_size());
+  co_return msg.size();
 }
 
 sim::Task<std::size_t> OneSidedChannel::read(MutByteView out) {
@@ -185,15 +129,15 @@ sim::Task<std::size_t> OneSidedChannel::read(MutByteView out) {
     co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
     co_return 0;
   }
-  std::uint32_t len = 0;
-  std::memcpy(&len, slot, 4);
+  std::uint32_t raw_len = 0;
+  std::memcpy(&raw_len, slot, 4);
   // A corrupted length (ring memory is remotely writable!) is clamped so
-  // it cannot read out of bounds; the *payload* may still be garbage —
-  // exactly why Reptor layers HMACs on top (paper §III-C).
-  len = std::min<std::uint32_t>(len, static_cast<std::uint32_t>(cfg_.slot_payload));
-  if (out.size() < len) {
-    throw std::invalid_argument("OneSidedChannel::read: buffer too small");
-  }
+  // it cannot read out of bounds of the slot or of `out`; the *payload*
+  // may still be garbage — exactly why Reptor layers HMACs on top (paper
+  // §III-C).
+  const std::size_t len =
+      std::min<std::size_t>({raw_len, cfg_.slot_payload, out.size()});
+  if (len < raw_len) RUBIN_COUNT("onesided.oversized_slot", 1);
   co_await ctx_->simulator().sleep(ctx_->cost().copy_time(len));
   std::memcpy(out.data(), slot + kHeader, len);
   ++recv_seq_;

@@ -16,8 +16,9 @@
 //   * per-peer pinned rings: memory and coordination grow with the group,
 //     the paper's scalability objection.
 //
-// Bootstrap: ring addresses/rkeys are exchanged over one two-sided
-// send/receive round on the same QP.
+// Wiring: create_pair connects the QPs and hands each side the peer's
+// ring and credit-cell addresses and rkeys in-process (production would
+// exchange them through the CM).
 #pragma once
 
 #include <cstdint>
@@ -48,10 +49,9 @@ struct OneSidedStats {
 
 class OneSidedChannel {
  public:
-  /// Builds a connected pair over two contexts (tests/benches wire QPs
-  /// directly; production would run the same exchange through the CM).
-  /// The returned channels are ready for write()/read() once the
-  /// bootstrap handshake completes — await `ready()`.
+  /// Builds a connected pair over two contexts, addresses and rkeys
+  /// wired in-process; both channels are ready for write()/read() on
+  /// return.
   static std::pair<std::unique_ptr<OneSidedChannel>,
                    std::unique_ptr<OneSidedChannel>>
   create_pair(RubinContext& a, RubinContext& b, OneSidedConfig cfg = {});
@@ -60,14 +60,11 @@ class OneSidedChannel {
   /// Returns msg.size(), or 0 when out of credits (peer not consuming).
   sim::Task<std::size_t> write(ByteView msg);
 
-  /// Scatter/gather one-sided send: the 16-byte slot header and the
-  /// frame's slices travel as one RDMA WRITE with a multi-element SGE
-  /// list — the staging memcpy of the flat path (its copy_time charge and
-  /// the physical copy) is gone. Slice budget: header + slices must fit
-  /// verbs::SgeList::kMaxSges.
-  sim::Task<std::size_t> write(FrameVec msg);
-
-  /// Polls the local ring; returns the next message or 0 if none.
+  /// Polls the local ring; returns the next message or 0 if none. The
+  /// slot's length field is remotely writable: a length past the slot or
+  /// past `out` is clamped and counted (onesided.oversized_slot), and
+  /// the slot is consumed — the bytes are garbage for the BFT layer's
+  /// MACs to reject, not a reason to fail the receiver.
   sim::Task<std::size_t> read(MutByteView out);
 
   /// Polling receive (there are *no* events to wait on — the defining
@@ -76,10 +73,6 @@ class OneSidedChannel {
 
   const OneSidedStats& stats() const noexcept { return stats_; }
   const OneSidedConfig& config() const noexcept { return cfg_; }
-  /// Ring slots a write() could claim right now, by the sender's own
-  /// (conservative, forgery-filtered) view of the peer's credit cell —
-  /// the ring-credit input of the transport selector.
-  std::uint64_t credits_available() const noexcept;
   /// Remotely writable bytes this endpoint must expose (the §III-C
   /// attack surface; grows linearly with the number of peers).
   std::size_t exposed_bytes() const noexcept { return ring_.size() + 16; }
@@ -105,17 +98,10 @@ class OneSidedChannel {
     return 16 + cfg_.slot_payload;  // u32 len | u32 pad | u64 seq | payload
   }
   sim::Task<void> return_credits();
-  /// Shared flow-control preamble of the write paths: polls completions,
-  /// reads the (remotely writable) credit cell, and reports whether a
-  /// ring slot is available. Sleeps post_call_cpu when stalled.
+  /// Flow-control preamble of write(): polls completions, reads the
+  /// (remotely writable) credit cell, and reports whether a ring slot is
+  /// available. Sleeps post_call_cpu when stalled.
   sim::Task<bool> acquire_credit();
-  /// Writes the next message's slot header: u32 len | u32 pad | u64 seq.
-  void stamp_header(std::uint8_t* h, std::size_t len) const;
-  /// Shared post tail of the write paths: aims `wr` (SGE list built) at
-  /// the peer's ring slot `idx`, signals every 16th WR, posts, and counts
-  /// the message. Returns `len`, or 0 when the post fails.
-  sim::Task<std::size_t> post_slot(verbs::SendWr wr, std::size_t idx,
-                                   std::size_t len);
 
   RubinContext* ctx_;
   OneSidedConfig cfg_;
@@ -127,9 +113,9 @@ class OneSidedChannel {
   // which fixes the keys each one gets.
   verbs::RegisteredBuffer ring_;         // inbound slots, remotely written
   verbs::RegisteredBuffer credit_cell_;  // peer writes its consumed count
-  verbs::RegisteredBuffer bootstrap_buf_;  // handshake scratch, send staging
+  verbs::RegisteredBuffer staging_;      // send staging, one slot per ring slot
 
-  // Remote targets (learned in the bootstrap).
+  // Remote targets (wired by create_pair).
   std::uint64_t remote_ring_addr_ = 0;
   std::uint32_t remote_ring_rkey_ = 0;
   std::uint64_t remote_credit_addr_ = 0;

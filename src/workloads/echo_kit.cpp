@@ -1,15 +1,12 @@
 #include "workloads/echo_kit.hpp"
 
 #include <cstring>
-#include <stdexcept>
 
 #include "common/audit.hpp"
 #include "common/shared_bytes.hpp"
 #include "common/stats.hpp"
 #include "net/fabric.hpp"
 #include "rubin/context.hpp"
-#include "rubin/transport_select.hpp"
-#include "rubin/write_channel.hpp"
 #include "sim/simulator.hpp"
 #include "tcpsim/poller.hpp"
 #include "tcpsim/tcp.hpp"
@@ -544,113 +541,6 @@ EchoPoint run_channel_echo(const EchoParams& p, nio::ChannelConfig cfg) {
 
   sim.run_until(sim::seconds(60));
   return finish(lat, finished - started, p.messages);
-}
-
-// ---------------------------------------------------- Adaptive selector --
-
-EchoPoint run_adaptive_echo(const EchoParams& p, nio::TransportPolicy policy) {
-  if (policy.mode == nio::TransportPolicy::Mode::kFixed &&
-      policy.fixed == nio::TransportKind::kReadDrain) {
-    throw std::invalid_argument(
-        "run_adaptive_echo: the echo harness has no receiver-driven pull "
-        "lane; a fixed kReadDrain policy cannot carry messages");
-  }
-  // Two-sided lane: the RUBIN channel with the §IV defaults.
-  RubinPair world(p.cost, default_channel_config(p.payload));
-  auto& sim = world.sim;
-
-  // One-sided lane: a mailbox pair sized for the payload.
-  nio::OneSidedConfig oc;
-  oc.slot_payload = std::max<std::size_t>(p.payload, 4096);
-  auto pair = nio::OneSidedChannel::create_pair(world.ctx_c, world.ctx_s, oc);
-
-  struct AdCtx {
-    sim::Simulator& sim;
-    const EchoParams& p;
-    std::shared_ptr<nio::RdmaChannel> ch_c;
-    std::shared_ptr<nio::RdmaChannel> ch_s;
-    nio::OneSidedChannel* os_c;
-    nio::OneSidedChannel* os_s;
-    nio::TransportSelector sel;
-    bool server_up = true;
-    LatencyRecorder lat{};
-    Time started = 0;
-    Time finished = 0;
-  };
-  AdCtx ctx{sim,          p,
-            world.client, world.server,
-            pair.first.get(), pair.second.get(),
-            nio::TransportSelector(p.cost, policy)};
-
-  // Server: service both lanes; echo on the lane the request arrived on.
-  sim.spawn([](AdCtx& c) -> Task<> {
-    Bytes rx(std::max<std::size_t>(c.p.payload, 4096));
-    while (c.server_up) {
-      std::size_t n = co_await c.os_s->read(rx);
-      if (n > 0) {
-        // One-sided echo: wrap the consumed bytes in a refcounted frame
-        // and gather-write it back — no staging copy (DESIGN.md §11).
-        const SharedBytes echo = SharedBytes::copy_of(ByteView(rx).first(n));
-        std::size_t w = 0;
-        while (w == 0) {
-          w = co_await c.os_s->write(FrameVec(echo));
-          if (w == 0) co_await c.sim.sleep(c.os_s->config().poll_interval);
-        }
-        continue;
-      }
-      n = co_await c.ch_s->read(rx);
-      if (n > 0) {
-        std::size_t w = 0;
-        // Closed-loop echo (see echo_server for why this is safe).
-        // rubinlint:allow(coro-stack-wr) closed-loop: WR done before rx reuse
-        while (w == 0) w = co_await c.ch_s->write(ByteView(rx).first(n));
-        continue;
-      }
-      if (!c.ch_s->is_open()) co_return;
-      co_await c.sim.sleep(c.os_s->config().poll_interval);
-    }
-  }(ctx));
-
-  sim.spawn([](AdCtx& c) -> Task<> {
-    const SharedBytes msg = SharedBytes::copy_of(patterned_bytes(c.p.payload, 1));
-    Bytes rx(std::max<std::size_t>(c.p.payload, 4096));
-    c.started = c.sim.now();
-    for (int i = 0; i < c.p.messages; ++i) {
-      const Time t0 = c.sim.now();
-      for (;;) {
-        nio::SelectorInputs in;
-        in.payload = c.p.payload;
-        in.send_slots_free = c.ch_c->send_slots_free();
-        in.ring_credits = c.os_c->credits_available();
-        in.recv_poll_interval = c.os_c->config().poll_interval;
-        const nio::TransportKind k = c.sel.pick(in);
-        if (k == nio::TransportKind::kWrite) {
-          // Gather write: the refcounted frame rides the SGE list.
-          if (co_await c.os_c->write(FrameVec(msg)) == 0) continue;
-          (void)co_await c.os_c->read_await(rx);
-          break;
-        }
-        if (k == nio::TransportKind::kReadDrain) {
-          // Both lanes starved: the drain is the *receiver's* work — the
-          // sender only waits for resources to come back, then re-picks.
-          co_await c.sim.sleep(c.os_c->config().poll_interval);
-          continue;
-        }
-        // kInline / kSendRecv both travel the RUBIN channel; its
-        // inline_threshold applies the inline WQE path automatically.
-        if (co_await c.ch_c->write(msg) == 0) continue;
-        (void)co_await c.ch_c->read_await(rx);
-        break;
-      }
-      c.lat.add(sim::to_us(c.sim.now() - t0));
-    }
-    c.finished = c.sim.now();
-    c.server_up = false;
-    c.ch_c->close();
-  }(ctx));
-
-  sim.run_until(sim::seconds(60));
-  return finish(ctx.lat, ctx.finished - ctx.started, p.messages);
 }
 
 }  // namespace rubin::workloads

@@ -55,16 +55,4 @@ EchoPoint run_channel_echo_windowed(const EchoParams& p,
 /// Paper-default channel configuration for the given payload size.
 nio::ChannelConfig default_channel_config(std::size_t payload);
 
-/// Per-frame transport selection echo (DESIGN.md §11). The client holds
-/// *both* a RUBIN RdmaChannel (two-sided: inline / send-recv lanes) and a
-/// OneSidedChannel mailbox (one-sided write lane) to the same server, and
-/// routes every message over the TransportSelector's pick for the live
-/// (payload, send-slot, ring-credit) state. `policy` kFixed pins the
-/// harness to one primitive — the fixed series the adaptive line is
-/// compared against in Fig. 3 — and kAdaptive traces their envelope.
-/// kReadDrain picks (the sender-starved escape hatch) back off for one
-/// poll interval and re-pick; a fixed kReadDrain policy is rejected (the
-/// echo harness has no receiver-driven pull lane).
-EchoPoint run_adaptive_echo(const EchoParams& p, nio::TransportPolicy policy);
-
 }  // namespace rubin::workloads

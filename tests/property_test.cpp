@@ -3,7 +3,6 @@
 // TEST_P so each seed is an individually reported case.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <deque>
 
 #include "chain/blockchain.hpp"
@@ -13,11 +12,8 @@
 #include "crypto/sha256.hpp"
 #include "net/fabric.hpp"
 #include "reptor/messages.hpp"
-#include "rubin/config.hpp"
-#include "rubin/transport_select.hpp"
 #include "sim/simulator.hpp"
 #include "verbs/device.hpp"
-#include "../bench/bench_util.hpp"
 
 namespace rubin {
 namespace {
@@ -354,125 +350,6 @@ TEST_P(ChainProperty, RandomOpsDeterministicAndVerifiable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChainProperty, ::testing::Values(2, 4, 6, 8));
-
-// ------------------------------------------------- transport selection ---
-
-using SelectorArgmin = Seeded;
-
-constexpr std::array<nio::TransportKind, 4> kAllKinds = {
-    nio::TransportKind::kInline, nio::TransportKind::kSendRecv,
-    nio::TransportKind::kWrite, nio::TransportKind::kReadDrain};
-
-nio::SelectorInputs random_inputs(Rng& rng) {
-  nio::SelectorInputs in;
-  in.payload = rng.next_below(128 * 1024 + 1);
-  in.send_slots_free = static_cast<std::uint32_t>(rng.next_below(5));
-  in.ring_credits = rng.next_below(5);
-  in.recv_poll_interval =
-      sim::microseconds(static_cast<double>(1 + rng.next_below(50)));
-  return in;
-}
-
-TEST_P(SelectorArgmin, AdaptivePickIsArgminOfCostModel) {
-  // The selector's whole contract: under kAdaptive, pick() is the literal
-  // argmin of cost_of() over the available() kinds, evaluated in
-  // declaration order with strict < (ties break to the smaller enum).
-  // This reference recomputes it from the same public pieces, so any
-  // shortcut or hidden constant inside pick() fails here.
-  const net::CostModel cm = net::CostModel::roce_10g();
-  nio::TransportPolicy policy;
-  policy.mode = nio::TransportPolicy::Mode::kAdaptive;
-  const nio::TransportSelector sel(cm, policy);
-
-  for (int i = 0; i < 500; ++i) {
-    const nio::SelectorInputs in = random_inputs(rng);
-    bool have = false;
-    nio::TransportKind best = nio::TransportKind::kReadDrain;
-    sim::Time best_cost = 0;
-    for (const nio::TransportKind kind : kAllKinds) {
-      if (!sel.available(kind, in)) continue;
-      const sim::Time t = sel.cost_of(kind, in);
-      if (!have || t < best_cost) {
-        have = true;
-        best = kind;
-        best_cost = t;
-      }
-    }
-    ASSERT_TRUE(have);  // kReadDrain is always available
-    EXPECT_EQ(sel.pick(in), best)
-        << "payload=" << in.payload << " slots=" << in.send_slots_free
-        << " credits=" << in.ring_credits;
-  }
-}
-
-TEST_P(SelectorArgmin, FixedPolicyPicksUnconditionally) {
-  // kFixed must reproduce pre-existing configurations bit-identically:
-  // the pick ignores sizes and resource state entirely.
-  const net::CostModel cm = net::CostModel::roce_10g();
-  for (const nio::TransportKind fixed :
-       {nio::TransportKind::kInline, nio::TransportKind::kSendRecv,
-        nio::TransportKind::kWrite}) {
-    nio::TransportPolicy policy;
-    policy.mode = nio::TransportPolicy::Mode::kFixed;
-    policy.fixed = fixed;
-    const nio::TransportSelector sel(cm, policy);
-    for (int i = 0; i < 100; ++i) {
-      EXPECT_EQ(sel.pick(random_inputs(rng)), fixed);
-    }
-  }
-}
-
-TEST_P(SelectorArgmin, InlineCrossoverSeparatesTheCostCurves) {
-  // inline_crossover() is exactly the largest payload where the inline
-  // copy undercuts (or ties) the DMA fetch of a plain send — verified
-  // pointwise against cost_of over the whole inline-capable range.
-  const net::CostModel cm = net::CostModel::roce_10g();
-  nio::TransportPolicy policy;
-  policy.mode = nio::TransportPolicy::Mode::kAdaptive;
-  const nio::TransportSelector sel(cm, policy);
-  const std::size_t cross = sel.inline_crossover();
-  EXPECT_LE(cross, cm.max_inline);
-  for (int i = 0; i < 200; ++i) {
-    nio::SelectorInputs in;
-    in.payload = rng.next_below(cm.max_inline + 1);
-    in.send_slots_free = 1;
-    const bool inline_wins = sel.cost_of(nio::TransportKind::kInline, in) <=
-                             sel.cost_of(nio::TransportKind::kSendRecv, in);
-    EXPECT_EQ(inline_wins, in.payload <= cross) << "payload=" << in.payload;
-  }
-}
-
-TEST(ReptorStackSelector, ArgminIsTheFixedInlineThreshold) {
-  // EXPERIMENTS.md E7: on the Reptor stack a frame has one lane, the
-  // two-sided channel. No ring credit, and a receiver that polls no
-  // remote-writable memory (a 1 s interval prices the polled lanes out),
-  // leave the selector kInline vs kSendRecv, split at the inline
-  // crossover, which is the channel's default inline threshold. So a
-  // per-frame selector on that stack can only reproduce the fixed
-  // channel.
-  const net::CostModel cm = net::CostModel::roce_10g();
-  const nio::TransportSelector sel(
-      cm, {nio::TransportPolicy::Mode::kAdaptive, nio::TransportKind::kSendRecv});
-  const nio::ChannelConfig channel;
-  ASSERT_EQ(sel.inline_crossover(), channel.inline_threshold);
-
-  nio::SelectorInputs in;
-  in.send_slots_free = channel.buffer_count;
-  in.ring_credits = 0;
-  in.recv_poll_interval = sim::seconds(1);
-  std::vector<std::size_t> payloads = bench::paper_payloads();
-  for (std::size_t p = 1; p <= 256; ++p) payloads.push_back(p);
-  for (const std::size_t p : payloads) {
-    in.payload = p;
-    EXPECT_EQ(sel.pick(in), p <= channel.inline_threshold
-                                ? nio::TransportKind::kInline
-                                : nio::TransportKind::kSendRecv)
-        << "payload=" << p;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SelectorArgmin,
-                         ::testing::Values(17, 171, 1717));
 
 }  // namespace
 }  // namespace rubin

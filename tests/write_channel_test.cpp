@@ -34,6 +34,37 @@ class OneSidedTest : public ::testing::Test {
   RubinContext ctx_a{dev_a, cm};
   RubinContext ctx_b{dev_b, cm};
   RubinContext ctx_evil{dev_evil, cm};
+  verbs::ProtectionDomain pd_evil;
+  std::vector<std::shared_ptr<verbs::QueuePair>> attacker_qps;
+
+  /// The §III-C attacker: wires a QP from the evil host to b and spawns
+  /// one RDMA WRITE of `forged` (slot header + payload) into slot 0 of
+  /// `victim`'s ring, through the stolen ring rkey. Any QP wired at the
+  /// device level reaches b's memory in our model — the rkey is the only
+  /// protection, as on real RoCE. `forged` must outlive the write.
+  void forge_slot0(OneSidedChannel& victim, Bytes& forged) {
+    auto* scq = dev_evil.create_cq(16);
+    auto* rcq = dev_evil.create_cq(16);
+    auto evil_qp = dev_evil.create_qp(pd_evil, *scq, *rcq);
+    auto* bq = dev_b.create_cq(16);
+    auto* bq2 = dev_b.create_cq(16);
+    auto victim_side = dev_b.create_qp(ctx_b.pd(), *bq, *bq2);
+    evil_qp->connect(dev_b, victim_side->qp_num());
+    victim_side->connect(dev_evil, evil_qp->qp_num());
+    attacker_qps.insert(attacker_qps.end(), {evil_qp, victim_side});
+    auto* mr = pd_evil.register_memory(forged, 0);
+    sim.spawn([](std::shared_ptr<verbs::QueuePair> qp, verbs::MemoryRegion* mr,
+                 std::uint64_t ring, std::uint32_t rkey) -> Task<> {
+      verbs::SendWr wr;
+      wr.opcode = verbs::Opcode::kRdmaWrite;
+      wr.sg_list = verbs::Sge{mr->addr(),
+                              static_cast<std::uint32_t>(mr->length()),
+                              mr->lkey()};
+      wr.remote_addr = ring;  // slot 0
+      wr.rkey = rkey;         // the stolen STag
+      (void)co_await qp->post_send_one(wr);
+    }(evil_qp, mr, victim.ring_addr(), victim.ring_rkey()));
+  }
 };
 
 TEST_F(OneSidedTest, MessageRoundTrip) {
@@ -199,19 +230,6 @@ TEST_F(OneSidedTest, StolenRkeyCorruptsTheRing) {
   // level.
   auto [a, b] = OneSidedChannel::create_pair(ctx_a, ctx_b);
 
-  // The attacker wires a QP to b and writes into b's exposed ring.
-  verbs::ProtectionDomain pd_evil;
-  auto* scq = dev_evil.create_cq(16);
-  auto* rcq = dev_evil.create_cq(16);
-  auto evil_qp = dev_evil.create_qp(pd_evil, *scq, *rcq);
-  // (Any QP wired at the device level reaches b's memory in our model —
-  // the rkey is the only protection, as on real RoCE.)
-  auto* bq = dev_b.create_cq(16);
-  auto* bq2 = dev_b.create_cq(16);
-  auto victim_side = dev_b.create_qp(ctx_b.pd(), *bq, *bq2);
-  evil_qp->connect(dev_b, victim_side->qp_num());
-  victim_side->connect(dev_evil, evil_qp->qp_num());
-
   Bytes payload = patterned_bytes(64, 999);  // attacker's forged payload
   Bytes evil_src(16 + 64);
   std::memcpy(evil_src.data() + 16, payload.data(), 64);
@@ -219,19 +237,10 @@ TEST_F(OneSidedTest, StolenRkeyCorruptsTheRing) {
   std::memcpy(evil_src.data(), &len, 4);
   const std::uint64_t seq = 1;
   std::memcpy(evil_src.data() + 8, &seq, 8);
-  auto* evil_mr = pd_evil.register_memory(evil_src, 0);
+  forge_slot0(*b, evil_src);
 
   std::size_t got = 0;
   Bytes rx(1024);
-  sim.spawn([](std::shared_ptr<verbs::QueuePair> qp,
-               verbs::MemoryRegion* mr, OneSidedChannel& victim) -> Task<> {
-    verbs::SendWr wr;
-    wr.opcode = verbs::Opcode::kRdmaWrite;
-    wr.sg_list = verbs::Sge{mr->addr(), 16 + 64, mr->lkey()};
-    wr.remote_addr = victim.ring_addr();  // slot 0
-    wr.rkey = victim.ring_rkey();         // the stolen STag
-    (void)co_await qp->post_send_one(wr);
-  }(evil_qp, evil_mr, *b));
   sim.spawn([](OneSidedChannel& b, Bytes& rx, std::size_t& got) -> Task<> {
     got = co_await b.read_await(rx);
   }(*b, rx, got));
@@ -246,6 +255,35 @@ TEST_F(OneSidedTest, StolenRkeyCorruptsTheRing) {
   // verify, so the Byzantine write only costs availability, not safety.
   const KeyTable keys(1, 4, to_bytes("group"));
   EXPECT_FALSE(reptor::decode_verified(ByteView(rx).first(64), keys).has_value());
+}
+
+TEST_F(OneSidedTest, ForgedLengthLargerThanTheReadBufferIsNotFatal) {
+  // The slot's length field is remote input too: a forged header claiming
+  // more bytes than the reader's buffer is clamped to the buffer, counted,
+  // and consumed. Throwing instead would take the receiver down (the
+  // simulator terminates on an exception escaping a process).
+  auto [a, b] = OneSidedChannel::create_pair(ctx_a, ctx_b);
+  Bytes header(16);
+  const std::uint32_t len = 2000;
+  std::memcpy(header.data(), &len, 4);
+  const std::uint64_t seq = 1;
+  std::memcpy(header.data() + 8, &seq, 8);
+  forge_slot0(*b, header);
+
+  counters::reset();
+  std::size_t got = 0;
+  Bytes rx(1024);
+  sim.spawn([](OneSidedChannel& b, Bytes& rx, std::size_t& got) -> Task<> {
+    got = co_await b.read_await(rx);
+  }(*b, rx, got));
+  sim.run();
+
+  EXPECT_EQ(got, 1024u);
+  EXPECT_EQ(counters::value("onesided.oversized_slot"), 1u);
+  EXPECT_EQ(b->stats().messages_received, 1u);
+  // The garbage fails authentication, as any forged slot does.
+  const KeyTable keys(1, 4, to_bytes("group"));
+  EXPECT_FALSE(reptor::decode_verified(ByteView(rx), keys).has_value());
 }
 
 TEST_F(OneSidedTest, WrongRkeyIsRejectedByTheNic) {
@@ -382,32 +420,13 @@ TEST_F(OneSidedTest, ReplayedSlotIsNotDeliveredTwice) {
 
   // Replay: write the identical frame (seq = 1) back into slot 0 of b's
   // ring, exactly as the original RDMA WRITE placed it.
-  verbs::ProtectionDomain pd_evil;
-  auto* scq = dev_evil.create_cq(16);
-  auto* rcq = dev_evil.create_cq(16);
-  auto evil_qp = dev_evil.create_qp(pd_evil, *scq, *rcq);
-  auto* bq = dev_b.create_cq(16);
-  auto* bq2 = dev_b.create_cq(16);
-  auto victim_side = dev_b.create_qp(ctx_b.pd(), *bq, *bq2);
-  evil_qp->connect(dev_b, victim_side->qp_num());
-  victim_side->connect(dev_evil, evil_qp->qp_num());
-
   Bytes replay(16 + 64);
   const std::uint32_t len = 64;
   std::memcpy(replay.data(), &len, 4);
   const std::uint64_t seq = 1;  // already consumed
   std::memcpy(replay.data() + 8, &seq, 8);
   std::memcpy(replay.data() + 16, msg.data(), 64);
-  auto* evil_mr = pd_evil.register_memory(replay, 0);
-  sim.spawn([](std::shared_ptr<verbs::QueuePair> qp, verbs::MemoryRegion* mr,
-               OneSidedChannel& victim) -> Task<> {
-    verbs::SendWr wr;
-    wr.opcode = verbs::Opcode::kRdmaWrite;
-    wr.sg_list = verbs::Sge{mr->addr(), 16 + 64, mr->lkey()};
-    wr.remote_addr = victim.ring_addr();  // slot 0 again
-    wr.rkey = victim.ring_rkey();
-    (void)co_await qp->post_send_one(wr);
-  }(evil_qp, evil_mr, *b));
+  forge_slot0(*b, replay);
   sim.run();
 
   // The receiver polls and sees nothing: seq 1 < expected 2.
@@ -796,22 +815,6 @@ TEST_F(DecisionLogTest, DeposedPrimaryWriteNaksOnRevokedRkey) {
   EXPECT_EQ(counters::value("transport.onesided.bypass.no_grant"), 2u);
   EXPECT_EQ(logs[0]->stats().cell_post_failures, 1u);
   EXPECT_EQ(counters::value("decision_log.cell_post_failed"), 1u);
-}
-
-TEST_F(DecisionLogTest, SelectorDeclineBypassesForPick) {
-  // A policy that never picks kWrite leaves every peer to the message
-  // path, and says why.
-  DecisionLogConfig cfg;
-  cfg.policy = {TransportPolicy::Mode::kFixed, TransportKind::kSendRecv};
-  auto logs = DecisionLog::create_group(ctxs, cfg);
-  counters::reset();
-  std::uint32_t w = 99;
-  sim.spawn([](DecisionLog& l, SharedBytes rec, std::uint32_t& w) -> Task<> {
-    w = co_await l.publish(1, 0, 0, std::move(rec));
-  }(*logs[0], signed_record(0, 0, 1), w));
-  sim.run();
-  EXPECT_EQ(w, 0u);
-  EXPECT_EQ(counters::value("transport.onesided.bypass.pick"), 3u);
 }
 
 TEST_F(DecisionLogTest, CreditSurvivesAnOvertakenFollower) {
