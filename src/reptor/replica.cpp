@@ -171,8 +171,21 @@ sim::Task<void> Replica::run() {
 
 sim::Task<void> Replica::decision_poll_loop() {
   nio::DecisionLog& dlog = *cfg_.decision_log;
-  while (running_) {
-    if (!crashed() && !in_view_change_) {
+  const sim::IdleSteps probe_then_wait(dlog.probe_cost(),
+                                       dlog.config().poll_interval);
+  const sim::IdleSteps wait(dlog.config().poll_interval);
+  // Two phases per iteration: 0 is the top of the loop, 1 is after the
+  // probe charge of a follower that polls its ring. An iteration that
+  // finds nothing parks in idle_wait, and the simulator steps the same
+  // phases without resuming it until fast_poll_idle() says otherwise.
+  std::uint32_t phase = 0;
+  while (phase == 1 || running_) {
+    bool probing = phase == 1;
+    if (probing) {
+      // The simulator paid this iteration's probe: read what it found.
+      co_await fast_poll_once();
+      co_await fast_commit_scan();
+    } else if (!crashed() && !in_view_change_) {
       if (fast_ok_ && !is_primary()) {
         if (fast_expect_ <= last_executed_) {
           // The message path overtook the poller; skip what it decided,
@@ -181,15 +194,45 @@ sim::Task<void> Replica::decision_poll_loop() {
           fast_expect_ = last_executed_ + 1;
           co_await dlog.consumed(last_executed_);
         }
-        if (in_window(fast_expect_)) co_await fast_poll_once();
+        if (in_window(fast_expect_)) {
+          probing = true;
+          probe_seq_ = fast_expect_;
+          probe_view_ = view_;
+          co_await sim_->sleep(dlog.probe_cost());
+          co_await fast_poll_once();
+        }
       }
       co_await fast_commit_scan();
     }
-    co_await sim_->sleep(dlog.config().poll_interval);
+    // What the next probe reads, unless phase 0 finds either changed.
+    probe_seq_ = fast_expect_;
+    probe_view_ = view_;
+    phase = co_await sim_->idle_wait(
+        probing ? probe_then_wait : wait,
+        [this, probing](std::uint32_t p) { return fast_poll_idle(probing, p); });
   }
   poller_exited_ = true;
   poller_exited_evt_.set();
   co_return;
+}
+
+bool Replica::fast_poll_idle(bool probing, std::uint32_t phase) const {
+  if (phase == 1) {
+    // After the probe: read_slot would find nothing, and the scan would
+    // commit nothing.
+    return cfg_.decision_log->slot_empty(probe_seq_) && !fast_commit_due();
+  }
+  // The top of the loop: idle only if the iteration would take the
+  // branch it parked in, and find nothing there.
+  if (!running_) return false;
+  if (crashed() || in_view_change_) return !probing;
+  const bool follower = fast_ok_ && !is_primary();
+  if (follower && fast_expect_ <= last_executed_) return false;
+  const bool probe = follower && in_window(fast_expect_);
+  if (probing) {
+    return probe && fast_expect_ == probe_seq_ && view_ == probe_view_;
+  }
+  return !probe && !fast_commit_due();
 }
 
 void Replica::suspend_fast_path() {
@@ -201,7 +244,7 @@ void Replica::suspend_fast_path() {
 sim::Task<void> Replica::fast_poll_once() {
   nio::DecisionLog& dlog = *cfg_.decision_log;
   nio::DecisionRecord rec;
-  const auto status = co_await dlog.poll_slot(fast_expect_, view_, rec);
+  const auto status = co_await dlog.read_slot(probe_seq_, probe_view_, rec);
   switch (status) {
     case nio::SlotStatus::kEmpty:
     case nio::SlotStatus::kStale:
@@ -275,6 +318,22 @@ sim::Task<void> Replica::fast_commit_scan() {
     if (log_.contains(seq)) co_await maybe_fast_commit(seq);
   }
   co_return;
+}
+
+bool Replica::fast_commit_due() const {
+  // What fast_commit_scan would act on: maybe_fast_commit returns without
+  // a trace for any candidate short of its quorum.
+  if (log_.empty() || log_.rbegin()->first <= last_executed_) return false;
+  for (auto it = log_.upper_bound(last_executed_); it != log_.end(); ++it) {
+    const LogEntry& e = it->second;
+    if (e.fast_acked && e.fast_pp && !e.committed && !e.executed &&
+        1 + cfg_.decision_log->acks_for(it->first,
+                                        digest_tag(e.fast_pp->digest)) >=
+            2 * cfg_.f + 1) {
+      return true;
+    }
+  }
+  return false;
 }
 
 sim::Task<void> Replica::maybe_fast_commit(std::uint64_t seq) {

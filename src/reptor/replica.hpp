@@ -212,6 +212,12 @@ class Replica {
   sim::Task<void> fast_poll_once();
   sim::Task<void> fast_commit_scan();
   sim::Task<void> maybe_fast_commit(std::uint64_t seq);
+  /// The poller's idle test (sim::Simulator::idle_wait): true when the
+  /// iteration at `phase` of the probing or the waiting step pattern would
+  /// only sleep. Pure.
+  bool fast_poll_idle(bool probing, std::uint32_t phase) const;
+  /// True when fast_commit_scan would commit a sequence now.
+  bool fast_commit_due() const;
   void suspend_fast_path();
 
   // Protocol actions.
@@ -252,6 +258,10 @@ class Replica {
   /// Next ring slot the poller will probe (followers; resynced forward
   /// whenever the message path overtakes it).
   std::uint64_t fast_expect_ = 1;
+  /// The (seq, view) the poller's probe reads, fixed at the probe's
+  /// phase 0: a parked poller that wakes after its probe reads these.
+  std::uint64_t probe_seq_ = 0;
+  std::uint64_t probe_view_ = 0;
   /// Cleared when a slot fails validation: the fast path stays suspended
   /// — pure message path — until the next view change re-arms it.
   bool fast_ok_ = true;

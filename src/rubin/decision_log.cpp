@@ -217,20 +217,29 @@ sim::Task<std::uint32_t> DecisionLog::publish(std::uint64_t seq,
 sim::Task<SlotStatus> DecisionLog::poll_slot(std::uint64_t seq,
                                              std::uint64_t view,
                                              DecisionRecord& out) {
-  // A probe costs one cache-line read's worth of CPU, like the mailbox
-  // poll of OneSidedChannel::read.
-  co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
+  co_await ctx_->simulator().sleep(probe_cost());
+  co_return co_await read_slot(seq, view, out);
+}
 
+bool DecisionLog::slot_empty(std::uint64_t seq) const noexcept {
+  // An empty cell, or the wrapped leftover of an earlier lap of the ring
+  // (seq - k * slot_count) — both benign.
+  const std::uint64_t h_seq = read_u64(ring_.data() + slot_offset(seq));
+  if (h_seq == seq) return false;
+  return h_seq == 0 || (h_seq < seq && (seq - h_seq) % cfg_.slot_count == 0);
+}
+
+sim::Task<SlotStatus> DecisionLog::read_slot(std::uint64_t seq,
+                                             std::uint64_t view,
+                                             DecisionRecord& out) {
+  if (slot_empty(seq)) co_return SlotStatus::kEmpty;
   const std::uint8_t* slot = ring_.data() + slot_offset(seq);
   const std::uint64_t h_seq = read_u64(slot);
   const std::uint64_t h_view = read_u64(slot + 8);
 
   if (h_seq != seq) {
-    // An empty cell, or the wrapped leftover of an earlier lap of the
-    // ring (seq - k * slot_count) — both benign. Anything else was never
-    // written by an honest primary for this slot: suspend-worthy.
-    const bool leftover = h_seq < seq && (seq - h_seq) % cfg_.slot_count == 0;
-    if (h_seq == 0 || leftover) co_return SlotStatus::kEmpty;
+    // Neither empty nor a leftover: never written by an honest primary
+    // for this slot, so suspend-worthy.
     RUBIN_COUNT("decision_log.stale", 1);
     ++stats_.stale_slots;
     co_return SlotStatus::kBadFrame;

@@ -155,11 +155,22 @@ class DecisionLog {
                                    sim::Time proposed_at, SharedBytes record);
 
   // ------------------------------------------------------ replica side --
-  /// Polls the local ring slot for `seq` as of `view`. kReady extracts
-  /// the record (one receive-side copy, charged); every other status is
-  /// cheap. See SlotStatus for the fallback contract per value.
+  /// Polls the local ring slot for `seq` as of `view`: one probe charge,
+  /// then read_slot.
   sim::Task<SlotStatus> poll_slot(std::uint64_t seq, std::uint64_t view,
                                   DecisionRecord& out);
+  /// CPU charge of one probe: a cache-line read, like the mailbox poll of
+  /// OneSidedChannel::read.
+  sim::Time probe_cost() const noexcept { return ctx_->cost().post_call_cpu; }
+  /// Reads the local ring slot for `seq` as of `view` at the current
+  /// instant; what a probe finds once its charge is paid. kReady extracts
+  /// the record (one receive-side copy, charged); every other status
+  /// costs no time. See SlotStatus for the fallback contract per value.
+  sim::Task<SlotStatus> read_slot(std::uint64_t seq, std::uint64_t view,
+                                  DecisionRecord& out);
+  /// True when read_slot(seq, ·) would return kEmpty: nothing for `seq`
+  /// has landed. Pure, so a parked poller's idle test can call it.
+  bool slot_empty(std::uint64_t seq) const noexcept;
 
   /// Endorses (seq, tag): writes the 16-byte ack cell into every peer's
   /// ack table (small inline RDMA WRITEs — no staging, and a completion

@@ -121,10 +121,15 @@ sim::Task<std::size_t> OneSidedChannel::write(ByteView msg) {
   co_return msg.size();
 }
 
+bool OneSidedChannel::landed() const noexcept {
+  const std::size_t idx = recv_seq_ % cfg_.slot_count;
+  return read_u64(ring_.data() + idx * slot_stride() + 8) == recv_seq_ + 1;
+}
+
 sim::Task<std::size_t> OneSidedChannel::read(MutByteView out) {
   const std::size_t idx = recv_seq_ % cfg_.slot_count;
   const std::uint8_t* slot = ring_.data() + idx * slot_stride();
-  if (read_u64(slot + 8) != recv_seq_ + 1) {
+  if (!landed()) {
     // Nothing new; polling still costs a cache probe's worth of CPU.
     co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
     co_return 0;
@@ -189,7 +194,11 @@ sim::Task<std::size_t> OneSidedChannel::read_await(MutByteView out) {
   for (;;) {
     const std::size_t n = co_await read(out);
     if (n > 0) co_return n;
-    co_await ctx_->simulator().sleep(cfg_.poll_interval);
+    // Phase 0 reads again (idle while nothing landed); phase 1 follows
+    // the empty read's probe charge and only waits.
+    (void)co_await ctx_->simulator().idle_wait(
+        sim::IdleSteps(ctx_->cost().post_call_cpu, cfg_.poll_interval),
+        [this](std::uint32_t phase) { return phase == 1 || !landed(); });
   }
 }
 

@@ -68,7 +68,8 @@ class OneSidedChannel {
   sim::Task<std::size_t> read(MutByteView out);
 
   /// Polling receive (there are *no* events to wait on — the defining
-  /// limitation of this design).
+  /// limitation of this design): read, then poll_interval, until a
+  /// message arrives. Empty polls park in sim::Simulator::idle_wait.
   sim::Task<std::size_t> read_await(MutByteView out);
 
   const OneSidedStats& stats() const noexcept { return stats_; }
@@ -97,6 +98,8 @@ class OneSidedChannel {
   std::size_t slot_stride() const noexcept {
     return 16 + cfg_.slot_payload;  // u32 len | u32 pad | u64 seq | payload
   }
+  /// True when the next message's slot has landed. Pure.
+  bool landed() const noexcept;
   sim::Task<void> return_credits();
   /// Flow-control preamble of write(): polls completions, reads the
   /// (remotely writable) credit cell, and reports whether a ring slot is

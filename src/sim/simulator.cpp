@@ -43,7 +43,9 @@ void Simulator::terminate_processes() {
   // Remaining drivers are suspended mid-chain; destroying them unwinds
   // each process's frames (and their locals) without resuming anything.
   // Pending start events in the queues look their root up by (slot, id)
-  // and become no-ops.
+  // and become no-ops. Parked pollers point into those frames: drop them
+  // first.
+  parked_.clear();
   roots_.clear();
   free_root_slots_.clear();
   live_roots_ = 0;
@@ -124,26 +126,59 @@ bool Simulator::dispatch(Time t, std::uintptr_t payload) {
 }
 
 bool Simulator::step() {
-  if (!finished_roots_.empty()) reap_finished_roots();
   for (;;) {
-    Time t = 0;
+    const Fired f = advance(kNever);
+    if (f != Fired::kSkip) return f == Fired::kEvent;
+  }
+}
+
+void Simulator::run() {
+  while (advance(kNever) != Fired::kNothing) {
+  }
+}
+
+void Simulator::run_until(Time deadline) {
+  while (advance(deadline) != Fired::kNothing) {
+  }
+  if (now_ < deadline) now_ = deadline;
+}
+
+Simulator::Fired Simulator::advance(Time deadline) {
+  if (!finished_roots_.empty()) reap_finished_roots();
+  // Set once a cancelled entry was popped: like the sleep loop, whatever
+  // comes next then fires even past the deadline.
+  bool forced = false;
+  for (;;) {
+    if (!parked_.empty()) {
+      // Parked pollers due before the next queue entry fire first.
+      const std::size_t i = earliest_parked();
+      Time qt = kNever;
+      std::uint64_t qseq = 0;
+      const bool queued = next_entry(qt, qseq);
+      if (!queued || parked_[i].fires_before(qt, qseq)) {
+        if (parked_[i].t > deadline) {
+          return forced ? fire_parked(i) : Fired::kNothing;
+        }
+        return run_parked(qt, qseq, deadline) ? Fired::kEvent : Fired::kSkip;
+      }
+    }
+    Time t = now_;
     std::uintptr_t payload = 0;
     if (!now_queue_.empty()) {
+      if (now_ > deadline && !forced) return Fired::kNothing;
       // Ring entries all sit at now_; the heap can still hold an earlier
       // (t == now_, smaller seq) entry scheduled before time advanced
       // here, which must fire first to keep global (t, seq) order.
       const NowEntry& n = now_queue_.front();
       if (!pending_empty() && pending_front().t == now_ &&
           pending_front().seq < n.seq) {
-        const HeapEntry e = pending_pop();
-        t = e.t;
-        payload = e.payload;
+        payload = pending_pop().payload;
       } else {
-        t = now_;
         payload = n.payload;
         (void)now_queue_.pop();
       }
     } else if (!pending_empty()) {
+      if (pending_front().t > deadline && !forced) return Fired::kNothing;
       const HeapEntry e = pending_pop();
       // Virtual time is monotonic: the heap orders by (t, seq) and
       // schedule_at clamps to now, so a popped entry in the past means
@@ -153,32 +188,104 @@ bool Simulator::step() {
       t = e.t;
       payload = e.payload;
     } else {
-      return false;
+      return Fired::kNothing;
     }
-    if (dispatch(t, payload)) return true;
-    // Cancelled entry: skipped without counting; keep looking.
+    if (dispatch(t, payload)) return Fired::kEvent;
+    forced = true;  // cancelled entry: skipped without counting
   }
 }
 
-void Simulator::run() {
-  while (step()) {
+bool Simulator::next_entry(Time& t, std::uint64_t& seq) const noexcept {
+  if (!now_queue_.empty()) {
+    t = now_;
+    seq = now_queue_.front().seq;
+    if (!pending_empty() && pending_front().t == now_ &&
+        pending_front().seq < seq) {
+      seq = pending_front().seq;
+    }
+    return true;
   }
+  if (pending_empty()) return false;
+  t = pending_front().t;
+  seq = pending_front().seq;
+  return true;
 }
 
-void Simulator::run_until(Time deadline) {
+void Simulator::park(Parked p) {
+  RUBIN_COUNT("sim.schedule.resume", 1);  // it stands in for one sleep
+  p.t = now_ + p.steps.after(p.steps.count() - 1);
+  p.seq = next_seq_++;
+  p.phase = 0;
+  parked_.push_back(p);
+}
+
+std::size_t Simulator::earliest_parked() const noexcept {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < parked_.size(); ++i) {
+    if (parked_[i].fires_before(parked_[best].t, parked_[best].seq)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+void Simulator::skip_instant(Parked& p) {
+  // The sleep this phase would have taken: the seq it would have had,
+  // and the instant it would have woken at.
+  p.t += p.steps.after(p.phase);
+  p.seq = next_seq_++;
+  p.phase = p.phase + 1 == p.steps.count() ? 0 : p.phase + 1;
+}
+
+void Simulator::wake(std::size_t i) {
+  Parked& p = parked_[i];
+  *p.wake_phase = p.phase;
+  const std::coroutine_handle<> h = p.h;
+  parked_[i] = parked_.back();
+  parked_.pop_back();
+  ++events_processed_;
+  h.resume();
+}
+
+Simulator::Fired Simulator::fire_parked(std::size_t i) {
+  Parked& p = parked_[i];
+  now_ = p.t;
+  if (!p.idle(p.ctx, p.phase)) {
+    wake(i);
+    return Fired::kEvent;
+  }
+  RUBIN_COUNT("sim.idle.skipped", 1);
+  skip_instant(p);
+  return Fired::kSkip;
+}
+
+bool Simulator::run_parked(Time qt, std::uint64_t qseq, Time deadline) {
+  // Nothing runs before the next queue entry (qt, qseq), so the state the
+  // idle tests read cannot change inside this stretch: each poller's test
+  // is evaluated once per phase, then trusted.
+  for (Parked& p : parked_) p.known_idle = 0;
+  std::uint64_t skipped = 0;
   for (;;) {
-    Time next = 0;
-    if (!now_queue_.empty()) {
-      next = now_;  // ring entries fire at the current instant
-    } else if (!pending_empty()) {
-      next = pending_front().t;
-    } else {
-      break;
+    const std::size_t i = earliest_parked();
+    Parked& p = parked_[i];
+    if (!p.fires_before(qt, qseq) || p.t > deadline) break;
+    RUBIN_AUDIT_ASSERT("sim", p.t >= now_,
+                       "parked poller due in the past (time went backwards)");
+    now_ = p.t;
+    const std::uint32_t bit = 1U << p.phase;
+    if ((p.known_idle & bit) == 0) {
+      if (!p.idle(p.ctx, p.phase)) {
+        RUBIN_COUNT("sim.idle.skipped", skipped);
+        wake(i);
+        return true;
+      }
+      p.known_idle |= bit;
     }
-    if (next > deadline) break;
-    step();
+    ++skipped;
+    skip_instant(p);
   }
-  if (now_ < deadline) now_ = deadline;
+  RUBIN_COUNT("sim.idle.skipped", skipped);
+  return false;
 }
 
 void Simulator::root_finished(std::uint32_t slot, std::uint64_t id) noexcept {
@@ -237,6 +344,11 @@ bool Simulator::validate_heap() const {
         sorted_run_[i + 1].fires_before(e)) {
       return false;
     }
+  }
+  for (const Parked& p : parked_) {
+    if (p.t < now_ || p.seq >= next_seq_) return false;
+    if (!seen_seq.insert(p.seq).second) return false;  // duplicate seq
+    if (p.phase >= p.steps.count()) return false;
   }
   std::uint64_t prev_seq = 0;
   bool first = true;

@@ -12,11 +12,15 @@
 // erasure and no allocation — or an index into a generation-checked slot
 // pool holding a type-erased UniqueFunction (itself allocation-free for
 // small captures via SBO). Events scheduled *at the current instant* go
-// through a FIFO ring that bypasses the binary heap entirely.
+// through a FIFO ring that bypasses the binary heap entirely. Memory
+// pollers whose iterations find nothing park beside the queue
+// (idle_wait) and cost no event until their idle test fails.
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -34,6 +38,25 @@ namespace rubin::sim {
 /// The generation check makes cancel O(1) and makes cancelling an
 /// already-fired timer a guaranteed no-op even after its slot is reused.
 using TimerId = std::uint64_t;
+
+/// The sleeps of one memory-polling iteration, in order: `{interval}` for
+/// a loop that only waits, `{probe, interval}` for one that pays a probe
+/// charge and then waits. Phase i is the point reached after the sleep
+/// before it; phase 0 is the top of the loop.
+class IdleSteps {
+ public:
+  explicit IdleSteps(Time interval) : step_{clamp(interval), 0}, count_(1) {}
+  IdleSteps(Time probe, Time interval)
+      : step_{clamp(probe), clamp(interval)}, count_(2) {}
+  std::uint32_t count() const noexcept { return count_; }
+  /// The sleep taken from `phase` into the next phase.
+  Time after(std::uint32_t phase) const noexcept { return step_[phase]; }
+
+ private:
+  static Time clamp(Time d) noexcept { return d > 0 ? d : 0; }
+  std::array<Time, 2> step_;
+  std::uint32_t count_;
+};
 
 class Simulator {
  public:
@@ -139,6 +162,42 @@ class Simulator {
     return Awaiter{this, delay};
   }
 
+  /// Awaitable for a memory-polling loop (DESIGN.md §5 "Parked
+  /// pollers"). Stands where the iteration's last sleep,
+  /// `steps.after(count - 1)`, would stand, and returns the phase at which
+  /// the loop must continue. Until then the poller is parked beside the
+  /// queue: at each instant its sleep loop would have woken, the
+  /// simulator calls `idle(phase)`; while that returns true it takes the
+  /// seq the next sleep would have taken and moves on by the next step,
+  /// without an event. The first phase whose test fails resumes the
+  /// coroutine at that instant, with that seq, as one event.
+  ///
+  /// `idle(phase)` must be pure: it reads what that iteration would read
+  /// and answers "it would only sleep" — no counters, no writes, no
+  /// co_await, no now(). Nothing changes between two events, so the
+  /// simulator may reuse an answer until the next event. Phase 0 must
+  /// also answer false whenever the loop would take a different branch
+  /// or stop.
+  template <typename Idle>
+    requires std::is_invocable_r_v<bool, const Idle&, std::uint32_t>
+  auto idle_wait(IdleSteps steps, Idle idle) {
+    struct Awaiter {
+      Simulator* sim;
+      IdleSteps steps;
+      Idle idle;
+      std::uint32_t phase = 0;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        sim->park(Parked{0, 0, h, &phase, &Awaiter::test, &idle, steps, 0, 0});
+      }
+      std::uint32_t await_resume() const noexcept { return phase; }
+      static bool test(const void* f, std::uint32_t p) {
+        return (*static_cast<const Idle*>(f))(p);
+      }
+    };
+    return Awaiter{this, steps, std::move(idle)};
+  }
+
   /// Destroys every still-suspended root process without resuming it
   /// (their frames unwind, running local destructors). The destructor
   /// does this too; call it earlier when the processes reference objects
@@ -157,10 +216,10 @@ class Simulator {
 
   /// Audit: full O(n) validation of the pending-event structures — the
   /// (t, seq) min-heap property, FIFO order of the same-instant ring,
-  /// per-entry sanity (no entry in the past, no duplicate sequence
-  /// numbers, every slot-payload entry pointing at a live slot). Too
-  /// expensive for the per-event hot path; tests and debugging call it
-  /// at checkpoints.
+  /// per-entry sanity (no entry or parked poller in the past, no
+  /// duplicate sequence numbers, every slot-payload entry pointing at a
+  /// live slot). Too expensive for the per-event hot path; tests and
+  /// debugging call it at checkpoints.
   bool validate_heap() const;
 
  private:
@@ -192,6 +251,25 @@ class Simulator {
     std::uint64_t seq;
     std::uintptr_t payload;
   };
+  /// A poller parked by idle_wait: not a queue entry, but ordered against
+  /// the queue by the (t, seq) its sleep loop would have had.
+  struct Parked {
+    Time t;
+    std::uint64_t seq;
+    std::coroutine_handle<> h;
+    std::uint32_t* wake_phase;  // the awaiter's; await_resume returns it
+    bool (*idle)(const void*, std::uint32_t);
+    const void* ctx;
+    IdleSteps steps;
+    std::uint32_t phase;
+    std::uint32_t known_idle;  // phases found idle in this stretch (bits)
+    bool fires_before(Time et, std::uint64_t eseq) const noexcept {
+      return t != et ? t < et : seq < eseq;
+    }
+  };
+  /// What one advance() did.
+  enum class Fired { kNothing, kEvent, kSkip };
+  static constexpr Time kNever = std::numeric_limits<Time>::max();
   /// Type-erased callback storage, reused through a free list. The
   /// generation is half of the TimerId; it is bumped on release so stale
   /// cancels of a reused slot cannot hit the new occupant.
@@ -334,6 +412,22 @@ class Simulator {
   void release_slot(std::uint32_t slot);
   /// Fires one popped entry. Returns false for a cancelled (skipped) one.
   bool dispatch(Time t, std::uintptr_t payload);
+  /// Fires whatever comes next in (t, seq) order if it is due by
+  /// `deadline`: a queue entry (kEvent), or the parked-poller instants due
+  /// before it, which are skipped (kSkip) until one wakes (kEvent).
+  Fired advance(Time deadline);
+  /// The (t, seq) of the next queue entry; false when the queue is empty.
+  bool next_entry(Time& t, std::uint64_t& seq) const noexcept;
+  void park(Parked p);
+  std::size_t earliest_parked() const noexcept;
+  /// Handles the due parked poller `i`: one idle step, or its wake.
+  Fired fire_parked(std::size_t i);
+  /// Handles every parked instant that fires before the queue entry
+  /// (qt, qseq) and at or before `deadline`. True when a poller woke.
+  bool run_parked(Time qt, std::uint64_t qseq, Time deadline);
+  void skip_instant(Parked& p);
+  /// Resumes parked poller `i` at its instant, as one event.
+  void wake(std::size_t i);
 
   std::vector<HeapEntry> heap_;
   /// FIFO of entries pushed in firing order (see pending_push); consumed
@@ -349,6 +443,7 @@ class Simulator {
   std::uint64_t events_processed_ = 0;
   std::size_t live_roots_ = 0;
   std::uint64_t next_root_id_ = 0;
+  std::vector<Parked> parked_;  // unordered; a handful at most
   /// Root frames finished but not yet erased (by slot index): a driver
   /// signals completion from inside its own frame, so the erase is
   /// deferred to the next step() (the frame is parked at final_suspend

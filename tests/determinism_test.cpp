@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,10 +85,12 @@ struct BftOutcome {
   bool operator==(const BftOutcome&) const = default;
 };
 
-BftOutcome run_small_bft(reptor::Backend backend, std::uint32_t pipelines = 1,
-                         bool onesided = false) {
+/// `dlog` switches on the one-sided decision log with that configuration.
+BftOutcome run_small_bft(
+    reptor::Backend backend, std::uint32_t pipelines = 1,
+    std::optional<nio::DecisionLogConfig> dlog = std::nullopt) {
   reptor::BftHarness h(backend, 4, 2);
-  if (onesided) h.enable_decision_log();
+  if (dlog) h.enable_decision_log(*dlog);
   reptor::ReplicaConfig cfg;
   cfg.batch_size = 4;
   cfg.batch_timeout = sim::microseconds(100);
@@ -143,11 +146,29 @@ TEST(Determinism, OneSidedFastPathReplaysBitIdentically) {
   // The decision-ring commit path (DESIGN.md §12) joins the replay
   // contract: ring writes, poll loops, ack cells, and permission flips
   // are all virtual-time citizens, so two fast-path runs must agree to
-  // the bit.
-  const BftOutcome a = run_small_bft(reptor::Backend::kRubin, 1, true);
-  const BftOutcome b = run_small_bft(reptor::Backend::kRubin, 1, true);
-  EXPECT_EQ(a.committed, 20u);
-  EXPECT_TRUE(a == b) << "one-sided replay diverged";
+  // the bit, and match absolute pins (%.17g literals) at three ring poll
+  // intervals from bench_bft_e2e's ablation grid. A change here is a
+  // change to when a follower notices a record.
+  struct Pin {
+    double poll_us;
+    BftOutcome outcome;
+  };
+  const Pin pins[] = {
+      {0.5, {279.64350000000002, 10000, 20}},
+      {0.2, {278.7835, 10000, 20}},
+      {8.0, {294.48349999999999, 10000, 20}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("poll_interval " + std::to_string(pin.poll_us) + " us");
+    nio::DecisionLogConfig dcfg;
+    dcfg.poll_interval = sim::microseconds(pin.poll_us);
+    const BftOutcome a = run_small_bft(reptor::Backend::kRubin, 1, dcfg);
+    const BftOutcome b = run_small_bft(reptor::Backend::kRubin, 1, dcfg);
+    EXPECT_TRUE(a == b) << "one-sided replay diverged";
+    EXPECT_EQ(a.mean_latency_us, pin.outcome.mean_latency_us);
+    EXPECT_EQ(a.requests_per_second, pin.outcome.requests_per_second);
+    EXPECT_EQ(a.committed, pin.outcome.committed);
+  }
 }
 
 TEST(Determinism, FaultScenariosReplayBitIdentically) {

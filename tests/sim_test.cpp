@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/counters.hpp"
@@ -460,6 +461,165 @@ TEST(SimulatorAudit, FramePoolRecyclesCoroutineFrames) {
   EXPECT_GE(counters::value("sim.frame_pool.reuse"), 7u);
 }
 #endif
+
+// ------------------------------------------------------------ idle_wait --
+
+// A memory-polling world: one poller probes then waits on cell 0, one
+// only waits on cell 1, while writers, ties and outside work land around
+// them. `parked` picks idle_wait or the plain sleep loop it replaces; the
+// two must be indistinguishable from inside the world.
+constexpr Time kProbe = 30;
+constexpr Time kInterval = 500;
+constexpr Time kCycle = kProbe + kInterval;
+constexpr Time kWait = 300;
+
+struct PollWorld {
+  Simulator sim;
+  bool running = true;
+  std::uint64_t cell[2] = {0, 0};
+  std::vector<std::pair<Time, std::uint64_t>> trace;  // (time, tag)
+  void note(std::uint64_t tag) { trace.emplace_back(sim.now(), tag); }
+  void write(int c, std::uint64_t tag) {
+    ++cell[c];
+    note(tag);
+  }
+};
+
+Task<> probing_poller(PollWorld& w, bool parked) {
+  std::uint64_t seen = 0;
+  std::uint32_t phase = 0;
+  while (phase == 1 || w.running) {
+    if (phase == 0) co_await w.sim.sleep(kProbe);
+    if (w.cell[0] != seen) {
+      seen = w.cell[0];
+      w.note(1000 + seen);
+    }
+    if (parked) {
+      phase = co_await w.sim.idle_wait(
+          IdleSteps(kProbe, kInterval), [&w, &seen](std::uint32_t p) {
+            return p == 0 ? w.running : w.cell[0] == seen;
+          });
+    } else {
+      co_await w.sim.sleep(kInterval);
+      phase = 0;
+    }
+  }
+  w.note(1);
+}
+
+Task<> waiting_poller(PollWorld& w, bool parked) {
+  std::uint64_t seen = 0;
+  while (w.running) {
+    if (w.cell[1] != seen) {
+      seen = w.cell[1];
+      w.note(2000 + seen);
+    }
+    if (parked) {
+      (void)co_await w.sim.idle_wait(
+          IdleSteps(kWait), [&w, &seen](std::uint32_t) {
+            return w.running && w.cell[1] == seen;
+          });
+    } else {
+      co_await w.sim.sleep(kWait);
+    }
+  }
+  w.note(2);
+}
+
+// Lands writes exactly on the probing poller's post-probe instants. It
+// reaches each one from the instant before the probe, where it ties with
+// the poller, so either may hold the smaller seq.
+Task<> grid_writer(PollWorld& w, std::uint64_t seed) {
+  Rng rng(seed);
+  while (w.running) {
+    const Time k = w.sim.now() / kCycle + 1 + rng.next_below(4);
+    co_await w.sim.sleep(k * kCycle - w.sim.now());
+    co_await w.sim.sleep(kProbe);
+    w.write(0, 50);
+  }
+}
+
+struct PollOutcome {
+  std::vector<std::pair<Time, std::uint64_t>> trace;
+  Time end = 0;
+  std::uint64_t events = 0;
+  std::uint64_t skipped = 0;
+};
+
+PollOutcome run_poll_world(std::uint64_t seed, bool parked) {
+  counters::reset();
+  PollWorld w;
+  Rng rng(seed);
+  // Writes on exact grid instants of both pollers, queued before either
+  // exists (so they hold the smaller seq at their instant).
+  for (int i = 0; i < 20; ++i) {
+    const auto k = static_cast<Time>(rng.next_below(200));
+    w.sim.schedule_at(k * kCycle + (rng.next_below(2) ? kProbe : 0),
+                      [&w] { w.write(0, 10); });
+    w.sim.schedule_at(k * kWait, [&w] { w.write(1, 20); });
+  }
+  w.sim.spawn(probing_poller(w, parked));
+  w.sim.spawn(waiting_poller(w, parked));
+  w.sim.spawn(grid_writer(w, seed + 1));
+  for (int round = 0; round < 60; ++round) {
+    // Some deadlines sit on a cancelled timer, which run_until pops
+    // before firing whatever comes next.
+    const Time d = w.sim.now() + static_cast<Time>(rng.next_below(3 * kCycle));
+    if (rng.next_below(3) == 0) w.sim.cancel(w.sim.schedule_at(d, [] {}));
+    w.sim.run_until(d);
+    EXPECT_TRUE(w.sim.validate_heap()) << "round " << round;
+    // Outside work between two run_until calls: a write on the next
+    // post-probe instant, one on the waiting poller's grid, and a tie at
+    // the current instant.
+    const Time now = w.sim.now();
+    w.sim.schedule_at((now / kCycle + 1) * kCycle + kProbe,
+                      [&w] { w.write(0, 30); });
+    w.sim.schedule_at((now / kWait + 1) * kWait, [&w] { w.write(1, 31); });
+    w.sim.post([&w] { w.note(32); });
+  }
+  w.sim.schedule_after(static_cast<Time>(rng.next_below(kCycle)), [&w] {
+    w.running = false;
+    w.note(40);
+  });
+  w.sim.run();
+  EXPECT_TRUE(w.sim.validate_heap());
+  return {w.trace, w.sim.now(), w.sim.events_processed(),
+          counters::value("sim.idle.skipped")};
+}
+
+TEST(IdleWait, MatchesTheSleepLoop) {
+  // A parked poller must keep every event's (t, seq): same trace, same
+  // end time, and each skipped instant is exactly one event the sleep
+  // loop dispatched.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const PollOutcome sleep_loop = run_poll_world(seed, false);
+    const PollOutcome parked = run_poll_world(seed, true);
+    EXPECT_EQ(sleep_loop.skipped, 0u);
+    EXPECT_GT(parked.skipped, 100u);
+    EXPECT_EQ(parked.trace, sleep_loop.trace);
+    EXPECT_EQ(parked.end, sleep_loop.end);
+    EXPECT_EQ(parked.events + parked.skipped, sleep_loop.events);
+    // The pollers saw writes, and both exited.
+    EXPECT_GT(sleep_loop.trace.size(), 100u);
+  }
+}
+
+TEST(IdleWait, TerminateDropsParkedPollers) {
+  Simulator sim;
+  bool flag = false;
+  sim.spawn([](Simulator& s, bool& f) -> Task<> {
+    (void)co_await s.idle_wait(IdleSteps(10),
+                               [&f](std::uint32_t) { return !f; });
+    f = false;
+  }(sim, flag));
+  sim.run_until(1000);
+  EXPECT_TRUE(sim.validate_heap());
+  sim.terminate_processes();
+  EXPECT_EQ(sim.live_roots(), 0u);
+  flag = true;
+  EXPECT_FALSE(sim.step());  // nothing left: the poller is gone
+}
 
 // -------------------------------------------------- determinism digest --
 

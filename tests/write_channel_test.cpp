@@ -37,6 +37,14 @@ class OneSidedTest : public ::testing::Test {
   verbs::ProtectionDomain pd_evil;
   std::vector<std::shared_ptr<verbs::QueuePair>> attacker_qps;
 
+  /// Runs the spawned processes to completion. read_await polls until a
+  /// message lands, so a write that never lands would spin forever under
+  /// sim.run(); a deadline turns that into a failure.
+  void run_bounded() {
+    sim.run_until(sim.now() + sim::seconds(1));
+    EXPECT_EQ(sim.live_roots(), 0u) << "a process was still polling";
+  }
+
   /// The §III-C attacker: wires a QP from the evil host to b and spawns
   /// one RDMA WRITE of `forged` (slot header + payload) into slot 0 of
   /// `victim`'s ring, through the stolen ring rkey. Any QP wired at the
@@ -79,7 +87,7 @@ TEST_F(OneSidedTest, MessageRoundTrip) {
   sim.spawn([](OneSidedChannel& b, Bytes& rx, std::size_t& got) -> Task<> {
     got = co_await b.read_await(rx);
   }(*b, rx, got));
-  sim.run();
+  run_bounded();
   ASSERT_EQ(got, 4096u);
   EXPECT_TRUE(check_pattern(ByteView(rx).first(got), 7));
   EXPECT_EQ(a->stats().messages_sent, 1u);
@@ -124,7 +132,7 @@ TEST_F(OneSidedTest, ManyMessagesInOrderBothDirections) {
       }
     }
   }(*a, ok));
-  sim.run();
+  run_bounded();
   EXPECT_EQ(ok, 100);
 }
 
@@ -162,7 +170,7 @@ TEST_F(OneSidedTest, CreditsPreventOverwritingUnconsumedSlots) {
       }
     }
   }(*b, verified));
-  sim.run();
+  run_bounded();
   EXPECT_EQ(verified, 4);
 }
 
@@ -206,7 +214,7 @@ TEST_F(OneSidedTest, CreditReturnOnBrokenQpIsCountedNotCredited) {
       }
     }
   }(*a));
-  sim.run();
+  run_bounded();
   counters::reset();
   b->qp().set_error();
   int delivered = 0;
@@ -244,7 +252,7 @@ TEST_F(OneSidedTest, StolenRkeyCorruptsTheRing) {
   sim.spawn([](OneSidedChannel& b, Bytes& rx, std::size_t& got) -> Task<> {
     got = co_await b.read_await(rx);
   }(*b, rx, got));
-  sim.run();
+  run_bounded();
 
   // The victim "received" a message nobody legitimate sent.
   ASSERT_EQ(got, 64u);
@@ -276,7 +284,7 @@ TEST_F(OneSidedTest, ForgedLengthLargerThanTheReadBufferIsNotFatal) {
   sim.spawn([](OneSidedChannel& b, Bytes& rx, std::size_t& got) -> Task<> {
     got = co_await b.read_await(rx);
   }(*b, rx, got));
-  sim.run();
+  run_bounded();
 
   EXPECT_EQ(got, 1024u);
   EXPECT_EQ(counters::value("onesided.oversized_slot"), 1u);
@@ -390,7 +398,7 @@ TEST_F(OneSidedTest, ForgedCreditIsCountedAndNeverUnblocksWrites) {
     Bytes rx(1024);
     for (int i = 0; i < 4; ++i) (void)co_await b.read_await(rx);
   }(*b));
-  sim.run();
+  run_bounded();
   sim.spawn([](OneSidedChannel& a, std::size_t& n) -> Task<> {
     n = co_await a.write(patterned_bytes(64, 78));
   }(*a, n));
@@ -414,7 +422,7 @@ TEST_F(OneSidedTest, ReplayedSlotIsNotDeliveredTwice) {
   sim.spawn([](OneSidedChannel& b, Bytes& rx, std::size_t& got) -> Task<> {
     got = co_await b.read_await(rx);
   }(*b, rx, got));
-  sim.run();
+  run_bounded();
   ASSERT_EQ(got, 64u);
   ASSERT_EQ(b->stats().messages_received, 1u);
 
@@ -447,7 +455,7 @@ TEST_F(OneSidedTest, ReplayedSlotIsNotDeliveredTwice) {
   sim.spawn([](OneSidedChannel& b, Bytes& rx, std::size_t& got) -> Task<> {
     got = co_await b.read_await(rx);
   }(*b, rx, got));
-  sim.run();
+  run_bounded();
   EXPECT_EQ(got, 32u);
   EXPECT_TRUE(check_pattern(ByteView(rx).first(32), 6));
   EXPECT_EQ(b->stats().messages_received, 2u);
