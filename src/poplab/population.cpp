@@ -221,7 +221,7 @@ void Population::build_hosts() {
         }
         (void)c.qp->post_recv_now(std::move(wrs));
       }
-      qpn_to_client_[h][c.qp->qp_num()] = gidx;
+      qpn_to_client_[h].set(c.qp->qp_num(), gidx);
       clients_.push_back(std::move(c));
     }
     next += cspec.clients;
@@ -410,7 +410,7 @@ void Population::expire(std::uint32_t client_idx, std::uint32_t req_id) {
 
 void Population::pump_host(std::size_t h) {
   ClientHost& host = *hosts_[h];
-  auto& qpn_map = qpn_to_client_[h];
+  const verbs::QpnIndex& clients_by_qpn = qpn_to_client_[h];
 
   for (;;) {
     const auto cs = host.scq->poll(64);
@@ -420,8 +420,8 @@ void Population::pump_host(std::size_t h) {
         host.send_pool->release(static_cast<std::uint32_t>(c.wr_id - kSlotBase));
       }
       if (c.status != verbs::WcStatus::kSuccess) {
-        const auto it = qpn_map.find(c.qp_num);
-        if (it != qpn_map.end()) clients_[it->second].open = false;
+        const std::uint32_t client = clients_by_qpn.find(c.qp_num);
+        if (client != verbs::QpnIndex::kNone) clients_[client].open = false;
       }
     }
   }
@@ -437,13 +437,13 @@ void Population::pump_host(std::size_t h) {
         ack_slots.push_back(static_cast<std::uint32_t>(c.wr_id));
       }
       if (c.status != verbs::WcStatus::kSuccess) continue;
-      const auto it = qpn_map.find(c.qp_num);
-      if (it == qpn_map.end()) continue;
+      const std::uint32_t client = clients_by_qpn.find(c.qp_num);
+      if (client == verbs::QpnIndex::kNone) continue;
       if (c.payload.size() >= kHeaderBytes) {
-        on_ack(it->second, get_u32(c.payload.data() + 4));
+        on_ack(client, get_u32(c.payload.data() + 4));
       }
       if (host.srq == nullptr) {
-        Client& cl = clients_[it->second];
+        Client& cl = clients_[client];
         if (cl.open && cl.qp->state() == verbs::QpState::kReadyToSend) {
           const verbs::RecvWr wr =
               ack_wr(*cl.ack_ring, static_cast<std::uint32_t>(c.wr_id));

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -252,7 +251,7 @@ class Population {
   std::vector<Client> clients_;
   std::vector<ClientCohort> cohorts_;
   /// qpn -> global client index, per host device (qpns are per-device).
-  std::vector<std::map<std::uint32_t, std::uint32_t>> qpn_to_client_;
+  std::vector<verbs::QpnIndex> qpn_to_client_;
 
   std::uint32_t established_ = 0;
   sim::Event all_connected_;

@@ -131,7 +131,7 @@ void MuxAcceptor::on_connect_request(const verbs::CmEvent& e) {
     }
     (void)qp->post_recv_now(std::move(wrs));
   }
-  conn_by_qpn_[qp->qp_num()] = index;
+  conn_by_qpn_.set(qp->qp_num(), static_cast<std::uint32_t>(index));
   conn_by_cm_[e.conn_id] = index;
   conns_.push_back(std::move(conn));
   ++live_conns_;
@@ -158,9 +158,9 @@ void MuxAcceptor::pump() {
         send_pool_->release(static_cast<std::uint32_t>(c.wr_id - kSlotBase));
       }
       if (c.status != verbs::WcStatus::kSuccess) {
-        const auto it = conn_by_qpn_.find(c.qp_num);
-        if (it != conn_by_qpn_.end() && conns_[it->second].open) {
-          conns_[it->second].open = false;
+        const std::uint32_t conn = conn_by_qpn_.find(c.qp_num);
+        if (conn != verbs::QpnIndex::kNone && conns_[conn].open) {
+          conns_[conn].open = false;
           --live_conns_;
         }
       }
@@ -178,15 +178,15 @@ void MuxAcceptor::pump() {
         }
         continue;
       }
-      const auto it = conn_by_qpn_.find(c.qp_num);
-      if (it == conn_by_qpn_.end()) continue;
+      const std::uint32_t conn = conn_by_qpn_.find(c.qp_num);
+      if (conn == verbs::QpnIndex::kNone) continue;
       if (cfg_.use_srq) {
         pending_slots_.push_back(static_cast<std::uint32_t>(c.wr_id));
       } else {
-        pending_per_qp_.emplace_back(it->second,
+        pending_per_qp_.emplace_back(conn,
                                      static_cast<std::uint32_t>(c.wr_id));
       }
-      inbox_.push_back(MuxMessage{it->second, c.payload});
+      inbox_.push_back(MuxMessage{conn, c.payload});
       ++messages_received_;
     }
   }

@@ -146,7 +146,7 @@ class MuxAcceptor : public std::enable_shared_from_this<MuxAcceptor> {
 
   /// Connection table: dense index == MuxMessage::conn.
   std::vector<Conn> conns_;
-  std::map<std::uint32_t, std::uint64_t> conn_by_qpn_;
+  verbs::QpnIndex conn_by_qpn_;
   std::map<std::uint64_t, std::uint64_t> conn_by_cm_;
   std::size_t live_conns_ = 0;
 

@@ -52,7 +52,7 @@ const char* to_string(PostResult r) noexcept {
 // -------------------------------------------------------------- Device ---
 
 Device::Device(net::Fabric& fabric, net::HostId host)
-    : fabric_(&fabric), host_(host) {}
+    : fabric_(&fabric), host_(host), qps_(1) {}
 
 CompletionChannel* Device::create_channel() {
   channels_.push_back(std::make_unique<CompletionChannel>(simulator()));
@@ -79,14 +79,13 @@ std::shared_ptr<QueuePair> Device::create_qp(ProtectionDomain& pd,
   const std::uint32_t qpn = next_qpn_++;
   auto qp = std::shared_ptr<QueuePair>(
       new QueuePair(*this, pd, send_cq, recv_cq, qpn, cfg));
-  qps_[qpn] = qp;
+  qps_.push_back(qp);  // qps_.size() == qpn before the push
   if (cfg.srq != nullptr) cfg.srq->attach(qp);
   return qp;
 }
 
 std::shared_ptr<QueuePair> Device::find_qp(std::uint32_t qpn) {
-  const auto it = qps_.find(qpn);
-  return it == qps_.end() ? nullptr : it->second.lock();
+  return qpn < qps_.size() ? qps_[qpn].lock() : nullptr;
 }
 
 sim::Time Device::nic_admit(sim::Time ready, sim::Time work) {
@@ -106,7 +105,7 @@ sim::Task<std::uint32_t> Device::flip_write_permission(ProtectionDomain& pd,
 
 std::size_t Device::inject_qp_errors() {
   std::size_t faulted = 0;
-  for (auto& [qpn, weak] : qps_) {
+  for (const auto& weak : qps_) {
     if (auto qp = weak.lock(); qp && qp->state() != QpState::kError) {
       qp->set_error();
       ++faulted;
@@ -393,7 +392,7 @@ PostResult QueuePair::post_recv_now(std::span<const RecvWr> wrs) {
   if (recv_queue_.size() + wrs.size() > cfg_.max_recv_wr) {
     return PostResult::kQueueFull;
   }
-  for (const RecvWr& wr : wrs) recv_queue_.push_back(wr);
+  for (const RecvWr& wr : wrs) recv_queue_.push(wr);
   drain_inbound();
   return PostResult::kOk;
 }
@@ -405,8 +404,7 @@ void QueuePair::set_error() {
   // shared queue until taken (ibv_srq semantics), so an SRQ-attached QP
   // has an empty recv_queue_ and this loop does nothing.
   while (!recv_queue_.empty()) {
-    const RecvWr wr = recv_queue_.front();
-    recv_queue_.pop_front();
+    const RecvWr wr = recv_queue_.pop();
     complete_recv(Completion{wr.wr_id, Opcode::kRecv,
                              WcStatus::kWorkRequestFlushed, 0, qpn_, {}});
   }
@@ -429,7 +427,7 @@ void QueuePair::set_error() {
 void QueuePair::on_send_arrival(InboundSend in) {
   in.first_arrival = dev_->simulator().now();
   in.retries_left = cfg_.rnr_retries;
-  inbound_.push_back(std::move(in));
+  inbound_.push(std::move(in));
   drain_inbound();
   if (!inbound_.empty() && cfg_.srq != nullptr) {
     // Parked because the shared queue is drained: RNR-style backpressure.
@@ -451,15 +449,8 @@ void QueuePair::drain_inbound() {
   SharedReceiveQueue* srq = cfg_.srq;
   while (!inbound_.empty() && state_ != QpState::kError &&
          (srq != nullptr ? srq->posted() > 0 : !recv_queue_.empty())) {
-    InboundSend in = std::move(inbound_.front());
-    inbound_.pop_front();
-    RecvWr rwr;
-    if (srq != nullptr) {
-      rwr = srq->take();
-    } else {
-      rwr = recv_queue_.front();
-      recv_queue_.pop_front();
-    }
+    InboundSend in = inbound_.pop();
+    const RecvWr rwr = srq != nullptr ? srq->take() : recv_queue_.pop();
     const bool from_srq = srq != nullptr;
 
     const MemoryRegion* mr = pd_->check_local(rwr.sge, /*need_write=*/true);
@@ -579,8 +570,7 @@ void QueuePair::rnr_tick() {
     // to allocate enough receive requests"). The connection breaks. The
     // head is popped first so set_error()'s NAK sweep of the remaining
     // parked senders cannot complete it a second time.
-    const InboundSend failed = std::move(head);
-    inbound_.pop_front();
+    const InboundSend failed = inbound_.pop();
     if (auto sender = failed.sender.lock()) {
       sim.schedule_after(cm.ack_latency, [sender, wr_id = failed.sender_wr_id] {
         sender->complete_send(wr_id, Opcode::kSend,

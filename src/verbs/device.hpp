@@ -26,13 +26,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/ring_buffer.hpp"
 #include "net/fabric.hpp"
 #include "sim/task.hpp"
 #include "verbs/cq.hpp"
@@ -170,8 +170,10 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   std::uint32_t remote_qpn_ = 0;
 
   std::map<std::uint64_t, PendingRead> pending_reads_;
-  std::deque<RecvWr> recv_queue_;
-  std::deque<InboundSend> inbound_;  // head may be waiting for a recv WR
+  // Both queues allocate on their first push only: at population scale most
+  // QPs never park a message, and an SRQ-attached QP never posts a receive.
+  GrowingRing<RecvWr> recv_queue_;
+  GrowingRing<InboundSend> inbound_;  // head may be waiting for a recv WR
   bool rnr_timer_armed_ = false;
 
   std::uint32_t send_queue_used_ = 0;
@@ -207,6 +209,8 @@ class Device {
                                        CompletionQueue& recv_cq,
                                        QpConfig cfg = {});
 
+  /// The live QP numbered `qpn` on this device; nullptr for QPN 0, a
+  /// number never handed out, or a destroyed QP.
   std::shared_ptr<QueuePair> find_qp(std::uint32_t qpn);
 
   /// Serializes work on this host's NIC engine: returns the completion
@@ -249,7 +253,9 @@ class Device {
   net::HostId host_;
   sim::Time nic_free_ = 0;
   std::uint32_t next_qpn_ = 1;
-  std::map<std::uint32_t, std::weak_ptr<QueuePair>> qps_;
+  /// Indexed by QPN. QPNs are handed out densely from 1 (slot 0 stays
+  /// empty), so the per-frame lookup is one load, not a tree search.
+  std::vector<std::weak_ptr<QueuePair>> qps_;
   std::vector<std::unique_ptr<CompletionChannel>> channels_;
   std::vector<std::unique_ptr<CompletionQueue>> cqs_;
   std::vector<std::unique_ptr<SharedReceiveQueue>> srqs_;

@@ -6,9 +6,11 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "common/shared_bytes.hpp"
 
@@ -251,5 +253,27 @@ enum class PostResult : std::uint8_t {
 };
 
 const char* to_string(PostResult r) noexcept;
+
+/// Maps one device's QPNs to the owner's dense indices (connection or
+/// client numbers), the lookup behind every completion a shared CQ
+/// delivers. A Device hands out QPNs densely from 1, so a vector indexed
+/// by QPN answers in one load; QPNs never set — other owners' QPs on the
+/// same device, or numbers past the last one set — read kNone.
+class QpnIndex {
+ public:
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+
+  void set(std::uint32_t qpn, std::uint32_t index) {
+    if (qpn >= slots_.size()) slots_.resize(qpn + 1, kNone);
+    slots_[qpn] = index;
+  }
+  std::uint32_t find(std::uint32_t qpn) const noexcept {
+    return qpn < slots_.size() ? slots_[qpn] : kNone;
+  }
+
+ private:
+  std::vector<std::uint32_t> slots_;
+};
 
 }  // namespace rubin::verbs
