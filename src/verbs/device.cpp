@@ -433,6 +433,7 @@ void QueuePair::on_send_arrival(InboundSend in) {
     // Parked because the shared queue is drained: RNR-style backpressure.
     // A later SRQ refill re-drains us (attach order) ahead of the timer.
     RUBIN_COUNT("verbs.srq.rnr_backpressure", 1);
+    cfg_.srq->park(*this);
   }
   if (!inbound_.empty() && !rnr_timer_armed_) {
     rnr_timer_armed_ = true;

@@ -114,7 +114,7 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
 
  private:
   friend class Device;
-  friend class SharedReceiveQueue;  // redrain after a refill
+  friend class SharedReceiveQueue;  // attach rank, park, redrain
 
   QueuePair(Device& dev, ProtectionDomain& pd, CompletionQueue& send_cq,
             CompletionQueue& recv_cq, std::uint32_t qpn, QpConfig cfg);
@@ -175,6 +175,10 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   GrowingRing<RecvWr> recv_queue_;
   GrowingRing<InboundSend> inbound_;  // head may be waiting for a recv WR
   bool rnr_timer_armed_ = false;
+  /// SRQ consumers only: attach rank, and whether the SRQ lists this QP
+  /// as parked (SharedReceiveQueue::park).
+  std::uint32_t srq_rank_ = 0;
+  bool srq_parked_ = false;
 
   std::uint32_t send_queue_used_ = 0;
   /// Monotone counters for the transport-retry watchdog: completions are

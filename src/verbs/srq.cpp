@@ -1,5 +1,8 @@
 #include "verbs/srq.hpp"
 
+#include <algorithm>
+#include <functional>
+
 #include "common/counters.hpp"
 #include "verbs/device.hpp"
 
@@ -48,23 +51,38 @@ RecvWr SharedReceiveQueue::take() {
   return wr;
 }
 
+std::size_t SharedReceiveQueue::attached_qps() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(attached_.begin(), attached_.end(),
+                    [](const auto& weak) { return !weak.expired(); }));
+}
+
 void SharedReceiveQueue::attach(const std::shared_ptr<QueuePair>& qp) {
+  qp->srq_rank_ = static_cast<std::uint32_t>(attached_.size());
   attached_.push_back(qp);
 }
 
+void SharedReceiveQueue::park(QueuePair& qp) {
+  if (qp.srq_parked_) return;
+  qp.srq_parked_ = true;
+  parked_.push_back(qp.srq_rank_);
+  std::push_heap(parked_.begin(), parked_.end(), std::greater<>());
+}
+
 void SharedReceiveQueue::redrain() {
-  // Attach order, and expired consumers are compacted away in place: the
-  // iteration order — and therefore which QP wins the freshly-posted WRs —
-  // is a pure function of attach/destroy history.
-  std::size_t live = 0;
-  for (auto& weak : attached_) {
-    auto qp = weak.lock();
-    if (!qp) continue;
-    attached_[live++] = std::move(weak);
-    if (queue_.empty()) continue;  // keep compacting, stop draining
-    qp->drain_inbound();
+  // Lowest attach rank first, so which QP wins the freshly-posted WRs is a
+  // pure function of attach order and arrival history. A QP with parked
+  // messages is always listed (on_send_arrival parks it), so walking the
+  // list drains exactly what a scan of every attached QP would.
+  while (!queue_.empty() && !parked_.empty()) {
+    if (auto qp = attached_[parked_.front()].lock()) {
+      qp->drain_inbound();
+      if (!qp->inbound_.empty()) return;  // the WRs ran out first
+      qp->srq_parked_ = false;
+    }
+    std::pop_heap(parked_.begin(), parked_.end(), std::greater<>());
+    parked_.pop_back();
   }
-  attached_.resize(live);
 }
 
 }  // namespace rubin::verbs

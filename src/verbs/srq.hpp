@@ -18,8 +18,10 @@
 //     (IBV_EVENT_SRQ_LIMIT_REACHED semantics — consumers re-arm after
 //     refilling);
 //   * backpressure: with the SRQ drained, inbound SENDs park in arrival
-//     order under the existing RNR machinery; a refill re-drains attached
-//     QPs in attach order, deterministically.
+//     order under the existing RNR machinery, and their QP joins the
+//     SRQ's parked list. A refill re-drains the parked QPs in attach
+//     order (lowest first) while WRs remain, deterministically, without
+//     waiting for the RNR timer; its cost is O(parked), not O(attached).
 #pragma once
 
 #include <cstdint>
@@ -78,7 +80,8 @@ class SharedReceiveQueue {
   /// Bytes of receive buffer described by currently-posted WRs — the
   /// shared receive state the scalability bench amortizes per connection.
   std::uint64_t receive_state_bytes() const noexcept { return posted_bytes_; }
-  std::size_t attached_qps() const noexcept { return attached_.size(); }
+  /// Attached QPs that are still alive.
+  std::size_t attached_qps() const noexcept;
 
  private:
   friend class Device;
@@ -89,10 +92,13 @@ class SharedReceiveQueue {
   /// Consumes the oldest WR (caller checked posted() > 0). Fires the limit
   /// event when the armed watermark is crossed.
   RecvWr take();
-  /// Registers a consumer QP (create_qp with cfg.srq set). Attach order is
-  /// the re-drain order after a refill.
+  /// Registers a consumer QP (create_qp with cfg.srq set) and gives it
+  /// its attach rank: the re-drain order after a refill.
   void attach(const std::shared_ptr<QueuePair>& qp);
-  /// Re-drains attached QPs with parked inbound messages (post paths).
+  /// Lists `qp`, whose inbound message just parked on the drained queue,
+  /// for the next refill. A QP already listed stays listed once.
+  void park(QueuePair& qp);
+  /// Re-drains parked QPs in attach order while WRs remain (post paths).
   void redrain();
 
   Device* dev_;
@@ -102,7 +108,11 @@ class SharedReceiveQueue {
   std::uint64_t taken_ = 0;
   std::uint32_t limit_ = 0;
   std::function<void()> limit_handler_;
+  /// Every QP ever attached, indexed by attach rank.
   std::vector<std::weak_ptr<QueuePair>> attached_;
+  /// Attach ranks of parked QPs, a min-heap. An entry may be stale (its QP
+  /// since drained by the RNR timer, or destroyed); redrain drops those.
+  std::vector<std::uint32_t> parked_;
 };
 
 }  // namespace rubin::verbs

@@ -167,6 +167,61 @@ TEST_F(SrqTest, BurstExhaustionParksThenRefillRedrains) {
   EXPECT_GE(counters::value("verbs.srq.rnr_backpressure"), 2u);
 }
 
+TEST_F(SrqTest, RefillRedrainsParkedQpsInAttachOrderBeforeTheRnrTimer) {
+  // The refills below are the SRQ's second and third posts: a refill must
+  // keep re-draining parked QPs after the first one, and must deliver a
+  // parked message well before any RNR retry could.
+  post_srq(0, 1, 512);
+  sim.spawn([](SrqTest& t) -> Task<> {
+    EXPECT_EQ(co_await t.qp_a->post_send_one(SendWr{
+                  1, Opcode::kSend, t.sge_of(t.mr_a, 0, 128), true}),
+              PostResult::kOk);
+  }(*this));
+  sim.run();
+  ASSERT_EQ(rcq_b->poll(16).size(), 1u);
+  ASSERT_EQ(srq->posted(), 0u);
+
+  // The drained SRQ parks b2's message, then b1's.
+  const sim::Time parked_from = sim.now();
+  sim.spawn([](SrqTest& t) -> Task<> {
+    EXPECT_EQ(co_await t.qp_c->post_send_one(SendWr{
+                  2, Opcode::kSend, t.sge_of(t.mr_c, 0, 128), true}),
+              PostResult::kOk);
+    co_await t.sim.sleep(sim::microseconds(5));
+    EXPECT_EQ(co_await t.qp_a->post_send_one(SendWr{
+                  3, Opcode::kSend, t.sge_of(t.mr_a, 0, 128), true}),
+              PostResult::kOk);
+  }(*this));
+  sim.run_until(parked_from + sim::microseconds(20));
+  EXPECT_EQ(counters::value("verbs.srq.rnr_backpressure"), 2u);
+  EXPECT_TRUE(rcq_b->poll(16).empty());
+
+  // One WR per refill: b1 (attached first) wins the first although b2
+  // parked first; the next refill serves b2.
+  post_srq(1, 1, 512);
+  sim.run_until(sim.now() + sim::microseconds(10));
+  auto rc = rcq_b->poll(16);
+  ASSERT_EQ(rc.size(), 1u);
+  EXPECT_EQ(rc[0].status, WcStatus::kSuccess);
+  EXPECT_EQ(rc[0].wr_id, 1u);
+  EXPECT_EQ(rc[0].qp_num, qp_b1->qp_num());
+
+  post_srq(2, 1, 512);
+  sim.run_until(sim.now() + sim::microseconds(10));
+  rc = rcq_b->poll(16);
+  ASSERT_EQ(rc.size(), 1u);
+  EXPECT_EQ(rc[0].status, WcStatus::kSuccess);
+  EXPECT_EQ(rc[0].wr_id, 2u);
+  EXPECT_EQ(rc[0].qp_num, qp_b2->qp_num());
+
+  // Both deliveries beat the earliest RNR tick (one timeout after the
+  // first park), so neither waited for the timer.
+  EXPECT_LT(sim.now(), parked_from + QpConfig{}.rnr_timeout_ns);
+  sim.run();
+  EXPECT_EQ(qp_b1->state(), QpState::kReadyToSend);
+  EXPECT_EQ(qp_b2->state(), QpState::kReadyToSend);
+}
+
 TEST_F(SrqTest, EmptySrqBeyondRetryBudgetBreaksQp) {
   // Nothing posted, nothing refilled: the full RNR budget expires and the
   // connection breaks exactly like a never-provisioned per-QP ring.
