@@ -299,6 +299,40 @@ TEST_F(PoplabTest, EverySchedulKindDrivesTrafficEndToEnd) {
   }
 }
 
+TEST_F(PoplabTest, AcksReachTheSendingClientOnEveryHost) {
+  // QPNs restart at 1 on every client host, so an ack completing on host
+  // h for QPN q belongs to host h's q-th client and no other. One cohort
+  // per host, light load, generous timeout: every request sent must be
+  // acked to the client, and so the cohort, that sent it.
+  PopulationSpec spec;
+  spec.name = "three-hosts";
+  spec.duration = sim::milliseconds(10);
+  for (const double rps : {20000.0, 10000.0, 5000.0}) {
+    CohortSpec c;
+    c.name = "c" + std::to_string(spec.cohorts.size());
+    c.clients = 8;
+    c.arrival.base_rps = rps;
+    c.payload_lo = c.payload_hi = 64.0;
+    c.timeout = sim::milliseconds(5);
+    spec.cohorts.push_back(c);
+  }
+  PopulationConfig cfg;
+  cfg.clients_per_host = 8;
+  for (const bool use_srq : {true, false}) {
+    SCOPED_TRACE(use_srq ? "srq" : "per-qp");
+    cfg.use_srq = use_srq;
+    const PopulationReport r = run(spec, cfg);
+    EXPECT_EQ(r.established, 24u);
+    ASSERT_EQ(r.cohorts.size(), 3u);
+    for (const CohortReport& c : r.cohorts) {
+      EXPECT_GT(c.sent, 10u) << c.name;
+      EXPECT_EQ(c.completions, c.sent) << c.name;
+      EXPECT_EQ(c.timeouts, 0u) << c.name;
+    }
+    sim.terminate_processes();
+  }
+}
+
 TEST(PoplabPlacement, HostCountAndClientPlacementAgree) {
   PopulationSpec spec;
   spec.name = "p";

@@ -14,6 +14,7 @@
 #include "net/fabric.hpp"
 #include "rubin/buffer_pool.hpp"
 #include "rubin/context.hpp"
+#include "rubin/mux.hpp"
 #include "rubin/selector.hpp"
 #include "sim/simulator.hpp"
 
@@ -792,6 +793,65 @@ TEST(BufferPoolMemory, AcquiredSlotReadsZero) {
   ASSERT_TRUE(slot.has_value());
   EXPECT_TRUE(all_zero(pool.view(*slot, kPoolSlotSize)));
   pool.release(*slot);
+}
+
+// ------------------------------------------------------------------ mux --
+
+TEST_F(RubinTest, MuxRoutesByQpnAroundQpsItDoesNotOwn) {
+  // The server device numbers QPs for everyone: a QP created between two
+  // accepts leaves a QPN the mux never saw between its connections, and
+  // each inbound message must still surface under its own connection.
+  for (const bool use_srq : {true, false}) {
+    SCOPED_TRACE(use_srq ? "srq" : "per-qp");
+    MuxConfig mc;
+    mc.use_srq = use_srq;
+    const std::uint16_t port = use_srq ? 4800 : 4801;
+    auto mux = MuxAcceptor::listen(ctx_b, port, mc);
+    auto* scq = dev_a.create_cq(16);
+    auto* rcq = dev_a.create_cq(16);
+    auto dial = [&] {
+      auto qp = dev_a.create_qp(ctx_a.pd(), *scq, *rcq);
+      cm.connect(qp, 1, port, [](const verbs::CmEvent&) {});
+      sim.run_until(sim.now() + sim::microseconds(100));
+      EXPECT_EQ(qp->state(), verbs::QpState::kReadyToSend);
+      return qp;
+    };
+    auto first = dial();
+    auto* foreign_cq = dev_b.create_cq(4);
+    auto foreign = dev_b.create_qp(ctx_b.pd(), *foreign_cq, *foreign_cq);
+    auto second = dial();
+    ASSERT_EQ(mux->connection_count(), 2u);
+    ASSERT_NE(dev_b.find_qp(foreign->qp_num()), nullptr);
+
+    // Each client sends one byte naming the connection it should land on,
+    // the second client first.
+    Bytes buf(2);
+    buf[0] = 1;
+    buf[1] = 0;
+    auto* mr = ctx_a.pd().register_memory(buf, verbs::kAccessLocalWrite);
+    std::vector<MuxMessage> got;
+    sim.spawn([](MuxAcceptor& m, std::vector<MuxMessage>& got) -> Task<> {
+      for (int i = 0; i < 2; ++i) got.push_back(co_await m.read());
+    }(*mux, got));
+    sim.spawn([](verbs::QueuePair& a, verbs::QueuePair& b,
+                 const verbs::MemoryRegion& mr) -> Task<> {
+      verbs::SendWr wr;
+      wr.sg_list = verbs::Sge{mr.addr(), 1, mr.lkey()};
+      (void)co_await b.post_send_one(wr);
+      wr.sg_list = verbs::Sge{mr.addr() + 1, 1, mr.lkey()};
+      (void)co_await a.post_send_one(wr);
+    }(*first, *second, *mr));
+    sim.run_until(sim.now() + sim::microseconds(200));
+
+    ASSERT_EQ(got.size(), 2u);
+    for (const MuxMessage& m : got) {
+      ASSERT_EQ(m.payload.size(), 1u);
+      EXPECT_EQ(m.conn, m.payload.data()[0]);
+    }
+    EXPECT_EQ(mux->messages_received(), 2u);
+    mux->close();
+    sim.run_until(sim.now() + sim::microseconds(100));
+  }
 }
 
 TEST(BufferPoolMemory, WritingOneSlotCommitsOnlyItsPages) {

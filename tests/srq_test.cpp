@@ -58,6 +58,14 @@ class SrqTest : public ::testing::Test {
     return Sge{mr->addr() + off, len, mr->lkey()};
   }
 
+  /// A signaled 128-byte SEND from the start of `mr`.
+  SendWr send_of(std::uint64_t wr_id, const MemoryRegion* mr) {
+    SendWr wr;
+    wr.wr_id = wr_id;
+    wr.sg_list = sge_of(mr, 0, 128);
+    return wr;
+  }
+
   /// Posts `n` SRQ receives of `len` bytes each, wr_ids base, base+1, …
   void post_srq(std::uint64_t base, std::uint32_t n, std::uint32_t len) {
     std::vector<RecvWr> wrs;
@@ -173,8 +181,7 @@ TEST_F(SrqTest, RefillRedrainsParkedQpsInAttachOrderBeforeTheRnrTimer) {
   // parked message well before any RNR retry could.
   post_srq(0, 1, 512);
   sim.spawn([](SrqTest& t) -> Task<> {
-    EXPECT_EQ(co_await t.qp_a->post_send_one(SendWr{
-                  1, Opcode::kSend, t.sge_of(t.mr_a, 0, 128), true}),
+    EXPECT_EQ(co_await t.qp_a->post_send_one(t.send_of(1, t.mr_a)),
               PostResult::kOk);
   }(*this));
   sim.run();
@@ -184,12 +191,10 @@ TEST_F(SrqTest, RefillRedrainsParkedQpsInAttachOrderBeforeTheRnrTimer) {
   // The drained SRQ parks b2's message, then b1's.
   const sim::Time parked_from = sim.now();
   sim.spawn([](SrqTest& t) -> Task<> {
-    EXPECT_EQ(co_await t.qp_c->post_send_one(SendWr{
-                  2, Opcode::kSend, t.sge_of(t.mr_c, 0, 128), true}),
+    EXPECT_EQ(co_await t.qp_c->post_send_one(t.send_of(2, t.mr_c)),
               PostResult::kOk);
     co_await t.sim.sleep(sim::microseconds(5));
-    EXPECT_EQ(co_await t.qp_a->post_send_one(SendWr{
-                  3, Opcode::kSend, t.sge_of(t.mr_a, 0, 128), true}),
+    EXPECT_EQ(co_await t.qp_a->post_send_one(t.send_of(3, t.mr_a)),
               PostResult::kOk);
   }(*this));
   sim.run_until(parked_from + sim::microseconds(20));

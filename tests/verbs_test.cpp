@@ -437,6 +437,68 @@ TEST_F(VerbsTest, SetErrorFlushesPostedReceives) {
   EXPECT_EQ(rc[1].status, WcStatus::kWorkRequestFlushed);
 }
 
+TEST_F(VerbsTest, FindQpKnowsOnlyLiveQpsItNumbered) {
+  // QPNs are dense from 1 on each device; 0 is never handed out.
+  EXPECT_EQ(qp_b->qp_num(), 1u);
+  EXPECT_EQ(dev_b.find_qp(1), qp_b);
+  EXPECT_EQ(dev_b.find_qp(0), nullptr);
+  EXPECT_EQ(dev_b.find_qp(2), nullptr);
+  EXPECT_EQ(dev_b.find_qp(0xffffffffu), nullptr);
+
+  auto extra = dev_b.create_qp(pd_b, *scq_b, *rcq_b);
+  const std::uint32_t qpn = extra->qp_num();
+  EXPECT_EQ(qpn, 2u);
+  EXPECT_EQ(dev_b.find_qp(qpn), extra);
+  extra.reset();  // destroyed: its number is not reused and finds nothing
+  EXPECT_EQ(dev_b.find_qp(qpn), nullptr);
+  EXPECT_EQ(dev_b.create_qp(pd_b, *scq_b, *rcq_b)->qp_num(), 3u);
+}
+
+TEST_F(VerbsTest, InjectQpErrorsWalksLiveQpsInQpnOrder) {
+  // Four QPs on dev_b share rcq_b, each with one posted receive: the
+  // flushed receives land in the order inject_qp_errors faults the QPs.
+  std::vector<std::shared_ptr<QueuePair>> qps{qp_b};
+  for (int i = 0; i < 3; ++i) {
+    qps.push_back(dev_b.create_qp(pd_b, *scq_b, *rcq_b));
+  }
+  for (std::size_t i = 0; i < qps.size(); ++i) {
+    const RecvWr wr{100 + i, sge_of(mr_b, 64 * i, 64)};
+    ASSERT_EQ(qps[i]->post_recv_now(std::span<const RecvWr>(&wr, 1)),
+              PostResult::kOk);
+  }
+  const std::uint32_t gone = qps[1]->qp_num();
+  qps[1].reset();            // destroyed: skipped
+  qps[3]->set_error();       // already in error: flushed now, not counted
+  ASSERT_EQ(rcq_b->poll(8).size(), 1u);
+
+  EXPECT_EQ(dev_b.inject_qp_errors(), 2u);
+  const auto rc = rcq_b->poll(8);
+  ASSERT_EQ(rc.size(), 2u);
+  EXPECT_EQ(rc[0].qp_num, qp_b->qp_num());
+  EXPECT_EQ(rc[0].wr_id, 100u);
+  EXPECT_EQ(rc[1].qp_num, qps[2]->qp_num());
+  EXPECT_EQ(rc[1].wr_id, 102u);
+  for (const Completion& c : rc) {
+    EXPECT_EQ(c.status, WcStatus::kWorkRequestFlushed);
+    EXPECT_NE(c.qp_num, gone);
+  }
+  EXPECT_EQ(dev_b.inject_qp_errors(), 0u);
+}
+
+TEST(QpnIndexTest, UnsetQpnsReadNone) {
+  QpnIndex index;
+  EXPECT_EQ(index.find(0), QpnIndex::kNone);
+  EXPECT_EQ(index.find(1), QpnIndex::kNone);
+  index.set(1, 0);
+  index.set(3, 1);  // QPN 2 belongs to someone else
+  EXPECT_EQ(index.find(1), 0u);
+  EXPECT_EQ(index.find(2), QpnIndex::kNone);
+  EXPECT_EQ(index.find(3), 1u);
+  EXPECT_EQ(index.find(0), QpnIndex::kNone);
+  EXPECT_EQ(index.find(4), QpnIndex::kNone);
+  EXPECT_EQ(index.find(0xffffffffu), QpnIndex::kNone);
+}
+
 TEST_F(VerbsTest, SendQueueFullRejectsBatch) {
   PostResult r{};
   sim.spawn([](VerbsTest& t, PostResult& r) -> Task<> {
