@@ -449,16 +449,25 @@ TEST(SimulatorAudit, FramePoolRecyclesCoroutineFrames) {
   // pool after the first: the DES hot loop's dominant allocation is the
   // Task frame, and the pool turns steady-state churn into pointer moves.
   // (Compiled out under ASan, where pooling would mask use-after-free.)
-  counters::reset();
+  // The pool is thread-local and outlives this test, so earlier tests in
+  // the same process may have warmed it: the first spawn's blocks may be
+  // fresh or reused, and only the spawns after it are pinned.
   Simulator sim;
-  for (int i = 0; i < 8; ++i) {
+  auto spawn_one = [&sim] {
     sim.spawn([](Simulator& s) -> Task<> {
       co_await s.sleep(1);
     }(sim));
     sim.run();
-  }
-  EXPECT_GE(counters::value("sim.frame_pool.fresh"), 1u);
-  EXPECT_GE(counters::value("sim.frame_pool.reuse"), 7u);
+  };
+  counters::reset();
+  spawn_one();
+  const std::uint64_t per_spawn = counters::value("sim.frame_pool.fresh") +
+                                  counters::value("sim.frame_pool.reuse");
+  ASSERT_GE(per_spawn, 1u);
+  counters::reset();
+  for (int i = 1; i < 8; ++i) spawn_one();
+  EXPECT_EQ(counters::value("sim.frame_pool.fresh"), 0u);
+  EXPECT_EQ(counters::value("sim.frame_pool.reuse"), 7 * per_spawn);
 }
 #endif
 
