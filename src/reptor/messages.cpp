@@ -353,6 +353,54 @@ std::optional<Envelope> decode_unverified(ByteView frame) {
   return decode_impl(frame, nullptr);
 }
 
+Bytes encode_client_table(const ClientTable& table) {
+  Encoder e;
+  e.put_u32(static_cast<std::uint32_t>(table.size()));
+  for (const auto& [id, rec] : table) {
+    e.put_u32(id);
+    e.put_u64(rec.last_id);
+    e.put_u8(rec.last_reply.has_value() ? 1 : 0);
+    if (rec.last_reply) {
+      e.put_u64(rec.last_reply->view);
+      e.put_u32(rec.last_reply->client);
+      e.put_u64(rec.last_reply->request_id);
+      e.put_bytes(rec.last_reply->result);
+    }
+  }
+  return e.take();
+}
+
+std::optional<ClientTable> decode_client_table(ByteView data) {
+  Decoder d(data);
+  const auto count = d.get_u32();
+  if (!count) return std::nullopt;
+  ClientTable parsed;
+  for (std::uint32_t i = 0; i < *count; ++i) {
+    const auto id = d.get_u32();
+    const auto last = d.get_u64();
+    const auto has_reply = d.get_u8();
+    if (!id || !last || !has_reply) return std::nullopt;
+    ClientRecord rec;
+    rec.last_id = *last;
+    if (*has_reply != 0) {
+      Reply r;
+      const auto view = d.get_u64();
+      const auto client = d.get_u32();
+      const auto req_id = d.get_u64();
+      auto result = d.get_bytes();
+      if (!view || !client || !req_id || !result) return std::nullopt;
+      r.view = *view;
+      r.client = *client;
+      r.request_id = *req_id;
+      r.result = std::move(*result);
+      rec.last_reply = std::move(r);
+    }
+    parsed[*id] = std::move(rec);
+  }
+  if (!d.exhausted()) return std::nullopt;
+  return parsed;
+}
+
 const char* type_name(const Message& m) noexcept {
   switch (type_of(m)) {
     case Type::kRequest: return "REQUEST";

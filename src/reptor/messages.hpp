@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <variant>
 #include <vector>
@@ -49,18 +50,24 @@ struct PrePrepare {
   std::uint64_t seq = 0;
   Digest digest{};
   std::vector<Request> batch;
+
+  bool operator==(const PrePrepare&) const = default;
 };
 
 struct Prepare {
   std::uint64_t view = 0;
   std::uint64_t seq = 0;
   Digest digest{};
+
+  bool operator==(const Prepare&) const = default;
 };
 
 struct Commit {
   std::uint64_t view = 0;
   std::uint64_t seq = 0;
   Digest digest{};
+
+  bool operator==(const Commit&) const = default;
 };
 
 struct Reply {
@@ -68,12 +75,16 @@ struct Reply {
   NodeId client = 0;
   std::uint64_t request_id = 0;
   Bytes result;
+
+  bool operator==(const Reply&) const = default;
 };
 
 struct Checkpoint {
   std::uint64_t seq = 0;
   Digest state{};    // application state digest at seq
   Digest clients{};  // client-table digest at seq (reply dedup state)
+
+  bool operator==(const Checkpoint&) const = default;
 };
 
 /// Per-sequence evidence carried in a VIEW-CHANGE: the sender prepared
@@ -85,24 +96,32 @@ struct PreparedProof {
   std::uint64_t seq = 0;
   Digest digest{};
   std::vector<Request> batch;
+
+  bool operator==(const PreparedProof&) const = default;
 };
 
 struct ViewChange {
   std::uint64_t new_view = 0;
   std::uint64_t stable_seq = 0;
   std::vector<PreparedProof> prepared;
+
+  bool operator==(const ViewChange&) const = default;
 };
 
 struct NewView {
   std::uint64_t view = 0;
   std::vector<NodeId> voters;          // the 2f+1 view-change senders
   std::vector<PrePrepare> pre_prepares;  // re-issued proposals
+
+  bool operator==(const NewView&) const = default;
 };
 
 /// Catch-up sub-protocol (PBFT state transfer): a replica whose execution
 /// fell behind the group's stable checkpoint asks a peer for a snapshot.
 struct StateRequest {
   std::uint64_t have_seq = 0;  // requester's last executed sequence
+
+  bool operator==(const StateRequest&) const = default;
 };
 
 /// Snapshot at the responder's stable checkpoint. Trust model: the
@@ -113,6 +132,8 @@ struct StateResponse {
   std::uint64_t seq = 0;
   Bytes app_snapshot;
   Bytes client_table;
+
+  bool operator==(const StateResponse&) const = default;
 };
 
 using Message = std::variant<Request, PrePrepare, Prepare, Commit, Reply,
@@ -122,7 +143,27 @@ using Message = std::variant<Request, PrePrepare, Prepare, Commit, Reply,
 struct Envelope {
   NodeId sender = 0;
   Message msg;
+
+  bool operator==(const Envelope&) const = default;
 };
+
+/// A replica's per-client reply cache: the last request id it executed
+/// for the client, and the reply to resend when that request is retried.
+struct ClientRecord {
+  std::uint64_t last_id = 0;
+  std::optional<Reply> last_reply;
+
+  bool operator==(const ClientRecord&) const = default;
+};
+
+/// The client table travels in STATE-RESPONSE, and its SHA-256 is the
+/// client digest a CHECKPOINT votes on. std::map: deterministic order.
+using ClientTable = std::map<NodeId, ClientRecord>;
+
+Bytes encode_client_table(const ClientTable& table);
+
+/// Strict parse: nullopt on truncation or trailing bytes.
+std::optional<ClientTable> decode_client_table(ByteView data);
 
 /// Digest of a request batch (what PRE-PREPARE/PREPARE/COMMIT agree on).
 Digest batch_digest(const std::vector<Request>& batch);

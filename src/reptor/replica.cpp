@@ -735,7 +735,8 @@ sim::Task<void> Replica::execute_ready() {
       const Checkpoint cp{last_executed_, app_->state_digest(),
                           clients_digest()};
       // Keep the matching snapshot around to serve lagging peers.
-      stored_checkpoints_[cp.seq] = {app_->snapshot(), serialize_clients()};
+      stored_checkpoints_[cp.seq] = {app_->snapshot(),
+                                    encode_client_table(clients_)};
       while (stored_checkpoints_.size() > 2) {
         stored_checkpoints_.erase(stored_checkpoints_.begin());
       }
@@ -1098,8 +1099,10 @@ sim::Task<void> Replica::handle_state_response(const Envelope& env) {
       cfg_.costs.digest_time(resp.app_snapshot.size() + resp.client_table.size()));
 
   if (Sha256::hash(resp.client_table) != proven->second.second) co_return;
+  auto clients = decode_client_table(resp.client_table);
+  if (!clients) co_return;
   if (!app_->restore(resp.app_snapshot, proven->second.first)) co_return;
-  if (!restore_clients(resp.client_table)) co_return;  // (digest already checked)
+  clients_ = std::move(*clients);
 
   RUBIN_AUDIT_ASSERT("reptor", resp.seq > last_executed_,
                      "state transfer would rewind execution");
@@ -1118,57 +1121,8 @@ sim::Task<void> Replica::handle_state_response(const Envelope& env) {
   co_return;
 }
 
-Bytes Replica::serialize_clients() const {
-  Encoder e;
-  e.put_u32(static_cast<std::uint32_t>(clients_.size()));
-  for (const auto& [id, rec] : clients_) {  // std::map: deterministic order
-    e.put_u32(id);
-    e.put_u64(rec.last_id);
-    e.put_u8(rec.last_reply.has_value() ? 1 : 0);
-    if (rec.last_reply) {
-      e.put_u64(rec.last_reply->view);
-      e.put_u32(rec.last_reply->client);
-      e.put_u64(rec.last_reply->request_id);
-      e.put_bytes(rec.last_reply->result);
-    }
-  }
-  return e.take();
-}
-
 Digest Replica::clients_digest() const {
-  return Sha256::hash(serialize_clients());
-}
-
-bool Replica::restore_clients(ByteView data) {
-  Decoder d(data);
-  const auto count = d.get_u32();
-  if (!count) return false;
-  std::map<NodeId, ClientRecord> parsed;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto id = d.get_u32();
-    const auto last = d.get_u64();
-    const auto has_reply = d.get_u8();
-    if (!id || !last || !has_reply) return false;
-    ClientRecord rec;
-    rec.last_id = *last;
-    if (*has_reply != 0) {
-      Reply r;
-      const auto view = d.get_u64();
-      const auto client = d.get_u32();
-      const auto req_id = d.get_u64();
-      auto result = d.get_bytes();
-      if (!view || !client || !req_id || !result) return false;
-      r.view = *view;
-      r.client = *client;
-      r.request_id = *req_id;
-      r.result = std::move(*result);
-      rec.last_reply = std::move(r);
-    }
-    parsed[*id] = std::move(rec);
-  }
-  if (!d.exhausted()) return false;
-  clients_ = std::move(parsed);
-  return true;
+  return Sha256::hash(encode_client_table(clients_));
 }
 
 }  // namespace rubin::reptor

@@ -168,11 +168,6 @@ class Replica {
     bool fast_acked = false;
   };
 
-  struct ClientRecord {
-    std::uint64_t last_id = 0;
-    std::optional<Reply> last_reply;
-  };
-
   NodeId primary_of(std::uint64_t v) const noexcept {
     return static_cast<NodeId>(v % cfg_.n);
   }
@@ -239,9 +234,7 @@ class Replica {
   void disarm_vc_timer();
 
   // State transfer (catch-up after falling behind the stable checkpoint).
-  Bytes serialize_clients() const;
   Digest clients_digest() const;
-  bool restore_clients(ByteView data);
   void maybe_request_state();
 
   sim::Simulator* sim_;
@@ -277,7 +270,7 @@ class Replica {
   std::uint64_t last_executed_ = 0;
   std::uint64_t stable_ = 0;
   std::map<std::uint64_t, LogEntry> log_;
-  std::map<NodeId, ClientRecord> clients_;
+  ClientTable clients_;
   std::vector<Request> pending_;  // requests awaiting proposal (primary)
   /// Requests this backup forwarded to the primary and has not yet seen
   /// executed — the PBFT "is the primary alive?" watchdog input.
