@@ -11,23 +11,44 @@ namespace {
 Digest genesis_hash() { return Sha256::hash(ByteView{}); }
 }  // namespace
 
+// Layouts of the chain's structs (common/codec.hpp). In this namespace,
+// not an anonymous one, so that walk_each finds them.
+
+template <class Io, Walked<Transaction> R>
+bool walk(Io& io, R& tx) {
+  return io.u64(tx.index) && io.bytes(tx.op) && io.bytes(tx.result);
+}
+
+/// A snapshot carries what the block hashes cannot rebuild; restore()
+/// recomputes tx_root and hash.
+template <class Io, Walked<Block> R>
+bool walk(Io& io, R& b) {
+  return io.u64(b.height) && io.raw(b.prev_hash) && io.seq(b.txs, walk_each);
+}
+
+/// One key/value entry of the store.
+constexpr auto walk_kv = [](auto& io, auto& kv) {
+  return io.bytes(kv.first) && io.bytes(kv.second);
+};
+
+template <class Io, class Self>
+bool Blockchain::walk_state(Io& io, Self& self) {
+  return io.u64(self.executed_) && io.seq(self.kv_, walk_kv) &&
+         io.seq(self.blocks_, walk_each) && io.seq(self.pending_, walk_each);
+}
+
 Digest Block::compute_tx_root() const {
   Encoder e;
-  e.put_u64(height);
-  e.put_u32(static_cast<std::uint32_t>(txs.size()));
-  for (const Transaction& tx : txs) {
-    e.put_u64(tx.index);
-    e.put_bytes(tx.op);
-    e.put_bytes(tx.result);
-  }
+  e.u64(height);
+  e.seq(txs, walk_each);
   return Sha256::hash(e.view());
 }
 
 Digest Block::compute_hash() const {
   Encoder e;
-  e.put_u64(height);
-  e.put_raw(prev_hash);
-  e.put_raw(tx_root);
+  e.u64(height);
+  e.raw(prev_hash);
+  e.raw(tx_root);
   return Sha256::hash(e.view());
 }
 
@@ -113,100 +134,29 @@ std::optional<std::string> Blockchain::get(const std::string& key) const {
 Digest Blockchain::kv_digest() const {
   Encoder e;
   for (const auto& [k, v] : kv_) {
-    e.put_string(k);
-    e.put_string(v);
+    e.bytes(k);
+    e.bytes(v);
   }
   return Sha256::hash(e.view());
 }
 
-namespace {
-
-void encode_tx(Encoder& e, const Transaction& tx) {
-  e.put_u64(tx.index);
-  e.put_bytes(tx.op);
-  e.put_bytes(tx.result);
-}
-
-std::optional<Transaction> decode_tx(Decoder& d) {
-  auto index = d.get_u64();
-  auto op = d.get_bytes();
-  auto result = d.get_bytes();
-  if (!index || !op || !result) return std::nullopt;
-  return Transaction{*index, std::move(*op), std::move(*result)};
-}
-
-}  // namespace
-
 Bytes Blockchain::snapshot() const {
   Encoder e;
-  e.put_u64(executed_);
-  e.put_u32(static_cast<std::uint32_t>(kv_.size()));
-  for (const auto& [k, v] : kv_) {
-    e.put_string(k);
-    e.put_string(v);
-  }
-  e.put_u32(static_cast<std::uint32_t>(blocks_.size()));
-  for (const Block& b : blocks_) {
-    e.put_u64(b.height);
-    e.put_raw(b.prev_hash);
-    e.put_u32(static_cast<std::uint32_t>(b.txs.size()));
-    for (const Transaction& tx : b.txs) encode_tx(e, tx);
-  }
-  e.put_u32(static_cast<std::uint32_t>(pending_.size()));
-  for (const Transaction& tx : pending_) encode_tx(e, tx);
+  walk_state(e, *this);
   return e.take();
 }
 
 bool Blockchain::restore(ByteView snap, const Digest& expected) {
-  // Parse into temporaries first: a malformed or mismatching snapshot
+  // Parse into a fresh instance: a malformed or mismatching snapshot
   // must leave the current state untouched.
+  Blockchain incoming(block_size_);
   Decoder d(snap);
-  const auto executed = d.get_u64();
-  const auto n_kv = d.get_u32();
-  if (!executed || !n_kv) return false;
-  std::map<std::string, std::string> kv;
-  for (std::uint32_t i = 0; i < *n_kv; ++i) {
-    auto k = d.get_string();
-    auto v = d.get_string();
-    if (!k || !v) return false;
-    kv.emplace(std::move(*k), std::move(*v));
-  }
-  const auto n_blocks = d.get_u32();
-  if (!n_blocks) return false;
-  std::vector<Block> blocks;
-  for (std::uint32_t i = 0; i < *n_blocks; ++i) {
-    Block b;
-    auto height = d.get_u64();
-    auto prev = d.get_raw(32);
-    auto n_txs = d.get_u32();
-    if (!height || !prev || !n_txs) return false;
-    b.height = *height;
-    std::copy(prev->begin(), prev->end(), b.prev_hash.begin());
-    for (std::uint32_t t = 0; t < *n_txs; ++t) {
-      auto tx = decode_tx(d);
-      if (!tx) return false;
-      b.txs.push_back(std::move(*tx));
-    }
+  if (!walk_state(d, incoming) || !d.exhausted()) return false;
+  for (Block& b : incoming.blocks_) {
     b.tx_root = b.compute_tx_root();
     b.hash = b.compute_hash();
-    blocks.push_back(std::move(b));
   }
-  const auto n_pending = d.get_u32();
-  if (!n_pending) return false;
-  std::vector<Transaction> pending;
-  for (std::uint32_t i = 0; i < *n_pending; ++i) {
-    auto tx = decode_tx(d);
-    if (!tx) return false;
-    pending.push_back(std::move(*tx));
-  }
-  if (!d.exhausted()) return false;
-
-  // Commit, verify the agreed digest, roll back on mismatch.
-  Blockchain incoming(block_size_);
-  incoming.executed_ = *executed;
-  incoming.kv_ = std::move(kv);
-  incoming.blocks_ = std::move(blocks);
-  incoming.pending_ = std::move(pending);
+  // Verify the agreed digest before committing.
   if (incoming.state_digest() != expected || !incoming.verify_chain()) {
     return false;
   }
@@ -218,9 +168,9 @@ Digest Blockchain::state_digest() const {
   // Chain tip + unsealed tail + kv state: replicas must agree on all of
   // it at a checkpoint, not just on sealed blocks.
   Encoder e;
-  e.put_raw(tip());
-  e.put_u64(executed_);
-  e.put_raw(kv_digest());
+  e.raw(tip());
+  e.u64(executed_);
+  e.raw(kv_digest());
   return Sha256::hash(e.view());
 }
 

@@ -72,6 +72,10 @@ class Blockchain final : public reptor::StateMachine {
  private:
   void seal_block();
   Digest kv_digest() const;
+  /// The snapshot layout, one walker for snapshot() and restore() (see
+  /// common/codec.hpp); Self is Blockchain or const Blockchain.
+  template <class Io, class Self>
+  static bool walk_state(Io& io, Self& self);
 
   std::size_t block_size_;
   std::map<std::string, std::string> kv_;

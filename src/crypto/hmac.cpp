@@ -67,9 +67,9 @@ KeyTable::KeyTable(std::uint32_t self, std::uint32_t group_size,
     // Symmetric derivation: the pair is ordered (min, max) so both sides
     // compute the same key.
     Encoder enc;
-    enc.put_u32(std::min(self, peer));
-    enc.put_u32(std::max(self, peer));
-    enc.put_raw(group_secret);
+    enc.u32(std::min(self, peer));
+    enc.u32(std::max(self, peer));
+    enc.raw(group_secret);
     const Digest d = Sha256::hash(enc.view());
     keys_.emplace_back(d.begin(), d.end());
     cached_.emplace_back(keys_.back());

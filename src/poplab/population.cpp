@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/audit.hpp"
+#include "common/codec.hpp"
 #include "common/counters.hpp"
 
 namespace rubin::poplab {
@@ -17,14 +18,6 @@ constexpr std::uint64_t kInlineWr = ~0ULL;
 /// Staging-slot wr_ids are offset by one: wr_id 0 is reserved for the
 /// transport-retry watchdog's synthetic completion (same rule as the mux).
 constexpr std::uint64_t kSlotBase = 1;
-
-void put_u32(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
-void put_u16(std::uint8_t* p, std::uint16_t v) { std::memcpy(p, &v, 2); }
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, p, 4);
-  return v;
-}
 
 }  // namespace
 
@@ -338,10 +331,10 @@ sim::Task<void> Population::issue(std::size_t cohort_idx, const Arrival& a) {
   SharedBytes payload = SharedBytes::allocate(n);
   std::uint8_t* p = payload.mutable_data();
   std::memset(p, 0, n);
-  put_u32(p, gidx);
-  put_u32(p + 4, req_id);
-  put_u16(p + 8, static_cast<std::uint16_t>(cohort_idx));
-  put_u16(p + 10, a.op);
+  store_le(p, gidx);
+  store_le(p + 4, req_id);
+  store_le(p + 8, static_cast<std::uint16_t>(cohort_idx));
+  store_le(p + 10, a.op);
 
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kSend;
@@ -440,7 +433,7 @@ void Population::pump_host(std::size_t h) {
       const std::uint32_t client = clients_by_qpn.find(c.qp_num);
       if (client == verbs::QpnIndex::kNone) continue;
       if (c.payload.size() >= kHeaderBytes) {
-        on_ack(client, get_u32(c.payload.data() + 4));
+        on_ack(client, load_le<std::uint32_t>(c.payload.data() + 4));
       }
       if (host.srq == nullptr) {
         Client& cl = clients_[client];

@@ -1,281 +1,121 @@
 #include "reptor/messages.hpp"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 
 #include "common/codec.hpp"
 
 namespace rubin::reptor {
 
-namespace {
+// Wire layouts, one walker per struct (common/codec.hpp). They live in
+// this namespace rather than an anonymous one so that walk_each finds
+// them by argument-dependent lookup.
 
-enum class Type : std::uint8_t {
-  kRequest = 1,
-  kPrePrepare,
-  kPrepare,
-  kCommit,
-  kReply,
-  kCheckpoint,
-  kViewChange,
-  kNewView,
-  kStateRequest,
-  kStateResponse,
+template <class Io, Walked<Request> R>
+bool walk(Io& io, R& r) {
+  return io.u32(r.client) && io.u64(r.id) && io.bytes(r.op) &&
+         io.flag(r.read_only);
+}
+
+template <class Io, Walked<PrePrepare, PreparedProof> R>
+bool walk(Io& io, R& p) {
+  return io.u64(p.view) && io.u64(p.seq) && io.raw(p.digest) &&
+         io.seq(p.batch, walk_each);
+}
+
+template <class Io, Walked<Prepare, Commit> R>
+bool walk(Io& io, R& p) {
+  return io.u64(p.view) && io.u64(p.seq) && io.raw(p.digest);
+}
+
+template <class Io, Walked<Reply> R>
+bool walk(Io& io, R& r) {
+  return io.u64(r.view) && io.u32(r.client) && io.u64(r.request_id) &&
+         io.bytes(r.result);
+}
+
+template <class Io, Walked<Checkpoint> R>
+bool walk(Io& io, R& c) {
+  return io.u64(c.seq) && io.raw(c.state) && io.raw(c.clients);
+}
+
+template <class Io, Walked<ViewChange> R>
+bool walk(Io& io, R& v) {
+  return io.u64(v.new_view) && io.u64(v.stable_seq) &&
+         io.seq(v.prepared, walk_each);
+}
+
+constexpr auto walk_node_id = [](auto& io, auto& id) { return io.u32(id); };
+
+template <class Io, Walked<NewView> R>
+bool walk(Io& io, R& v) {
+  return io.u64(v.view) && io.seq(v.voters, walk_node_id) &&
+         io.seq(v.pre_prepares, walk_each);
+}
+
+template <class Io, Walked<StateRequest> R>
+bool walk(Io& io, R& s) {
+  return io.u64(s.have_seq);
+}
+
+template <class Io, Walked<StateResponse> R>
+bool walk(Io& io, R& s) {
+  return io.u64(s.seq) && io.bytes(s.app_snapshot) && io.bytes(s.client_table);
+}
+
+/// One ClientTable entry: (client id, record).
+constexpr auto walk_client = [](auto& io, auto& entry) {
+  return io.u32(entry.first) && io.u64(entry.second.last_id) &&
+         io.opt(entry.second.last_reply, walk_each);
 };
 
-void put_digest(Encoder& e, const Digest& d) { e.put_raw(d); }
-
-std::optional<Digest> get_digest(Decoder& d) {
-  auto raw = d.get_raw(32);
-  if (!raw) return std::nullopt;
-  Digest out{};
-  std::copy(raw->begin(), raw->end(), out.begin());
-  return out;
+template <class Io, Walked<ClientTable> R>
+bool walk(Io& io, R& table) {
+  return io.seq(table, walk_client);
 }
 
-void encode_request(Encoder& e, const Request& r) {
-  e.put_u32(r.client);
-  e.put_u64(r.id);
-  e.put_bytes(r.op);
-  e.put_u8(r.read_only ? 1 : 0);
+namespace {
+
+// The type byte is the Message alternative's index + 1.
+constexpr const char* kTypeNames[] = {
+    "REQUEST",    "PRE-PREPARE", "PREPARE",  "COMMIT",        "REPLY",
+    "CHECKPOINT", "VIEW-CHANGE", "NEW-VIEW", "STATE-REQUEST", "STATE-RESPONSE",
+};
+static_assert(std::size(kTypeNames) == std::variant_size_v<Message>);
+
+using PayloadReader = bool (*)(Decoder&, Message&);
+
+template <std::size_t I>
+bool read_payload(Decoder& d, Message& m) {
+  return walk(d, m.emplace<I>());
 }
 
-std::optional<Request> decode_request(Decoder& d) {
-  Request r;
-  auto client = d.get_u32();
-  auto id = d.get_u64();
-  auto op = d.get_bytes();
-  auto ro = d.get_u8();
-  if (!client || !id || !op || !ro) return std::nullopt;
-  r.client = *client;
-  r.id = *id;
-  r.op = std::move(*op);
-  r.read_only = *ro != 0;
-  return r;
-}
-
-void encode_pre_prepare(Encoder& e, const PrePrepare& p) {
-  e.put_u64(p.view);
-  e.put_u64(p.seq);
-  put_digest(e, p.digest);
-  e.put_u32(static_cast<std::uint32_t>(p.batch.size()));
-  for (const Request& r : p.batch) encode_request(e, r);
-}
-
-std::optional<PrePrepare> decode_pre_prepare(Decoder& d) {
-  PrePrepare p;
-  auto view = d.get_u64();
-  auto seq = d.get_u64();
-  auto digest = get_digest(d);
-  auto count = d.get_u32();
-  if (!view || !seq || !digest || !count) return std::nullopt;
-  p.view = *view;
-  p.seq = *seq;
-  p.digest = *digest;
-  // No reserve(*count): the count is untrusted input, and reserving an
-  // attacker-chosen size throws bad_alloc before the per-element decode
-  // can reject the frame (found by the bit-flip fuzz test). Each bogus
-  // element fails fast instead.
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto r = decode_request(d);
-    if (!r) return std::nullopt;
-    p.batch.push_back(std::move(*r));
-  }
-  return p;
-}
-
-void encode_payload(Encoder& e, const Message& m) {
-  std::visit(
-      [&](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, Request>) {
-          encode_request(e, v);
-        } else if constexpr (std::is_same_v<T, PrePrepare>) {
-          encode_pre_prepare(e, v);
-        } else if constexpr (std::is_same_v<T, Prepare> ||
-                             std::is_same_v<T, Commit>) {
-          e.put_u64(v.view);
-          e.put_u64(v.seq);
-          put_digest(e, v.digest);
-        } else if constexpr (std::is_same_v<T, Reply>) {
-          e.put_u64(v.view);
-          e.put_u32(v.client);
-          e.put_u64(v.request_id);
-          e.put_bytes(v.result);
-        } else if constexpr (std::is_same_v<T, Checkpoint>) {
-          e.put_u64(v.seq);
-          put_digest(e, v.state);
-          put_digest(e, v.clients);
-        } else if constexpr (std::is_same_v<T, StateRequest>) {
-          e.put_u64(v.have_seq);
-        } else if constexpr (std::is_same_v<T, StateResponse>) {
-          e.put_u64(v.seq);
-          e.put_bytes(v.app_snapshot);
-          e.put_bytes(v.client_table);
-        } else if constexpr (std::is_same_v<T, ViewChange>) {
-          e.put_u64(v.new_view);
-          e.put_u64(v.stable_seq);
-          e.put_u32(static_cast<std::uint32_t>(v.prepared.size()));
-          for (const PreparedProof& pp : v.prepared) {
-            e.put_u64(pp.view);
-            e.put_u64(pp.seq);
-            put_digest(e, pp.digest);
-            e.put_u32(static_cast<std::uint32_t>(pp.batch.size()));
-            for (const Request& r : pp.batch) encode_request(e, r);
-          }
-        } else if constexpr (std::is_same_v<T, NewView>) {
-          e.put_u64(v.view);
-          e.put_u32(static_cast<std::uint32_t>(v.voters.size()));
-          for (NodeId id : v.voters) e.put_u32(id);
-          e.put_u32(static_cast<std::uint32_t>(v.pre_prepares.size()));
-          for (const PrePrepare& pp : v.pre_prepares) encode_pre_prepare(e, pp);
-        }
-      },
-      m);
-}
-
-std::optional<Message> decode_payload(Type t, Decoder& d) {
-  switch (t) {
-    case Type::kRequest: {
-      auto r = decode_request(d);
-      if (!r) return std::nullopt;
-      return Message{std::move(*r)};
-    }
-    case Type::kPrePrepare: {
-      auto p = decode_pre_prepare(d);
-      if (!p) return std::nullopt;
-      return Message{std::move(*p)};
-    }
-    case Type::kPrepare:
-    case Type::kCommit: {
-      auto view = d.get_u64();
-      auto seq = d.get_u64();
-      auto digest = get_digest(d);
-      if (!view || !seq || !digest) return std::nullopt;
-      if (t == Type::kPrepare) return Message{Prepare{*view, *seq, *digest}};
-      return Message{Commit{*view, *seq, *digest}};
-    }
-    case Type::kReply: {
-      Reply r;
-      auto view = d.get_u64();
-      auto client = d.get_u32();
-      auto id = d.get_u64();
-      auto result = d.get_bytes();
-      if (!view || !client || !id || !result) return std::nullopt;
-      r.view = *view;
-      r.client = *client;
-      r.request_id = *id;
-      r.result = std::move(*result);
-      return Message{std::move(r)};
-    }
-    case Type::kCheckpoint: {
-      auto seq = d.get_u64();
-      auto state = get_digest(d);
-      auto clients = get_digest(d);
-      if (!seq || !state || !clients) return std::nullopt;
-      return Message{Checkpoint{*seq, *state, *clients}};
-    }
-    case Type::kStateRequest: {
-      auto have = d.get_u64();
-      if (!have) return std::nullopt;
-      return Message{StateRequest{*have}};
-    }
-    case Type::kStateResponse: {
-      StateResponse r;
-      auto seq = d.get_u64();
-      auto snap = d.get_bytes();
-      auto clients = d.get_bytes();
-      if (!seq || !snap || !clients) return std::nullopt;
-      r.seq = *seq;
-      r.app_snapshot = std::move(*snap);
-      r.client_table = std::move(*clients);
-      return Message{std::move(r)};
-    }
-    case Type::kViewChange: {
-      ViewChange v;
-      auto nv = d.get_u64();
-      auto stable = d.get_u64();
-      auto count = d.get_u32();
-      if (!nv || !stable || !count) return std::nullopt;
-      v.new_view = *nv;
-      v.stable_seq = *stable;
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        auto pv = d.get_u64();
-        auto ps = d.get_u64();
-        auto pd = get_digest(d);
-        auto n_req = d.get_u32();
-        if (!pv || !ps || !pd || !n_req) return std::nullopt;
-        PreparedProof proof{*pv, *ps, *pd, {}};
-        for (std::uint32_t k = 0; k < *n_req; ++k) {
-          auto r = decode_request(d);
-          if (!r) return std::nullopt;
-          proof.batch.push_back(std::move(*r));
-        }
-        v.prepared.push_back(std::move(proof));
-      }
-      return Message{std::move(v)};
-    }
-    case Type::kNewView: {
-      NewView v;
-      auto view = d.get_u64();
-      auto n_voters = d.get_u32();
-      if (!view || !n_voters) return std::nullopt;
-      v.view = *view;
-      for (std::uint32_t i = 0; i < *n_voters; ++i) {
-        auto id = d.get_u32();
-        if (!id) return std::nullopt;
-        v.voters.push_back(*id);
-      }
-      auto n_pp = d.get_u32();
-      if (!n_pp) return std::nullopt;
-      for (std::uint32_t i = 0; i < *n_pp; ++i) {
-        auto pp = decode_pre_prepare(d);
-        if (!pp) return std::nullopt;
-        v.pre_prepares.push_back(std::move(*pp));
-      }
-      return Message{std::move(v)};
-    }
-  }
-  return std::nullopt;
-}
-
-Type type_of(const Message& m) {
-  return std::visit(
-      [](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, Request>) return Type::kRequest;
-        if constexpr (std::is_same_v<T, PrePrepare>) return Type::kPrePrepare;
-        if constexpr (std::is_same_v<T, Prepare>) return Type::kPrepare;
-        if constexpr (std::is_same_v<T, Commit>) return Type::kCommit;
-        if constexpr (std::is_same_v<T, Reply>) return Type::kReply;
-        if constexpr (std::is_same_v<T, Checkpoint>) return Type::kCheckpoint;
-        if constexpr (std::is_same_v<T, ViewChange>) return Type::kViewChange;
-        if constexpr (std::is_same_v<T, NewView>) return Type::kNewView;
-        if constexpr (std::is_same_v<T, StateRequest>) return Type::kStateRequest;
-        if constexpr (std::is_same_v<T, StateResponse>) return Type::kStateResponse;
-      },
-      m);
-}
+constexpr auto kPayloadReaders =
+    []<std::size_t... I>(std::index_sequence<I...>) {
+      return std::array<PayloadReader, sizeof...(I)>{&read_payload<I>...};
+    }(std::make_index_sequence<std::variant_size_v<Message>>{});
 
 /// Encodes the authenticated portion of a frame (type | sender | payload)
 /// straight into `e`, which then grows the MAC trailer in place — one
 /// buffer end to end, no body staging copy.
 void put_authenticated_body(Encoder& e, const Envelope& env) {
-  e.put_u8(static_cast<std::uint8_t>(type_of(env.msg)));
-  e.put_u32(env.sender);
-  encode_payload(e, env.msg);
+  e.u8(static_cast<std::uint8_t>(env.msg.index() + 1));
+  e.u32(env.sender);
+  std::visit([&e](const auto& v) { walk(e, v); }, env.msg);
 }
 
 }  // namespace
 
 Digest batch_digest(const std::vector<Request>& batch) {
   Encoder e;
-  e.put_u32(static_cast<std::uint32_t>(batch.size()));
-  for (const Request& r : batch) encode_request(e, r);
+  e.seq(batch, walk_each);
   return Sha256::hash(e.view());
 }
 
 Digest request_digest(const Request& r) {
   Encoder e;
-  encode_request(e, r);
+  walk(e, r);
   return Sha256::hash(e.view());
 }
 
@@ -286,8 +126,8 @@ SharedBytes encode_for_replicas(const Envelope& env, const KeyTable& keys,
   // MAC the body *before* the trailer lands in the same buffer (the MACs
   // cover exactly the bytes written so far). The body is hashed once.
   const std::vector<Mac> macs = keys.authenticator(e.view(), replica_count);
-  e.put_u8(static_cast<std::uint8_t>(replica_count));
-  for (const Mac& m : macs) e.put_raw(m);
+  e.u8(static_cast<std::uint8_t>(replica_count));
+  for (const Mac& m : macs) e.raw(m);
   return e.take_shared();
 }
 
@@ -296,8 +136,8 @@ SharedBytes encode_for_peer(const Envelope& env, const KeyTable& keys,
   Encoder e;
   put_authenticated_body(e, env);
   const Mac mac = keys.mac_for(peer, e.view());
-  e.put_u8(1);
-  e.put_raw(mac);
+  e.u8(1);
+  e.raw(mac);
   return e.take_shared();
 }
 
@@ -305,30 +145,30 @@ namespace {
 
 std::optional<Envelope> decode_impl(ByteView frame, const KeyTable* keys) {
   Decoder d(frame);
-  auto type = d.get_u8();
-  auto sender = d.get_u32();
-  if (!type || !sender) return std::nullopt;
-  auto msg = decode_payload(static_cast<Type>(*type), d);
-  if (!msg) return std::nullopt;
+  std::uint8_t type = 0;
+  Envelope env;
+  if (!d.u8(type) || !d.u32(env.sender)) return std::nullopt;
+  if (type == 0 || type > kPayloadReaders.size()) return std::nullopt;
+  if (!kPayloadReaders[type - 1](d, env.msg)) return std::nullopt;
 
   const std::size_t body_len = frame.size() - d.remaining();
-  auto mac_count = d.get_u8();
-  if (!mac_count) return std::nullopt;
-  if (d.remaining() != static_cast<std::size_t>(*mac_count) * sizeof(Mac)) {
+  std::uint8_t mac_count = 0;
+  if (!d.u8(mac_count)) return std::nullopt;
+  if (d.remaining() != static_cast<std::size_t>(mac_count) * sizeof(Mac)) {
     return std::nullopt;
   }
   if (keys != nullptr) {
     // A forged/corrupted sender id outside the group must be *rejected*,
     // not allowed to throw out of the decoder (remote crash vector —
     // found by the bit-flip fuzz test).
-    if (*sender >= keys->group_size()) return std::nullopt;
-    if (*mac_count == 0) return std::nullopt;  // nothing to verify
+    if (env.sender >= keys->group_size()) return std::nullopt;
+    if (mac_count == 0) return std::nullopt;  // nothing to verify
     // Pick our slot: full authenticators are indexed by node id; a single
     // MAC is for us by construction.
     const std::uint32_t self = keys->self();
     std::size_t slot = 0;
-    if (*mac_count > 1) {
-      if (self >= *mac_count) return std::nullopt;  // no MAC for us
+    if (mac_count > 1) {
+      if (self >= mac_count) return std::nullopt;  // no MAC for us
       slot = self;
     }
     // Read our slot in place: the length check above put it inside frame.
@@ -336,11 +176,11 @@ std::optional<Envelope> decode_impl(ByteView frame, const KeyTable* keys) {
     std::copy_n(frame.begin() + static_cast<std::ptrdiff_t>(
                                     body_len + 1 + slot * sizeof(Mac)),
                 sizeof(Mac), mac.begin());
-    if (!keys->verify_from(*sender, frame.first(body_len), mac)) {
+    if (!keys->verify_from(env.sender, frame.first(body_len), mac)) {
       return std::nullopt;
     }
   }
-  return Envelope{*sender, std::move(*msg)};
+  return env;
 }
 
 }  // namespace
@@ -355,66 +195,19 @@ std::optional<Envelope> decode_unverified(ByteView frame) {
 
 Bytes encode_client_table(const ClientTable& table) {
   Encoder e;
-  e.put_u32(static_cast<std::uint32_t>(table.size()));
-  for (const auto& [id, rec] : table) {
-    e.put_u32(id);
-    e.put_u64(rec.last_id);
-    e.put_u8(rec.last_reply.has_value() ? 1 : 0);
-    if (rec.last_reply) {
-      e.put_u64(rec.last_reply->view);
-      e.put_u32(rec.last_reply->client);
-      e.put_u64(rec.last_reply->request_id);
-      e.put_bytes(rec.last_reply->result);
-    }
-  }
+  walk(e, table);
   return e.take();
 }
 
 std::optional<ClientTable> decode_client_table(ByteView data) {
   Decoder d(data);
-  const auto count = d.get_u32();
-  if (!count) return std::nullopt;
-  ClientTable parsed;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto id = d.get_u32();
-    const auto last = d.get_u64();
-    const auto has_reply = d.get_u8();
-    if (!id || !last || !has_reply) return std::nullopt;
-    ClientRecord rec;
-    rec.last_id = *last;
-    if (*has_reply != 0) {
-      Reply r;
-      const auto view = d.get_u64();
-      const auto client = d.get_u32();
-      const auto req_id = d.get_u64();
-      auto result = d.get_bytes();
-      if (!view || !client || !req_id || !result) return std::nullopt;
-      r.view = *view;
-      r.client = *client;
-      r.request_id = *req_id;
-      r.result = std::move(*result);
-      rec.last_reply = std::move(r);
-    }
-    parsed[*id] = std::move(rec);
-  }
-  if (!d.exhausted()) return std::nullopt;
-  return parsed;
+  ClientTable table;
+  if (!walk(d, table) || !d.exhausted()) return std::nullopt;
+  return table;
 }
 
 const char* type_name(const Message& m) noexcept {
-  switch (type_of(m)) {
-    case Type::kRequest: return "REQUEST";
-    case Type::kPrePrepare: return "PRE-PREPARE";
-    case Type::kPrepare: return "PREPARE";
-    case Type::kCommit: return "COMMIT";
-    case Type::kReply: return "REPLY";
-    case Type::kCheckpoint: return "CHECKPOINT";
-    case Type::kViewChange: return "VIEW-CHANGE";
-    case Type::kNewView: return "NEW-VIEW";
-    case Type::kStateRequest: return "STATE-REQUEST";
-    case Type::kStateResponse: return "STATE-RESPONSE";
-  }
-  return "?";
+  return m.valueless_by_exception() ? "?" : kTypeNames[m.index()];
 }
 
 }  // namespace rubin::reptor

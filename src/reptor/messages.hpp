@@ -7,8 +7,11 @@
 // clients) carry one MAC.
 //
 // Wire layout:
-//   u8 type | u32 sender | bytes payload | u8 mac_count | mac_count * 8B
-// The MACs authenticate (type | sender | payload).
+//   u8 type | u32 sender | payload | u8 mac_count | mac_count * 8B
+// The type byte is the Message alternative's index + 1. Each payload's
+// layout is written down once, as a walker in messages.cpp that both
+// encodes and decodes it (common/codec.hpp). The MACs authenticate
+// (type | sender | payload).
 #pragma once
 
 #include <cstdint>
@@ -136,6 +139,8 @@ struct StateResponse {
   bool operator==(const StateResponse&) const = default;
 };
 
+/// The alternative's index + 1 is the frame's type byte: append new
+/// types, never reorder.
 using Message = std::variant<Request, PrePrepare, Prepare, Commit, Reply,
                              Checkpoint, ViewChange, NewView, StateRequest,
                              StateResponse>;

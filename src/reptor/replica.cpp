@@ -1,7 +1,7 @@
 #include "reptor/replica.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 
 #include "common/audit.hpp"
@@ -23,9 +23,7 @@ namespace {
 /// truncation, not the certificate: commit safety rests on the full-MAC
 /// record plus quorum intersection; the tag only keys the cell match.
 std::uint64_t digest_tag(const Digest& d) {
-  std::uint64_t tag = 0;
-  std::memcpy(&tag, d.data(), sizeof(tag));
-  return tag;
+  return load_le<std::uint64_t>(d.data());
 }
 
 /// Detached per-view permission flip. Deliberately a free coroutine over
@@ -50,49 +48,44 @@ sim::Task<void> rotate_decision_log(nio::DecisionLog& dlog,
 
 // --------------------------------------------------------- CounterApp ----
 
+namespace {
+/// A CounterApp result, snapshot and digest input: the value as a u64.
+Bytes counter_bytes(std::uint64_t v) {
+  Encoder e;
+  e.u64(v);
+  return e.take();
+}
+}  // namespace
+
 Bytes CounterApp::execute(ByteView op) {
   const std::string s = to_string(op);
   if (s.rfind("add:", 0) == 0) {
     value_ += std::strtoull(s.c_str() + 4, nullptr, 10);
   }
-  Encoder e;
-  e.put_u64(value_);
-  return e.take();
+  return counter_bytes(value_);
 }
 
 Bytes CounterApp::query(ByteView op) const {
-  const std::string s = to_string(op);
-  Encoder e;
   // Reads report the value; a mutating op through the read path is a
   // client error and must not change state.
-  if (s.rfind("add:", 0) == 0) {
-    e.put_u64(~0ull);
-  } else {
-    e.put_u64(value_);
-  }
-  return e.take();
+  return counter_bytes(to_string(op).rfind("add:", 0) == 0 ? ~0ull : value_);
 }
 
 Digest CounterApp::state_digest() const {
-  Encoder e;
-  e.put_u64(value_);
-  return Sha256::hash(e.view());
+  return Sha256::hash(counter_bytes(value_));
 }
 
-Bytes CounterApp::snapshot() const {
-  Encoder e;
-  e.put_u64(value_);
-  return e.take();
-}
+Bytes CounterApp::snapshot() const { return counter_bytes(value_); }
 
 bool CounterApp::restore(ByteView snap, const Digest& expected) {
+  // A snapshot is exactly counter_bytes(value), so its own hash is the
+  // digest of the state it restores.
   Decoder d(snap);
-  const auto v = d.get_u64();
-  if (!v || !d.exhausted()) return false;
-  Encoder e;
-  e.put_u64(*v);
-  if (Sha256::hash(e.view()) != expected) return false;
-  value_ = *v;
+  std::uint64_t v = 0;
+  if (!d.u64(v) || !d.exhausted() || Sha256::hash(snap) != expected) {
+    return false;
+  }
+  value_ = v;
   return true;
 }
 

@@ -1,5 +1,7 @@
 #include "reptor/transport.hpp"
 
+#include "common/codec.hpp"
+
 namespace rubin::reptor {
 
 bool Transport::backlog() const {
@@ -39,18 +41,13 @@ sim::Task<std::vector<InboundMsg>> Transport::poll(sim::Time timeout) {
 
 Bytes Transport::hello_frame() const {
   Bytes b(4);
-  for (int i = 0; i < 4; ++i) {
-    b[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(self_ >> (8 * i));
-  }
+  store_le(b.data(), std::uint32_t{self_});
   return b;
 }
 
 std::optional<NodeId> Transport::parse_hello(ByteView frame) const {
   if (frame.size() != 4) return std::nullopt;
-  NodeId id = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    id |= static_cast<NodeId>(frame[i]) << (8 * i);
-  }
+  const NodeId id = load_le<std::uint32_t>(frame.data());
   if (id >= layout_.node_count() || id == self_) return std::nullopt;
   return id;
 }

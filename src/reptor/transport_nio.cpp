@@ -1,5 +1,7 @@
 #include "reptor/transport_nio.hpp"
 
+#include "common/codec.hpp"
+
 namespace rubin::reptor {
 
 namespace {
@@ -7,17 +9,21 @@ constexpr std::uint64_t kAttachListener = 0;
 constexpr std::uint64_t kAttachPeerBase = 2;
 constexpr std::uint64_t kTempFlag = 1ull << 40;  // unidentified accepts
 
+/// Appends a frame's u32 length prefix.
+void append_length(Bytes& out, std::size_t len) {
+  out.resize(out.size() + 4);
+  store_le(out.data() + out.size() - 4, static_cast<std::uint32_t>(len));
+}
+
 void append_framed(Bytes& out, ByteView frame) {
-  const std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  append_length(out, frame.size());
   out.insert(out.end(), frame.begin(), frame.end());
 }
 
 /// A TCP stream has no scatter/gather: a multi-slice frame is gathered
 /// slice-by-slice into the staging buffer under one length prefix.
 void append_framed(Bytes& out, const FrameVec& frame) {
-  const std::uint32_t len = static_cast<std::uint32_t>(frame.total_size());
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  append_length(out, frame.total_size());
   for (const SharedBytes& s : frame) {
     out.insert(out.end(), s.data(), s.data() + s.size());
   }
@@ -134,10 +140,7 @@ bool NioTransport::extract_frames(Conn& conn, std::uint64_t& attachment,
                                   std::vector<InboundMsg>& out) {
   std::size_t pos = 0;
   while (conn.rx_acc.size() - pos >= 4) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(conn.rx_acc[pos + static_cast<std::size_t>(i)]) << (8 * i);
-    }
+    const std::uint32_t len = load_le<std::uint32_t>(conn.rx_acc.data() + pos);
     if (conn.rx_acc.size() - pos - 4 < len) break;
     const ByteView frame(conn.rx_acc.data() + pos + 4, len);
     if (!conn.identified) {

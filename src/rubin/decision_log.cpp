@@ -3,26 +3,23 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/codec.hpp"
 #include "common/counters.hpp"
 
 namespace rubin::nio {
 
 namespace {
 
-std::uint64_t read_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, p, 8);
-  return v;
+/// Slot header: u64 seq | u64 view | u64 proposed_at | u32 len | u32 pad.
+void store_slot_header(std::uint8_t* h, std::uint64_t seq,
+                       std::uint64_t view, sim::Time proposed_at,
+                       std::size_t len) {
+  store_le(h, seq);
+  store_le(h + 8, view);
+  store_le(h + 16, static_cast<std::uint64_t>(proposed_at));
+  store_le(h + 24, static_cast<std::uint32_t>(len));
+  store_le(h + 28, std::uint32_t{0});
 }
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-void write_u64(std::uint8_t* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
-void write_u32(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
 
 /// granted_view_ while a flip is in flight: no view matches, so grant_for
 /// fails and publishers bypass — "revoke before grant" as observable state.
@@ -132,8 +129,9 @@ bool DecisionLog::has_credit(std::uint32_t peer, std::uint64_t seq) const {
   // lying here only risks its own ring).
   const std::uint8_t* table = ack_buf_[peer]->data();
   const std::uint64_t prev = seq - cfg_.slot_count;
-  return read_u64(table + (seq % cfg_.slot_count) * kAckCellBytes) >= prev ||
-         read_u64(table + consumed_offset()) >= prev;
+  const std::uint8_t* ack = table + (seq % cfg_.slot_count) * kAckCellBytes;
+  return load_le<std::uint64_t>(ack) >= prev ||
+         load_le<std::uint64_t>(table + consumed_offset()) >= prev;
 }
 
 void DecisionLog::bypass() {
@@ -172,14 +170,10 @@ sim::Task<std::uint32_t> DecisionLog::publish(std::uint64_t seq,
   (void)drain_completions();
 
   SharedBytes header = SharedBytes::allocate(kHeaderBytes);
-  std::uint8_t* h = header.mutable_data();
-  write_u64(h, seq);
-  write_u64(h + 8, view);
-  write_u64(h + 16, static_cast<std::uint64_t>(proposed_at));
-  write_u32(h + 24, static_cast<std::uint32_t>(record.size()));
-  write_u32(h + 28, 0);
+  store_slot_header(header.mutable_data(), seq, view, proposed_at,
+                    record.size());
   SharedBytes canary = SharedBytes::allocate(kCanaryBytes);
-  write_u64(canary.mutable_data(), canary_of(seq, view));
+  store_le(canary.mutable_data(), canary_of(seq, view));
 
   std::uint32_t written = 0;
   const auto n = static_cast<std::uint32_t>(group_.size());
@@ -224,7 +218,8 @@ sim::Task<SlotStatus> DecisionLog::poll_slot(std::uint64_t seq,
 bool DecisionLog::slot_empty(std::uint64_t seq) const noexcept {
   // An empty cell, or the wrapped leftover of an earlier lap of the ring
   // (seq - k * slot_count) — both benign.
-  const std::uint64_t h_seq = read_u64(ring_.data() + slot_offset(seq));
+  const std::uint64_t h_seq =
+      load_le<std::uint64_t>(ring_.data() + slot_offset(seq));
   if (h_seq == seq) return false;
   return h_seq == 0 || (h_seq < seq && (seq - h_seq) % cfg_.slot_count == 0);
 }
@@ -234,8 +229,8 @@ sim::Task<SlotStatus> DecisionLog::read_slot(std::uint64_t seq,
                                              DecisionRecord& out) {
   if (slot_empty(seq)) co_return SlotStatus::kEmpty;
   const std::uint8_t* slot = ring_.data() + slot_offset(seq);
-  const std::uint64_t h_seq = read_u64(slot);
-  const std::uint64_t h_view = read_u64(slot + 8);
+  const std::uint64_t h_seq = load_le<std::uint64_t>(slot);
+  const std::uint64_t h_view = load_le<std::uint64_t>(slot + 8);
 
   if (h_seq != seq) {
     // Neither empty nor a leftover: never written by an honest primary
@@ -252,9 +247,10 @@ sim::Task<SlotStatus> DecisionLog::read_slot(std::uint64_t seq,
     ++stats_.stale_slots;
     co_return SlotStatus::kStale;
   }
-  const std::uint32_t len = read_u32(slot + 24);
+  const std::uint32_t len = load_le<std::uint32_t>(slot + 24);
   if (len > cfg_.slot_payload) co_return SlotStatus::kBadFrame;
-  if (read_u64(slot + kHeaderBytes + len) != canary_of(seq, view)) {
+  if (load_le<std::uint64_t>(slot + kHeaderBytes + len) !=
+      canary_of(seq, view)) {
     // Header present, canary missing: the write has not fully landed (or
     // was deliberately torn). Not consumed, not fatal — a persistent torn
     // slot simply stalls the fast path until the watchdog falls back.
@@ -268,7 +264,8 @@ sim::Task<SlotStatus> DecisionLog::read_slot(std::uint64_t seq,
   std::memcpy(rec.mutable_data(), slot + kHeaderBytes, len);
   out.seq = seq;
   out.view = h_view;
-  out.proposed_at = static_cast<sim::Time>(read_u64(slot + 16));
+  out.proposed_at =
+      static_cast<sim::Time>(load_le<std::uint64_t>(slot + 16));
   out.record = std::move(rec);
   co_return SlotStatus::kReady;
 }
@@ -300,8 +297,8 @@ sim::Task<bool> DecisionLog::post_cell(std::uint32_t peer,
 sim::Task<void> DecisionLog::ack(std::uint64_t seq, std::uint64_t tag) {
   (void)drain_completions();
   std::uint8_t cell[kAckCellBytes];
-  write_u64(cell, seq);
-  write_u64(cell + 8, tag);
+  store_le(cell, seq);
+  store_le(cell + 8, tag);
   const std::uint64_t cell_off = (seq % cfg_.slot_count) * kAckCellBytes;
   for (std::uint32_t p = 0; p < group_.size(); ++p) {
     if (p == self_) continue;
@@ -315,7 +312,7 @@ sim::Task<void> DecisionLog::ack(std::uint64_t seq, std::uint64_t tag) {
 sim::Task<void> DecisionLog::consumed(std::uint64_t seq) {
   (void)drain_completions();
   std::uint8_t cell[kConsumedCellBytes];
-  write_u64(cell, seq);
+  store_le(cell, seq);
   for (std::uint32_t p = 0; p < group_.size(); ++p) {
     if (p == self_) continue;
     (void)co_await post_cell(p, consumed_offset(), cell, kConsumedCellBytes,
@@ -330,7 +327,10 @@ std::uint32_t DecisionLog::acks_for(std::uint64_t seq,
   for (std::uint32_t p = 0; p < group_.size(); ++p) {
     if (p == self_) continue;
     const std::uint8_t* cell = ack_buf_[p]->data() + cell_off;
-    if (read_u64(cell) == seq && read_u64(cell + 8) == tag) ++count;
+    if (load_le<std::uint64_t>(cell) == seq &&
+        load_le<std::uint64_t>(cell + 8) == tag) {
+      ++count;
+    }
   }
   return count;
 }
@@ -368,15 +368,11 @@ SharedBytes DecisionLog::make_slot(std::uint64_t seq, std::uint64_t view,
   SharedBytes slot = SharedBytes::allocate(kHeaderBytes + payload.size() +
                                            kCanaryBytes);
   std::uint8_t* p = slot.mutable_data();
-  write_u64(p, seq);
-  write_u64(p + 8, view);
-  write_u64(p + 16, static_cast<std::uint64_t>(proposed_at));
-  write_u32(p + 24, static_cast<std::uint32_t>(payload.size()));
-  write_u32(p + 28, 0);
+  store_slot_header(p, seq, view, proposed_at, payload.size());
   std::memcpy(p + kHeaderBytes, payload.data(), payload.size());
   const std::uint64_t canary = canary_of(seq, view);
-  write_u64(p + kHeaderBytes + payload.size(),
-            valid_canary ? canary : ~canary);
+  store_le(p + kHeaderBytes + payload.size(),
+           valid_canary ? canary : ~canary);
   return slot;
 }
 

@@ -5,20 +5,13 @@
 #include <stdexcept>
 
 #include "common/audit.hpp"
+#include "common/codec.hpp"
 #include "common/counters.hpp"
 
 namespace rubin::nio {
 
 namespace {
 constexpr std::size_t kHeader = 16;  // u32 len | u32 pad | u64 seq
-
-std::uint64_t read_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-void write_u64(std::uint8_t* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
 }  // namespace
 
 OneSidedChannel::OneSidedChannel(RubinContext& ctx, OneSidedConfig cfg)
@@ -66,7 +59,7 @@ sim::Task<bool> OneSidedChannel::acquire_credit() {
   // Flow control: the peer writes its consumed count into our credit
   // cell; without this check we would overwrite unconsumed slots — the
   // "read/write race resulting in corrupted data" of paper §III-A.
-  const std::uint64_t consumed = read_u64(credit_cell_.data());
+  const std::uint64_t consumed = load_le<std::uint64_t>(credit_cell_.data());
   // The credit cell is remote-writable memory: a peer can write a value
   // that goes backwards or claims consumption ahead of what we sent.
   // Either is counted (it is the peer's fault, not a local bug) and the
@@ -98,10 +91,9 @@ sim::Task<std::size_t> OneSidedChannel::write(ByteView msg) {
   // in the peer's ring.
   const std::size_t idx = sent_seq_ % cfg_.slot_count;
   std::uint8_t* slot = staging_.data() + idx * slot_stride();
-  const auto len32 = static_cast<std::uint32_t>(msg.size());
-  std::memcpy(slot, &len32, 4);
-  std::memset(slot + 4, 0, 4);
-  write_u64(slot + 8, sent_seq_ + 1);
+  store_le(slot, static_cast<std::uint32_t>(msg.size()));
+  store_le(slot + 4, std::uint32_t{0});
+  store_le(slot + 8, sent_seq_ + 1);
   co_await ctx_->simulator().sleep(ctx_->cost().copy_time(msg.size()));
   std::memcpy(slot + kHeader, msg.data(), msg.size());
 
@@ -123,7 +115,8 @@ sim::Task<std::size_t> OneSidedChannel::write(ByteView msg) {
 
 bool OneSidedChannel::landed() const noexcept {
   const std::size_t idx = recv_seq_ % cfg_.slot_count;
-  return read_u64(ring_.data() + idx * slot_stride() + 8) == recv_seq_ + 1;
+  return load_le<std::uint64_t>(ring_.data() + idx * slot_stride() + 8) ==
+         recv_seq_ + 1;
 }
 
 sim::Task<std::size_t> OneSidedChannel::read(MutByteView out) {
@@ -134,8 +127,7 @@ sim::Task<std::size_t> OneSidedChannel::read(MutByteView out) {
     co_await ctx_->simulator().sleep(ctx_->cost().post_call_cpu);
     co_return 0;
   }
-  std::uint32_t raw_len = 0;
-  std::memcpy(&raw_len, slot, 4);
+  const std::uint32_t raw_len = load_le<std::uint32_t>(slot);
   // A corrupted length (ring memory is remotely writable!) is clamped so
   // it cannot read out of bounds of the slot or of `out`; the *payload*
   // may still be garbage — exactly why Reptor layers HMACs on top (paper
@@ -172,7 +164,7 @@ sim::Task<void> OneSidedChannel::return_credits() {
   (void)scq_->poll(16);
   const std::uint64_t consumed = recv_seq_;
   std::uint8_t scratch[8];
-  write_u64(scratch, consumed);
+  store_le(scratch, consumed);
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kRdmaWrite;
   wr.wr_id = 0xC3ED17;

@@ -1,8 +1,7 @@
 #include "workloads/echo_kit.hpp"
 
-#include <cstring>
-
 #include "common/audit.hpp"
+#include "common/codec.hpp"
 #include "common/shared_bytes.hpp"
 #include "common/stats.hpp"
 #include "net/fabric.hpp"
@@ -321,13 +320,12 @@ EchoPoint run_readwrite_echo(const EchoParams& p) {
     Time started = 0;
     Time finished = 0;
 
+    // The sequence number rides in a buffer's last 8 bytes.
     static std::uint64_t read_seq(ByteView buf) {
-      std::uint64_t seq = 0;
-      std::memcpy(&seq, buf.data() + buf.size() - 8, 8);
-      return seq;
+      return load_le<std::uint64_t>(buf.data() + buf.size() - 8);
     }
     static void write_seq(Bytes& buf, std::uint64_t seq) {
-      std::memcpy(buf.data() + buf.size() - 8, &seq, 8);
+      store_le(buf.data() + buf.size() - 8, seq);
     }
   };
   RwCtx ctx{sim, p, slot, inbox_c, inbox_s, out_c, out_s, mr_out_c, mr_out_s,

@@ -73,76 +73,96 @@ TEST(Bytes, PatternEmptyAlwaysMatches) {
 
 TEST(Codec, PrimitiveRoundTrip) {
   Encoder enc;
-  enc.put_u8(0xAB);
-  enc.put_u16(0xBEEF);
-  enc.put_u32(0xDEADBEEF);
-  enc.put_u64(0x0123456789ABCDEFULL);
-  enc.put_i64(-42);
+  enc.u8(0xAB);
+  enc.u32(0xDEADBEEF);
+  enc.u64(0x0123456789ABCDEFULL);
+  enc.flag(true);
   const Bytes wire = enc.take();
 
   Decoder dec(wire);
-  EXPECT_EQ(dec.get_u8(), 0xAB);
-  EXPECT_EQ(dec.get_u16(), 0xBEEF);
-  EXPECT_EQ(dec.get_u32(), 0xDEADBEEFu);
-  EXPECT_EQ(dec.get_u64(), 0x0123456789ABCDEFULL);
-  EXPECT_EQ(dec.get_i64(), -42);
+  std::uint8_t a = 0;
+  std::uint32_t b = 0;
+  std::uint64_t c = 0;
+  bool f = false;
+  ASSERT_TRUE(dec.u8(a) && dec.u32(b) && dec.u64(c) && dec.flag(f));
+  EXPECT_EQ(a, 0xAB);
+  EXPECT_EQ(b, 0xDEADBEEFu);
+  EXPECT_EQ(c, 0x0123456789ABCDEFULL);
+  EXPECT_TRUE(f);
   EXPECT_TRUE(dec.exhausted());
 }
 
 TEST(Codec, LittleEndianLayout) {
   Encoder enc;
-  enc.put_u32(0x04030201);
+  enc.u32(0x04030201);
   const Bytes wire = enc.take();
   ASSERT_EQ(wire.size(), 4u);
   EXPECT_EQ(wire[0], 0x01);
   EXPECT_EQ(wire[3], 0x04);
+
+  std::uint8_t cell[8];
+  store_le(cell, std::uint64_t{0x0807060504030201ULL});
+  EXPECT_EQ(cell[0], 0x01);
+  EXPECT_EQ(cell[7], 0x08);
+  EXPECT_EQ(load_le<std::uint64_t>(cell), 0x0807060504030201ULL);
+  EXPECT_EQ(load_le<std::uint16_t>(cell + 2), 0x0403);
 }
 
 TEST(Codec, BytesAndStringRoundTrip) {
   Encoder enc;
-  enc.put_bytes(Bytes{9, 8, 7});
-  enc.put_string("consensus");
-  enc.put_bytes(Bytes{});
+  enc.bytes(Bytes{9, 8, 7});
+  enc.bytes(std::string_view("consensus"));
+  enc.bytes(Bytes{});
   const Bytes wire = enc.take();
 
   Decoder dec(wire);
-  EXPECT_EQ(dec.get_bytes(), (Bytes{9, 8, 7}));
-  EXPECT_EQ(dec.get_string(), "consensus");
-  EXPECT_EQ(dec.get_bytes(), Bytes{});
+  Bytes a;
+  std::string b;
+  Bytes c{1};
+  ASSERT_TRUE(dec.bytes(a) && dec.bytes(b) && dec.bytes(c));
+  EXPECT_EQ(a, (Bytes{9, 8, 7}));
+  EXPECT_EQ(b, "consensus");
+  EXPECT_EQ(c, Bytes{});
   EXPECT_TRUE(dec.exhausted());
 }
 
 TEST(Codec, RawBytesNoPrefix) {
   Encoder enc;
-  enc.put_raw(Bytes{1, 2, 3});
+  enc.raw(Bytes{1, 2, 3});
   EXPECT_EQ(enc.size(), 3u);
   Decoder dec(enc.view());
-  EXPECT_EQ(dec.get_raw(3), (Bytes{1, 2, 3}));
+  std::array<std::uint8_t, 3> out{};
+  ASSERT_TRUE(dec.raw(out));
+  EXPECT_EQ(out, (std::array<std::uint8_t, 3>{1, 2, 3}));
 }
 
 TEST(Codec, TruncatedReadsReturnNullopt) {
   Encoder enc;
-  enc.put_u32(7);
+  enc.u32(7);
   const Bytes wire = enc.take();
 
   Decoder dec(ByteView(wire).subspan(0, 2));
-  EXPECT_EQ(dec.get_u32(), std::nullopt);
+  std::uint32_t v = 0;
+  EXPECT_FALSE(dec.u32(v));
+  EXPECT_EQ(Decoder(ByteView(wire).subspan(0, 2)).get_u64(), std::nullopt);
 }
 
 TEST(Codec, OverrunningLengthPrefixRejected) {
   // Claims 100 bytes follow but only 2 do — must not read past the end.
   Encoder enc;
-  enc.put_u32(100);
-  enc.put_u8(1);
-  enc.put_u8(2);
+  enc.u32(100);
+  enc.u8(1);
+  enc.u8(2);
   Decoder dec(enc.view());
-  EXPECT_EQ(dec.get_bytes(), std::nullopt);
+  Bytes out;
+  EXPECT_FALSE(dec.bytes(out));
 }
 
 TEST(Codec, EmptyDecoderIsExhausted) {
   Decoder dec(ByteView{});
   EXPECT_TRUE(dec.exhausted());
-  EXPECT_EQ(dec.get_u8(), std::nullopt);
+  std::uint8_t v = 0;
+  EXPECT_FALSE(dec.u8(v));
 }
 
 // ------------------------------------------------------------------ rng --
