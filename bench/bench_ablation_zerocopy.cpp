@@ -25,7 +25,9 @@ namespace {
 /// flag applied to every transport in the group (replicas and clients).
 double run_bft_zerocopy(std::size_t request_size, bool zero_copy_receive) {
   reptor::BftHarness h(reptor::Backend::kRubin, 4, 1);
-  h.set_zero_copy_receive(zero_copy_receive);
+  nio::ChannelConfig ccfg = h.channel_config();
+  ccfg.zero_copy_receive = zero_copy_receive;
+  h.set_channel_config(ccfg);
   reptor::ReplicaConfig cfg;
   cfg.batch_size = 8;
   cfg.batch_timeout = sim::microseconds(100);

@@ -81,7 +81,6 @@ class BftHarness {
   /// clients, so a deployment-level flag like zero_copy_receive covers
   /// the whole group, not just the replica mesh.
   void set_channel_config(nio::ChannelConfig ccfg) { channel_cfg_ = ccfg; }
-  void set_zero_copy_receive(bool on) { channel_cfg_.zero_copy_receive = on; }
   const nio::ChannelConfig& channel_config() const noexcept {
     return channel_cfg_;
   }

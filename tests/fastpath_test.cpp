@@ -309,7 +309,9 @@ TEST_F(FastPathTest, ZeroCopyReceiveFlagPlumbsThroughHarness) {
   // flag reaches every RUBIN transport (replicas and clients), and the
   // group still agrees with it on.
   BftHarness h(Backend::kRubin, 4, 1);
-  h.set_zero_copy_receive(true);
+  nio::ChannelConfig ccfg = h.channel_config();
+  ccfg.zero_copy_receive = true;
+  h.set_channel_config(ccfg);
   EXPECT_TRUE(h.channel_config().zero_copy_receive);
   h.add_replicas({}, fast_cfg());
   auto& client = h.add_client(4);
