@@ -58,11 +58,12 @@ class SrqTest : public ::testing::Test {
     return Sge{mr->addr() + off, len, mr->lkey()};
   }
 
-  /// A signaled 128-byte SEND from the start of `mr`.
-  SendWr send_of(std::uint64_t wr_id, const MemoryRegion* mr) {
+  /// A signaled SEND of `len` bytes from the start of `mr`.
+  SendWr send_of(std::uint64_t wr_id, const MemoryRegion* mr,
+                 std::uint32_t len = 128) {
     SendWr wr;
     wr.wr_id = wr_id;
-    wr.sg_list = sge_of(mr, 0, 128);
+    wr.sg_list = sge_of(mr, 0, len);
     return wr;
   }
 
@@ -114,11 +115,9 @@ TEST_F(SrqTest, TwoQpsInterleaveAndCompletionsRouteByQpNum) {
     // Alternate senders; RC delivery is in per-sender order and the SRQ
     // consumes in arrival order across both.
     for (std::uint64_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(co_await t.qp_a->post_send_one(SendWr{
-                    10 + i, Opcode::kSend, t.sge_of(t.mr_a, 0, 256), true}),
+      EXPECT_EQ(co_await t.qp_a->post_send_one(t.send_of(10 + i, t.mr_a, 256)),
                 PostResult::kOk);
-      EXPECT_EQ(co_await t.qp_c->post_send_one(SendWr{
-                    20 + i, Opcode::kSend, t.sge_of(t.mr_c, 0, 256), true}),
+      EXPECT_EQ(co_await t.qp_c->post_send_one(t.send_of(20 + i, t.mr_c, 256)),
                 PostResult::kOk);
     }
   }(*this));
@@ -151,8 +150,7 @@ TEST_F(SrqTest, BurstExhaustionParksThenRefillRedrains) {
     // Burst of three while only one WR is posted: two park under RNR
     // backpressure.
     for (std::uint64_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(co_await t.qp_a->post_send_one(SendWr{
-                    i, Opcode::kSend, t.sge_of(t.mr_a, 0, 128), true}),
+      EXPECT_EQ(co_await t.qp_a->post_send_one(t.send_of(i, t.mr_a)),
                 PostResult::kOk);
     }
     // Refill well inside the RNR retry budget; the parked messages drain
@@ -231,8 +229,7 @@ TEST_F(SrqTest, EmptySrqBeyondRetryBudgetBreaksQp) {
   // Nothing posted, nothing refilled: the full RNR budget expires and the
   // connection breaks exactly like a never-provisioned per-QP ring.
   sim.spawn([](SrqTest& t) -> Task<> {
-    EXPECT_EQ(co_await t.qp_a->post_send_one(SendWr{
-                  1, Opcode::kSend, t.sge_of(t.mr_a, 0, 128), true}),
+    EXPECT_EQ(co_await t.qp_a->post_send_one(t.send_of(1, t.mr_a)),
               PostResult::kOk);
   }(*this));
   sim.run();
@@ -244,8 +241,7 @@ TEST_F(SrqTest, EmptySrqBeyondRetryBudgetBreaksQp) {
   // The SRQ survives its consumer: the other QP still receives.
   post_srq(0, 1, 512);
   sim.spawn([](SrqTest& t) -> Task<> {
-    EXPECT_EQ(co_await t.qp_c->post_send_one(SendWr{
-                  2, Opcode::kSend, t.sge_of(t.mr_c, 0, 128), true}),
+    EXPECT_EQ(co_await t.qp_c->post_send_one(t.send_of(2, t.mr_c)),
               PostResult::kOk);
   }(*this));
   sim.run();
@@ -264,8 +260,7 @@ TEST_F(SrqTest, LimitEventFiresOnceAndRearms) {
 
   sim.spawn([](SrqTest& t) -> Task<> {
     for (std::uint64_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(co_await t.qp_a->post_send_one(SendWr{
-                    i, Opcode::kSend, t.sge_of(t.mr_a, 0, 128), true}),
+      EXPECT_EQ(co_await t.qp_a->post_send_one(t.send_of(i, t.mr_a)),
                 PostResult::kOk);
       co_await t.sim.sleep(sim::microseconds(50));
     }
@@ -282,8 +277,7 @@ TEST_F(SrqTest, LimitEventFiresOnceAndRearms) {
   srq->arm_limit(2);
   post_srq(4, 2, 512);
   sim.spawn([](SrqTest& t) -> Task<> {
-    EXPECT_EQ(co_await t.qp_c->post_send_one(SendWr{
-                  9, Opcode::kSend, t.sge_of(t.mr_c, 0, 128), true}),
+    EXPECT_EQ(co_await t.qp_c->post_send_one(t.send_of(9, t.mr_c)),
               PostResult::kOk);
   }(*this));
   sim.run();
@@ -299,8 +293,7 @@ TEST_F(SrqTest, TeardownWithInFlightWrFlushCompletesOnOwningCq) {
   sim.spawn([](SrqTest& t) -> Task<> {
     // Large payload: the receive-side DMA takes microseconds, leaving a
     // window where the WR is taken from the SRQ but not yet completed.
-    EXPECT_EQ(co_await t.qp_a->post_send_one(SendWr{
-                  1, Opcode::kSend, t.sge_of(t.mr_a, 0, 32 * 1024), true}),
+    EXPECT_EQ(co_await t.qp_a->post_send_one(t.send_of(1, t.mr_a, 32 * 1024)),
               PostResult::kOk);
     while (t.srq->taken() == 0) co_await t.sim.sleep(100);
     t.qp_b1->set_error();  // DMA in flight right now
@@ -318,8 +311,7 @@ TEST_F(SrqTest, TeardownWithInFlightWrFlushCompletesOnOwningCq) {
 
   // The surviving QP drains the remaining WRs untouched.
   sim.spawn([](SrqTest& t) -> Task<> {
-    EXPECT_EQ(co_await t.qp_c->post_send_one(SendWr{
-                  2, Opcode::kSend, t.sge_of(t.mr_c, 0, 128), true}),
+    EXPECT_EQ(co_await t.qp_c->post_send_one(t.send_of(2, t.mr_c)),
               PostResult::kOk);
   }(*this));
   sim.run();

@@ -17,6 +17,18 @@ namespace {
 using sim::Task;
 using sim::Time;
 
+/// A work request with every other field at its default (aggregate
+/// initialization would leave the trailing fields unnamed).
+SendWr wr_of(std::uint64_t wr_id, Opcode opcode, SgeList sg_list,
+             bool signaled = true) {
+  SendWr wr;
+  wr.wr_id = wr_id;
+  wr.opcode = opcode;
+  wr.sg_list = std::move(sg_list);
+  wr.signaled = signaled;
+  return wr;
+}
+
 /// Two connected hosts with one QP pair, CQs, and registered buffers —
 /// the scaffolding every data-path test needs.
 class VerbsTest : public ::testing::Test {
@@ -112,7 +124,7 @@ TEST_F(VerbsTest, SendRecvDeliversPayload) {
     EXPECT_EQ(co_await t.qp_b->post_recv_one(RecvWr{7, t.sge_of(t.mr_b, 0, 8192)}),
               PostResult::kOk);
     EXPECT_EQ(co_await t.qp_a->post_send_one(
-                  SendWr{1, Opcode::kSend, t.sge_of(t.mr_a, 0, 4096), true}),
+                  wr_of(1, Opcode::kSend, t.sge_of(t.mr_a, 0, 4096))),
               PostResult::kOk);
     sent = true;
   }(*this, sent));
@@ -137,7 +149,7 @@ TEST_F(VerbsTest, InlineSendDoesNotTouchBufferAfterPost) {
   std::copy(msg.begin(), msg.end(), buf_a.begin());
   sim.spawn([](VerbsTest& t) -> Task<> {
     (void)co_await t.qp_b->post_recv_one(RecvWr{1, t.sge_of(t.mr_b, 0, 1024)});
-    SendWr wr{2, Opcode::kSend, t.sge_of(t.mr_a, 0, 128), true};
+    SendWr wr = wr_of(2, Opcode::kSend, t.sge_of(t.mr_a, 0, 128));
     wr.inline_data = true;
     (void)co_await t.qp_a->post_send_one(wr);
     // Clobber the source immediately: an inline send must be immune.
@@ -151,7 +163,7 @@ TEST_F(VerbsTest, InlineSendDoesNotTouchBufferAfterPost) {
 TEST_F(VerbsTest, InlineOverLimitRejected) {
   PostResult r{};
   sim.spawn([](VerbsTest& t, PostResult& r) -> Task<> {
-    SendWr wr{1, Opcode::kSend, t.sge_of(t.mr_a, 0, 4096), true};
+    SendWr wr = wr_of(1, Opcode::kSend, t.sge_of(t.mr_a, 0, 4096));
     wr.inline_data = true;  // 4096 > max_inline (256)
     r = co_await t.qp_a->post_send_one(wr);
   }(*this, r));
@@ -169,7 +181,7 @@ TEST_F(VerbsTest, NonInlineSendSnapshotsAtNicTime) {
   sim.spawn([](VerbsTest& t) -> Task<> {
     (void)co_await t.qp_b->post_recv_one(RecvWr{1, t.sge_of(t.mr_b, 0, 2048)});
     (void)co_await t.qp_a->post_send_one(
-        SendWr{2, Opcode::kSend, t.sge_of(t.mr_a, 0, 1024), true});
+        wr_of(2, Opcode::kSend, t.sge_of(t.mr_a, 0, 1024)));
     co_await t.sim.sleep(sim::milliseconds(1));  // long after completion
     std::fill(t.buf_a.begin(), t.buf_a.end(), 0xFF);
   }(*this));
@@ -181,7 +193,7 @@ TEST_F(VerbsTest, RecvBufferTooSmallFailsBothSides) {
   sim.spawn([](VerbsTest& t) -> Task<> {
     (void)co_await t.qp_b->post_recv_one(RecvWr{1, t.sge_of(t.mr_b, 0, 64)});
     (void)co_await t.qp_a->post_send_one(
-        SendWr{2, Opcode::kSend, t.sge_of(t.mr_a, 0, 1024), true});
+        wr_of(2, Opcode::kSend, t.sge_of(t.mr_a, 0, 1024)));
   }(*this));
   sim.run();
   const auto rc = rcq_b->poll(8);
@@ -206,8 +218,7 @@ TEST_F(VerbsTest, MessagesDeliveredInOrder) {
       std::copy(msg.begin(), msg.end(),
                 t.buf_a.begin() + static_cast<std::ptrdiff_t>(i * 1024));
       (void)co_await t.qp_a->post_send_one(
-          SendWr{100 + i, Opcode::kSend,
-                 t.sge_of(t.mr_a, i * 1024, 512), true});
+          wr_of(100 + i, Opcode::kSend, t.sge_of(t.mr_a, i * 1024, 512)));
     }
   }(*this));
   sim.run();
@@ -229,8 +240,8 @@ TEST_F(VerbsTest, UnsignaledSendProducesNoCqe) {
     recvs.push_back(RecvWr{1, t.sge_of(t.mr_b, 0, 1024)});
     recvs.push_back(RecvWr{2, t.sge_of(t.mr_b, 1024, 1024)});
     (void)co_await t.qp_b->post_recv(std::move(recvs));
-    SendWr unsignaled{1, Opcode::kSend, t.sge_of(t.mr_a, 0, 64), false};
-    SendWr signaled{2, Opcode::kSend, t.sge_of(t.mr_a, 64, 64), true};
+    SendWr unsignaled = wr_of(1, Opcode::kSend, t.sge_of(t.mr_a, 0, 64), false);
+    SendWr signaled = wr_of(2, Opcode::kSend, t.sge_of(t.mr_a, 64, 64));
     std::vector<SendWr> batch;
     batch.push_back(unsignaled);
     batch.push_back(signaled);
@@ -253,8 +264,8 @@ TEST_F(VerbsTest, SignaledCompletionReclaimsUnsignaledSlots) {
     (void)co_await t.qp_b->post_recv(std::move(recvs));
     std::vector<SendWr> batch;
     for (std::uint64_t i = 0; i < 32; ++i) {
-      batch.push_back(SendWr{i, Opcode::kSend, t.sge_of(t.mr_a, 0, 64),
-                             /*signaled=*/i == 31});
+      batch.push_back(wr_of(i, Opcode::kSend,
+                            t.sge_of(t.mr_a, 0, 64), /*signaled=*/i == 31));
     }
     (void)co_await t.qp_a->post_send(std::move(batch));
   }(*this));
@@ -274,7 +285,8 @@ TEST_F(VerbsTest, AllUnsignaledEventuallyFillsSendQueue) {
     }
     (void)co_await t.qp_b->post_recv(std::move(recvs));
     for (std::uint64_t i = 0; i < 200; ++i) {
-      SendWr wr{i, Opcode::kSend, t.sge_of(t.mr_a, 0, 64), /*signaled=*/false};
+      SendWr wr = wr_of(i, Opcode::kSend,
+                        t.sge_of(t.mr_a, 0, 64), /*signaled=*/false);
       last = co_await t.qp_a->post_send_one(wr);
       if (last != PostResult::kOk) break;
       co_await t.sim.sleep(sim::microseconds(50));  // let everything finish
@@ -292,7 +304,7 @@ TEST_F(VerbsTest, SendWaitsForLateRecv) {
     const Bytes msg = patterned_bytes(256, 21);
     std::copy(msg.begin(), msg.end(), t.buf_a.begin());
     (void)co_await t.qp_a->post_send_one(
-        SendWr{1, Opcode::kSend, t.sge_of(t.mr_a, 0, 256), true});
+        wr_of(1, Opcode::kSend, t.sge_of(t.mr_a, 0, 256)));
     co_await t.sim.sleep(sim::microseconds(300));  // 3 RNR timeouts
     (void)co_await t.qp_b->post_recv_one(RecvWr{9, t.sge_of(t.mr_b, 0, 1024)});
   }(*this));
@@ -307,7 +319,7 @@ TEST_F(VerbsTest, SendWaitsForLateRecv) {
 TEST_F(VerbsTest, RnrRetriesExhaustBreakTheConnection) {
   sim.spawn([](VerbsTest& t) -> Task<> {
     (void)co_await t.qp_a->post_send_one(
-        SendWr{1, Opcode::kSend, t.sge_of(t.mr_a, 0, 64), true});
+        wr_of(1, Opcode::kSend, t.sge_of(t.mr_a, 0, 64)));
   }(*this));
   sim.run();  // receiver never posts a receive
   const auto sc = scq_a->poll(4);
@@ -324,7 +336,7 @@ TEST_F(VerbsTest, RdmaWriteLandsWithoutResponderCompletion) {
   const Bytes msg = patterned_bytes(2048, 5);
   std::copy(msg.begin(), msg.end(), buf_a.begin());
   sim.spawn([](VerbsTest& t, MemoryRegion* target) -> Task<> {
-    SendWr wr{1, Opcode::kRdmaWrite, t.sge_of(t.mr_a, 0, 2048), true};
+    SendWr wr = wr_of(1, Opcode::kRdmaWrite, t.sge_of(t.mr_a, 0, 2048));
     wr.remote_addr = target->addr() + 4096;
     wr.rkey = target->rkey();
     (void)co_await t.qp_a->post_send_one(wr);
@@ -341,7 +353,7 @@ TEST_F(VerbsTest, RdmaWriteLandsWithoutResponderCompletion) {
 
 TEST_F(VerbsTest, RdmaWriteWithBadRkeyFails) {
   sim.spawn([](VerbsTest& t) -> Task<> {
-    SendWr wr{1, Opcode::kRdmaWrite, t.sge_of(t.mr_a, 0, 64), true};
+    SendWr wr = wr_of(1, Opcode::kRdmaWrite, t.sge_of(t.mr_a, 0, 64));
     wr.remote_addr = t.mr_b->addr();
     wr.rkey = 0xBADBAD;
     (void)co_await t.qp_a->post_send_one(wr);
@@ -356,7 +368,7 @@ TEST_F(VerbsTest, RdmaWriteWithBadRkeyFails) {
 TEST_F(VerbsTest, RdmaWriteRequiresRemoteWriteAccess) {
   // mr_b was registered with kAccessLocalWrite only.
   sim.spawn([](VerbsTest& t) -> Task<> {
-    SendWr wr{1, Opcode::kRdmaWrite, t.sge_of(t.mr_a, 0, 64), true};
+    SendWr wr = wr_of(1, Opcode::kRdmaWrite, t.sge_of(t.mr_a, 0, 64));
     wr.remote_addr = t.mr_b->addr();
     wr.rkey = t.mr_b->rkey();
     (void)co_await t.qp_a->post_send_one(wr);
@@ -370,7 +382,7 @@ TEST_F(VerbsTest, RdmaReadFetchesRemoteData) {
   const Bytes msg = patterned_bytes(1024, 33);
   std::copy(msg.begin(), msg.end(), buf_b.begin() + 512);
   sim.spawn([](VerbsTest& t, MemoryRegion* src) -> Task<> {
-    SendWr wr{1, Opcode::kRdmaRead, t.sge_of(t.mr_a, 0, 1024), true};
+    SendWr wr = wr_of(1, Opcode::kRdmaRead, t.sge_of(t.mr_a, 0, 1024));
     wr.remote_addr = src->addr() + 512;
     wr.rkey = src->rkey();
     (void)co_await t.qp_a->post_send_one(wr);
@@ -386,7 +398,7 @@ TEST_F(VerbsTest, RdmaReadFetchesRemoteData) {
 TEST_F(VerbsTest, RdmaReadWithoutRemoteReadAccessFails) {
   auto* wr_only = pd_b.register_memory(buf_b, kAccessRemoteWrite);
   sim.spawn([](VerbsTest& t, MemoryRegion* m) -> Task<> {
-    SendWr wr{1, Opcode::kRdmaRead, t.sge_of(t.mr_a, 0, 64), true};
+    SendWr wr = wr_of(1, Opcode::kRdmaRead, t.sge_of(t.mr_a, 0, 64));
     wr.remote_addr = m->addr();
     wr.rkey = m->rkey();
     (void)co_await t.qp_a->post_send_one(wr);
@@ -402,7 +414,7 @@ TEST_F(VerbsTest, RdmaReadWithoutRemoteReadAccessFails) {
 TEST_F(VerbsTest, BadLocalLkeyFailsAsynchronously) {
   sim.spawn([](VerbsTest& t) -> Task<> {
     (void)co_await t.qp_a->post_send_one(
-        SendWr{1, Opcode::kSend, Sge{t.mr_a->addr(), 64, 0xBEEF}, true});
+        wr_of(1, Opcode::kSend, Sge{t.mr_a->addr(), 64, 0xBEEF}));
   }(*this));
   sim.run();
   const auto sc = scq_a->poll(4);
@@ -416,7 +428,7 @@ TEST_F(VerbsTest, PostToErroredQpRejected) {
   PostResult r{};
   sim.spawn([](VerbsTest& t, PostResult& r) -> Task<> {
     r = co_await t.qp_a->post_send_one(
-        SendWr{1, Opcode::kSend, t.sge_of(t.mr_a, 0, 64), true});
+        wr_of(1, Opcode::kSend, t.sge_of(t.mr_a, 0, 64)));
   }(*this, r));
   sim.run();
   EXPECT_EQ(r, PostResult::kInvalidState);
@@ -505,7 +517,7 @@ TEST_F(VerbsTest, SendQueueFullRejectsBatch) {
     std::vector<SendWr> too_many;
     for (std::uint64_t i = 0; i < t.qp_a->config().max_send_wr + 1; ++i) {
       too_many.push_back(
-          SendWr{i, Opcode::kSend, t.sge_of(t.mr_a, 0, 16), true});
+          wr_of(i, Opcode::kSend, t.sge_of(t.mr_a, 0, 16)));
     }
     r = co_await t.qp_a->post_send(std::move(too_many));
   }(*this, r));
@@ -524,7 +536,7 @@ TEST_F(VerbsTest, MultiSgeSendConcatenatesSlices) {
 
   sim.spawn([](VerbsTest& t) -> Task<> {
     (void)co_await t.qp_b->post_recv_one(RecvWr{7, t.sge_of(t.mr_b, 0, 8192)});
-    SendWr wr{1, Opcode::kSend, {}, true};
+    SendWr wr = wr_of(1, Opcode::kSend, {});
     wr.sg_list.push_back(t.sge_of(t.mr_a, 100, 8));
     wr.sg_list.push_back(t.sge_of(t.mr_a, 5000, 1000));
     wr.sg_list.push_back(t.sge_of(t.mr_a, 9000, 2048));
@@ -549,7 +561,7 @@ TEST_F(VerbsTest, MultiSgeSliceSpanningMrBoundaryFails) {
   // The second element runs past the end of the MR: local protection
   // error at DMA time, exactly as a single bad SGE would fail.
   sim.spawn([](VerbsTest& t) -> Task<> {
-    SendWr wr{1, Opcode::kSend, {}, true};
+    SendWr wr = wr_of(1, Opcode::kSend, {});
     wr.sg_list.push_back(t.sge_of(t.mr_a, 0, 64));
     wr.sg_list.push_back(t.sge_of(t.mr_a, kBuf - 16, 64));  // 48 B past end
     (void)co_await t.qp_a->post_send_one(wr);
@@ -565,7 +577,7 @@ TEST_F(VerbsTest, MultiSgeLkeyMismatchOnNthSliceFails) {
   // Every element is protection-checked, not just the first: a stale
   // lkey on the last slice poisons the whole WR.
   sim.spawn([](VerbsTest& t) -> Task<> {
-    SendWr wr{1, Opcode::kSend, {}, true};
+    SendWr wr = wr_of(1, Opcode::kSend, {});
     wr.sg_list.push_back(t.sge_of(t.mr_a, 0, 64));
     wr.sg_list.push_back(t.sge_of(t.mr_a, 64, 64));
     wr.sg_list.push_back(Sge{t.mr_a->addr() + 128, 64, 0xBEEF});
@@ -581,7 +593,7 @@ TEST_F(VerbsTest, MultiSgeLkeyMismatchOnNthSliceFails) {
 TEST_F(VerbsTest, EmptySgeListRejected) {
   PostResult r{};
   sim.spawn([](VerbsTest& t, PostResult& r) -> Task<> {
-    SendWr wr{1, Opcode::kSend, {}, true};  // no elements
+    SendWr wr = wr_of(1, Opcode::kSend, {});  // no elements
     r = co_await t.qp_a->post_send_one(wr);
   }(*this, r));
   sim.run();
@@ -600,7 +612,7 @@ TEST_F(VerbsTest, SgeCountAboveQpCapRejected) {
 
   PostResult r{};
   sim.spawn([](VerbsTest& t, QueuePair& qp, PostResult& r) -> Task<> {
-    SendWr wr{1, Opcode::kSend, {}, true};
+    SendWr wr = wr_of(1, Opcode::kSend, {});
     wr.sg_list.push_back(t.sge_of(t.mr_a, 0, 16));
     wr.sg_list.push_back(t.sge_of(t.mr_a, 16, 16));
     wr.sg_list.push_back(t.sge_of(t.mr_a, 32, 16));
@@ -642,7 +654,7 @@ sim::Time quiesce_time_for_slicing(const std::vector<std::uint32_t>& slice_lens)
                const std::vector<std::uint32_t>& lens) -> Task<> {
     (void)co_await qb.post_recv_one(
         RecvWr{7, Sge{mb.addr(), 8192, mb.lkey()}});
-    SendWr wr{1, Opcode::kSend, {}, true};
+    SendWr wr = wr_of(1, Opcode::kSend, {});
     std::uint64_t off = 0;
     for (const std::uint32_t len : lens) {
       wr.sg_list.push_back(Sge{ma.addr() + off, len, ma.lkey()});
@@ -673,8 +685,9 @@ TEST_F(VerbsTest, MultiSgeChargesMatchFlattenedEquivalent) {
 TEST_F(VerbsTest, CqOverflowLatchesFlag) {
   auto* tiny = dev_a.create_cq(2);
   for (int i = 0; i < 5; ++i) {
-    tiny->push(Completion{static_cast<std::uint64_t>(i), Opcode::kSend,
-                          WcStatus::kSuccess, 0, 0});
+    Completion c;
+    c.wr_id = static_cast<std::uint64_t>(i);
+    tiny->push(c);
   }
   EXPECT_TRUE(tiny->overflowed());
   EXPECT_EQ(tiny->poll(10).size(), 2u);
@@ -849,7 +862,7 @@ TEST_F(CmTest, DataFlowsAfterCmHandshake) {
                MemoryRegion* mra, MemoryRegion* mrb) -> Task<> {
     (void)co_await sqp->post_recv_one(RecvWr{1, Sge{mrb->addr(), 4096, mrb->lkey()}});
     (void)co_await cqp->post_send_one(
-        SendWr{2, Opcode::kSend, Sge{mra->addr(), 512, mra->lkey()}, true});
+        wr_of(2, Opcode::kSend, Sge{mra->addr(), 512, mra->lkey()}));
   }(server_qp, client_qp, mr_a, mr_b));
   sim.run();
   ASSERT_EQ(rcq_b->poll(4).size(), 1u);
