@@ -63,7 +63,9 @@ concept Walked = (std::same_as<std::remove_const_t<R>, Ts> || ...);
 /// Sequence-element callback that walks each element with the walker
 /// for its type, found by argument-dependent lookup: walkers live in
 /// their struct's namespace.
-inline constexpr auto walk_each = [](auto& io, auto& v) { return walk(io, v); };
+inline constexpr auto walk_each = [](auto& io, auto& v) {
+  return walk(io, v);
+};
 
 /// Appends fields to an owned buffer, little-endian. Every field method
 /// succeeds; they return bool only to share walkers with Decoder.
@@ -146,23 +148,21 @@ class Decoder {
     v = b != 0;
     return true;
   }
-  /// Reads a u32 length prefix then that many bytes.
-  bool bytes(Bytes& v) {
-    ByteView s;
-    if (!prefixed(s)) return false;
-    v.assign(s.begin(), s.end());
-    return true;
-  }
-  bool bytes(std::string& v) {
-    ByteView s;
-    if (!prefixed(s)) return false;
-    v.assign(s.begin(), s.end());
+  /// Reads a u32 length prefix then that many bytes into a Bytes or a
+  /// std::string.
+  template <class S>
+  bool bytes(S& v) {
+    std::uint32_t len = 0;
+    if (!u32(len) || !ensure(len)) return false;
+    const std::uint8_t* p = buf_.data() + pos_;
+    v.assign(p, p + len);
+    pos_ += len;
     return true;
   }
   template <std::size_t N>
   bool raw(std::array<std::uint8_t, N>& v) {
     if (!ensure(N)) return false;
-    std::copy_n(buf_.begin() + static_cast<std::ptrdiff_t>(pos_), N, v.begin());
+    std::copy_n(buf_.data() + pos_, N, v.begin());
     pos_ += N;
     return true;
   }
@@ -220,13 +220,6 @@ class Decoder {
     if (!ensure(sizeof(T))) return false;
     v = load_le<T>(buf_.data() + pos_);
     pos_ += sizeof(T);
-    return true;
-  }
-  bool prefixed(ByteView& s) {
-    std::uint32_t len = 0;
-    if (!u32(len) || !ensure(len)) return false;
-    s = buf_.subspan(pos_, len);
-    pos_ += len;
     return true;
   }
 

@@ -725,11 +725,11 @@ sim::Task<void> Replica::execute_ready() {
     if (it->first <= stable_) log_.erase(it);
 
     if (last_executed_ % cfg_.checkpoint_interval == 0) {
+      Bytes clients = encode_client_table(clients_);
       const Checkpoint cp{last_executed_, app_->state_digest(),
-                          clients_digest()};
+                          Sha256::hash(clients)};
       // Keep the matching snapshot around to serve lagging peers.
-      stored_checkpoints_[cp.seq] = {app_->snapshot(),
-                                    encode_client_table(clients_)};
+      stored_checkpoints_[cp.seq] = {app_->snapshot(), std::move(clients)};
       while (stored_checkpoints_.size() > 2) {
         stored_checkpoints_.erase(stored_checkpoints_.begin());
       }
@@ -1112,10 +1112,6 @@ sim::Task<void> Replica::handle_state_response(const Envelope& env) {
   disarm_vc_timer();
   if (outstanding_work()) arm_vc_timer();
   co_return;
-}
-
-Digest Replica::clients_digest() const {
-  return Sha256::hash(encode_client_table(clients_));
 }
 
 }  // namespace rubin::reptor

@@ -234,7 +234,6 @@ class Replica {
   void disarm_vc_timer();
 
   // State transfer (catch-up after falling behind the stable checkpoint).
-  Digest clients_digest() const;
   void maybe_request_state();
 
   sim::Simulator* sim_;
