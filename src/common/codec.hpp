@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
