@@ -152,14 +152,16 @@ bool Blockchain::restore(ByteView snap, const Digest& expected) {
   Blockchain incoming(block_size_);
   Decoder d(snap);
   if (!walk_state(d, incoming) || !d.exhausted()) return false;
+  // Rebuild the hashes, checking height and linkage as verify_chain does.
+  Digest prev = genesis_hash();
+  std::uint64_t height = 0;
   for (Block& b : incoming.blocks_) {
+    if (b.height != ++height || b.prev_hash != prev) return false;
     b.tx_root = b.compute_tx_root();
-    b.hash = b.compute_hash();
+    prev = b.hash = b.compute_hash();
   }
   // Verify the agreed digest before committing.
-  if (incoming.state_digest() != expected || !incoming.verify_chain()) {
-    return false;
-  }
+  if (incoming.state_digest() != expected) return false;
   *this = std::move(incoming);
   return true;
 }

@@ -25,11 +25,7 @@ bool log_enabled(LogLevel level) noexcept;
 /// Emits `msg` tagged with `component` if `level` is enabled.
 void log(LogLevel level, std::string_view component, std::string_view msg);
 
-/// Convenience wrappers.
-inline void log_trace(std::string_view c, std::string_view m) { log(LogLevel::kTrace, c, m); }
-inline void log_debug(std::string_view c, std::string_view m) { log(LogLevel::kDebug, c, m); }
-inline void log_info(std::string_view c, std::string_view m) { log(LogLevel::kInfo, c, m); }
-inline void log_warn(std::string_view c, std::string_view m) { log(LogLevel::kWarn, c, m); }
+/// Convenience wrapper.
 inline void log_error(std::string_view c, std::string_view m) { log(LogLevel::kError, c, m); }
 
 }  // namespace rubin

@@ -134,10 +134,6 @@ struct CostModel {
   std::size_t segments(std::size_t bytes) const {
     return bytes == 0 ? 1 : (bytes + mtu - 1) / mtu;
   }
-  /// Aggregate TCP/IP stack processing for a `bytes`-long send.
-  sim::Time tcp_stack_time(std::size_t bytes) const {
-    return static_cast<sim::Time>(segments(bytes)) * tcp_segment_cost;
-  }
 
   /// The testbed the paper used: defaults above.
   static CostModel roce_10g() { return CostModel{}; }

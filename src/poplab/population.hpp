@@ -183,7 +183,6 @@ class Population {
   const PopulationSpec& spec() const noexcept { return spec_; }
   const PopulationConfig& config() const noexcept { return cfg_; }
   const nio::MuxAcceptor& server() const noexcept { return *mux_; }
-  std::size_t cohort_count() const noexcept { return cohorts_.size(); }
   const ClientCohort& cohort(std::size_t i) const { return cohorts_[i]; }
   std::uint32_t established() const noexcept { return established_; }
   /// Ack-path receive buffers across all client hosts (SRQ pools or

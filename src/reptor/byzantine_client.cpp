@@ -32,8 +32,8 @@ class ClientReplayer final : public ClientStrategy {
 };
 
 /// Forgery attack: alongside each genuine send, a wrong-MAC copy and an
-/// impersonation of another client. Neither can pass decode_verified at
-/// any replica — the checker's forgery rule proves none executed.
+/// impersonation of another client. Neither is authentic at any
+/// replica — the checker's forgery rule proves none executed.
 class ClientForger final : public ClientStrategy {
  public:
   const char* name() const noexcept override { return "client-forger"; }
@@ -54,8 +54,8 @@ class ClientForger final : public ClientStrategy {
     // client and re-MAC it with the forger's own keys. Replicas verify
     // against the session key of the *claimed* sender, so every slot
     // fails — the frame vanishes at the MAC layer.
-    if (const auto env_msg = decode_unverified(frame.view())) {
-      if (const auto* req = std::get_if<Request>(&env_msg->msg)) {
+    if (const auto parsed = parse_frame(frame.view())) {
+      if (const auto* req = std::get_if<Request>(&parsed->env.msg)) {
         Request forged = *req;
         forged.client = victim_of(env);
         extra.emplace_back(

@@ -1,6 +1,5 @@
 #include "reptor/client.hpp"
 
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -34,10 +33,7 @@ void Client::send_request(NodeId peer, const SharedBytes& frame) {
 
 sim::Task<Bytes> Client::invoke(Bytes op) {
   const std::uint64_t id = next_id_++;
-  Request req;
-  req.client = cfg_.self;
-  req.id = id;
-  req.op = std::move(op);
+  const Request req{.client = cfg_.self, .id = id, .op = std::move(op)};
 
   // The request carries a full authenticator: backups must be able to
   // verify it when the primary (or a retransmission) relays it.
@@ -51,45 +47,26 @@ sim::Task<Bytes> Client::invoke(Bytes op) {
   ++stats_.requests_sent;
 
   sim::Time retry_at = sim_->now() + cfg_.retry_timeout;
-  // result digest -> replica voters (a Byzantine replica may lie; only
-  // f+1 matching replies are trusted).
-  std::map<Bytes, std::set<NodeId>> votes;
+  // A Byzantine replica may lie; only f+1 matching replies are trusted.
+  Votes votes;
   for (;;) {
-    const sim::Time wait = std::max<sim::Time>(retry_at - sim_->now(),
-                                               sim::microseconds(5));
-    const auto msgs = co_await transport_->poll(wait);
-    for (const InboundMsg& m : msgs) {
-      co_await sim_->sleep(cfg_.costs.mac_time(m.frame.size()));
-      const auto env = decode_verified(m.frame.view(), keys_);
-      if (!env || !std::holds_alternative<Reply>(env->msg)) continue;
-      const auto& reply = std::get<Reply>(env->msg);
-      if (reply.client != cfg_.self || reply.request_id != id) continue;
-      if (env->sender != m.peer || env->sender >= cfg_.n) continue;
-      ++stats_.replies_received;
-      view_ = std::max(view_, reply.view);
-      votes[reply.result].insert(env->sender);
-      if (votes[reply.result].size() >= cfg_.f + 1) {
-        latency_.add(sim::to_us(sim_->now() - started));
-        co_return reply.result;
-      }
+    if (auto result =
+            co_await collect_replies(id, cfg_.f + 1, retry_at, votes)) {
+      latency_.add(sim::to_us(sim_->now() - started));
+      co_return std::move(*result);
     }
-    if (sim_->now() >= retry_at) {
-      // Primary silent or reply lost: tell everyone (PBFT's retransmit —
-      // backups forward to the primary and start their watchdogs).
-      for (NodeId r = 0; r < cfg_.n; ++r) send_request(r, frame);
-      ++stats_.retries;
-      retry_at = sim_->now() + cfg_.retry_timeout;
-    }
+    // Primary silent or reply lost: tell everyone (PBFT's retransmit —
+    // backups forward to the primary and start their watchdogs).
+    for (NodeId r = 0; r < cfg_.n; ++r) send_request(r, frame);
+    ++stats_.retries;
+    retry_at = sim_->now() + cfg_.retry_timeout;
   }
 }
 
 sim::Task<Bytes> Client::invoke_read_only(Bytes op) {
   const std::uint64_t id = next_id_++;
-  Request req;
-  req.client = cfg_.self;
-  req.id = id;
-  req.op = op;  // keep a copy for the fallback
-  req.read_only = true;
+  // `op` stays for the fallback.
+  const Request req{.client = cfg_.self, .id = id, .op = op, .read_only = true};
 
   co_await sim_->sleep(cfg_.costs.mac_time(req.op.size()) *
                        static_cast<sim::Time>(cfg_.n));
@@ -101,11 +78,26 @@ sim::Task<Bytes> Client::invoke_read_only(Bytes op) {
 
   // One shot: wait for a 2f+1 matching quorum until the deadline, then
   // fall back to the ordered path.
-  const sim::Time deadline = sim_->now() + cfg_.retry_timeout;
-  std::map<Bytes, std::set<NodeId>> votes;
-  while (sim_->now() < deadline) {
-    const sim::Time wait =
-        std::max<sim::Time>(deadline - sim_->now(), sim::microseconds(5));
+  Votes votes;
+  if (auto result = co_await collect_replies(
+          id, 2 * cfg_.f + 1, sim_->now() + cfg_.retry_timeout, votes)) {
+    ++stats_.read_only_fast;
+    latency_.add(sim::to_us(sim_->now() - started));
+    co_return std::move(*result);
+  }
+  // Divergent or missing replies: the op must go through ordering.
+  ++stats_.read_only_fallback;
+  co_return co_await invoke(std::move(op));
+}
+
+sim::Task<std::optional<Bytes>> Client::collect_replies(std::uint64_t id,
+                                                        std::size_t quorum,
+                                                        sim::Time deadline,
+                                                        Votes& votes) {
+  // Polls at least once, then until the deadline.
+  do {
+    const sim::Time wait = std::max<sim::Time>(deadline - sim_->now(),
+                                               sim::microseconds(5));
     const auto msgs = co_await transport_->poll(wait);
     for (const InboundMsg& m : msgs) {
       co_await sim_->sleep(cfg_.costs.mac_time(m.frame.size()));
@@ -116,17 +108,12 @@ sim::Task<Bytes> Client::invoke_read_only(Bytes op) {
       if (env->sender != m.peer || env->sender >= cfg_.n) continue;
       ++stats_.replies_received;
       view_ = std::max(view_, reply.view);
-      votes[reply.result].insert(env->sender);
-      if (votes[reply.result].size() >= 2 * cfg_.f + 1) {
-        ++stats_.read_only_fast;
-        latency_.add(sim::to_us(sim_->now() - started));
-        co_return reply.result;
-      }
+      std::set<NodeId>& voters = votes[reply.result];
+      voters.insert(env->sender);
+      if (voters.size() >= quorum) co_return reply.result;
     }
-  }
-  // Divergent or missing replies: the op must go through ordering.
-  ++stats_.read_only_fallback;
-  co_return co_await invoke(std::move(op));
+  } while (sim_->now() < deadline);
+  co_return std::nullopt;
 }
 
 }  // namespace rubin::reptor

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 
 #include "common/stats.hpp"
 #include "reptor/costs.hpp"
@@ -69,6 +71,16 @@ class Client {
   NodeId primary_of(std::uint64_t v) const noexcept {
     return static_cast<NodeId>(v % cfg_.n);
   }
+
+  /// Reply result -> the replicas that sent it.
+  using Votes = std::map<Bytes, std::set<NodeId>>;
+
+  /// Polls at least once, tallying authentic replies to request `id`,
+  /// until a result has `quorum` voters (returned) or `deadline` passes.
+  sim::Task<std::optional<Bytes>> collect_replies(std::uint64_t id,
+                                                  std::size_t quorum,
+                                                  sim::Time deadline,
+                                                  Votes& votes);
 
   /// Single choke point for outbound REQUEST frames — the client-side
   /// Byzantine seam. Honest clients fall straight through to the

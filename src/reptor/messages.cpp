@@ -113,12 +113,6 @@ Digest batch_digest(const std::vector<Request>& batch) {
   return Sha256::hash(e.view());
 }
 
-Digest request_digest(const Request& r) {
-  Encoder e;
-  walk(e, r);
-  return Sha256::hash(e.view());
-}
-
 SharedBytes encode_for_replicas(const Envelope& env, const KeyTable& keys,
                                 std::uint32_t replica_count) {
   Encoder e;
@@ -141,56 +135,52 @@ SharedBytes encode_for_peer(const Envelope& env, const KeyTable& keys,
   return e.take_shared();
 }
 
-namespace {
-
-std::optional<Envelope> decode_impl(ByteView frame, const KeyTable* keys) {
+std::optional<ParsedFrame> parse_frame(ByteView frame) {
   Decoder d(frame);
   std::uint8_t type = 0;
-  Envelope env;
-  if (!d.u8(type) || !d.u32(env.sender)) return std::nullopt;
+  ParsedFrame parsed;
+  if (!d.u8(type) || !d.u32(parsed.env.sender)) return std::nullopt;
   if (type == 0 || type > kPayloadReaders.size()) return std::nullopt;
-  if (!kPayloadReaders[type - 1](d, env.msg)) return std::nullopt;
+  if (!kPayloadReaders[type - 1](d, parsed.env.msg)) return std::nullopt;
 
-  const std::size_t body_len = frame.size() - d.remaining();
+  parsed.body_len = frame.size() - d.remaining();
   std::uint8_t mac_count = 0;
   if (!d.u8(mac_count)) return std::nullopt;
   if (d.remaining() != static_cast<std::size_t>(mac_count) * sizeof(Mac)) {
     return std::nullopt;
   }
-  if (keys != nullptr) {
-    // A forged/corrupted sender id outside the group must be *rejected*,
-    // not allowed to throw out of the decoder (remote crash vector —
-    // found by the bit-flip fuzz test).
-    if (env.sender >= keys->group_size()) return std::nullopt;
-    if (mac_count == 0) return std::nullopt;  // nothing to verify
-    // Pick our slot: full authenticators are indexed by node id; a single
-    // MAC is for us by construction.
-    const std::uint32_t self = keys->self();
-    std::size_t slot = 0;
-    if (mac_count > 1) {
-      if (self >= mac_count) return std::nullopt;  // no MAC for us
-      slot = self;
-    }
-    // Read our slot in place: the length check above put it inside frame.
-    Mac mac;
-    std::copy_n(frame.begin() + static_cast<std::ptrdiff_t>(
-                                    body_len + 1 + slot * sizeof(Mac)),
-                sizeof(Mac), mac.begin());
-    if (!keys->verify_from(env.sender, frame.first(body_len), mac)) {
-      return std::nullopt;
-    }
-  }
-  return env;
+  return parsed;
 }
 
-}  // namespace
+bool authentic(ByteView frame, const ParsedFrame& parsed,
+               const KeyTable& keys) {
+  // A forged/corrupted sender id outside the group must be *rejected*,
+  // not allowed to throw out of the MAC check (remote crash vector —
+  // found by the bit-flip fuzz test).
+  if (parsed.env.sender >= keys.group_size()) return false;
+  // parse_frame put the mac_count byte at body_len, and its MACs after.
+  const std::size_t mac_count = frame[parsed.body_len];
+  if (mac_count == 0) return false;  // nothing to verify
+  // Pick our slot: full authenticators are indexed by node id; a single
+  // MAC is for us by construction.
+  const std::uint32_t self = keys.self();
+  std::size_t slot = 0;
+  if (mac_count > 1) {
+    if (self >= mac_count) return false;  // no MAC for us
+    slot = self;
+  }
+  Mac mac;
+  std::copy_n(frame.begin() + static_cast<std::ptrdiff_t>(
+                                  parsed.body_len + 1 + slot * sizeof(Mac)),
+              sizeof(Mac), mac.begin());
+  return keys.verify_from(parsed.env.sender, frame.first(parsed.body_len),
+                          mac);
+}
 
 std::optional<Envelope> decode_verified(ByteView frame, const KeyTable& keys) {
-  return decode_impl(frame, &keys);
-}
-
-std::optional<Envelope> decode_unverified(ByteView frame) {
-  return decode_impl(frame, nullptr);
+  std::optional<ParsedFrame> parsed = parse_frame(frame);
+  if (!parsed || !authentic(frame, *parsed, keys)) return std::nullopt;
+  return std::move(parsed->env);
 }
 
 Bytes encode_client_table(const ClientTable& table) {

@@ -14,6 +14,7 @@
 // (type | sender | payload).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -173,9 +174,6 @@ std::optional<ClientTable> decode_client_table(ByteView data);
 /// Digest of a request batch (what PRE-PREPARE/PREPARE/COMMIT agree on).
 Digest batch_digest(const std::vector<Request>& batch);
 
-/// Digest of a single request (client table bookkeeping).
-Digest request_digest(const Request& r);
-
 /// Serializes `msg` and appends an authenticator with one MAC per replica
 /// (slots 0..replica_count-1 of the key table). The frame comes back as a
 /// refcounted buffer: broadcasting it to n peers shares one allocation
@@ -187,13 +185,25 @@ SharedBytes encode_for_replicas(const Envelope& env, const KeyTable& keys,
 SharedBytes encode_for_peer(const Envelope& env, const KeyTable& keys,
                             NodeId peer);
 
-/// Parses and authenticates a frame. Returns nullopt on malformed input
-/// or MAC failure — a Byzantine peer's frame simply vanishes here, which
-/// PBFT tolerates by design.
-std::optional<Envelope> decode_verified(ByteView frame, const KeyTable& keys);
+/// A frame that passed parse_frame: its envelope, and the length of
+/// the body (type | sender | payload) its MACs cover.
+struct ParsedFrame {
+  Envelope env;
+  std::size_t body_len = 0;
+};
 
-/// Parse without MAC verification (size accounting, tests).
-std::optional<Envelope> decode_unverified(ByteView frame);
+/// Structural parse, no MAC check: nullopt on an unknown type, a short
+/// payload, or a MAC trailer whose length disagrees with its count.
+std::optional<ParsedFrame> parse_frame(ByteView frame);
+
+/// True when our MAC slot of `frame` (whose parse is `parsed`) verifies.
+/// A Byzantine peer's frame simply vanishes here, which PBFT tolerates
+/// by design.
+bool authentic(ByteView frame, const ParsedFrame& parsed,
+               const KeyTable& keys);
+
+/// parse_frame, then authentic: the envelope of an authentic frame.
+std::optional<Envelope> decode_verified(ByteView frame, const KeyTable& keys);
 
 /// Human-readable message-type name (logging).
 const char* type_name(const Message& m) noexcept;

@@ -104,7 +104,7 @@ Replica::Replica(sim::Simulator& sim, std::unique_ptr<Transport> transport,
       lanes_exited_evt_(sim) {
   if (cfg_.pipelines == 0) cfg_.pipelines = 1;
   for (std::uint32_t i = 0; i < cfg_.pipelines; ++i) {
-    lane_in_.push_back(std::make_unique<sim::Mailbox<SharedBytes>>(sim));
+    lane_in_.push_back(std::make_unique<sim::Mailbox<Routed>>(sim));
     lane_busy_.push_back(false);
   }
   strategy_ = cfg_.strategy;
@@ -141,7 +141,7 @@ sim::Task<void> Replica::run() {
 
   // Shut the lanes down (empty frame == sentinel) and wait them out so
   // their mailboxes outlive them.
-  for (auto& mb : lane_in_) mb->push(SharedBytes{});
+  for (auto& mb : lane_in_) mb->push(Routed{});
   while (lanes_exited_ < cfg_.pipelines) {
     lanes_exited_evt_.reset();
     co_await lanes_exited_evt_.wait();
@@ -386,14 +386,15 @@ sim::Task<void> Replica::dispatcher_loop() {
 }
 
 void Replica::route(InboundMsg msg) {
-  // Cheap structural peek for lane routing; authentication happens in the
-  // lane (COP parallelizes the MAC work across cores).
-  const auto env = decode_unverified(msg.frame);
-  if (!env) {
+  // The frame's one parse picks its lane; the lane checks the MAC of it
+  // (COP spreads the MAC work across cores). Malformed: no MAC charge.
+  std::optional<ParsedFrame> parsed = parse_frame(msg.frame);
+  if (!parsed) {
     ++stats_.auth_failures;
     return;
   }
-  lane_in_[lane_for(*env)]->push(std::move(msg.frame));
+  const std::uint32_t lane = lane_for(parsed->env);
+  lane_in_[lane]->push(Routed{std::move(msg.frame), std::move(*parsed)});
 }
 
 std::uint32_t Replica::lane_for(const Envelope& env) const noexcept {
@@ -414,10 +415,10 @@ std::uint32_t Replica::lane_for(const Envelope& env) const noexcept {
 
 sim::Task<void> Replica::lane_loop(std::uint32_t lane) {
   for (;;) {
-    SharedBytes frame = co_await lane_in_[lane]->recv();
-    if (frame.empty()) break;  // shutdown sentinel
+    Routed routed = co_await lane_in_[lane]->recv();
+    if (routed.frame.empty()) break;  // shutdown sentinel
     lane_busy_[lane] = true;
-    co_await handle_frame(std::move(frame), lane);
+    co_await handle_frame(std::move(routed));
     lane_busy_[lane] = false;
     if (lane_in_[lane]->empty()) lanes_idle_evt_.set();
   }
@@ -438,41 +439,36 @@ sim::Task<void> Replica::lanes_idle() {
   }
 }
 
-sim::Task<void> Replica::handle_frame(SharedBytes frame, std::uint32_t lane) {
+sim::Task<void> Replica::handle_frame(Routed routed) {
   // Authenticator verification burns a (virtual) core for the MAC over
-  // the frame.
-  co_await sim_->sleep(cfg_.costs.mac_time(frame.size()));
-  std::optional<Envelope> env = decode_verified(frame.view(), keys_);
-  if (!env) {
+  // the frame; the dispatcher already parsed it.
+  co_await sim_->sleep(cfg_.costs.mac_time(routed.frame.size()));
+  if (!authentic(routed.frame, routed.parsed, keys_)) {
     ++stats_.auth_failures;
     co_return;
   }
-  // Cross-lane aliasing audit: the post-verification envelope must map to
-  // the lane that handled it, or two lanes could mutate the same LogEntry
-  // at interleaved suspension points.
-  RUBIN_AUDIT_ASSERT("cop", lane_for(*env) == lane,
-                     "frame handled by a lane that does not own it");
   co_await sim_->sleep(cfg_.costs.handle_fixed);
   ++stats_.messages_handled;
 
-  if (std::holds_alternative<Request>(env->msg)) {
-    co_await handle_request(*env, frame);
-  } else if (std::holds_alternative<PrePrepare>(env->msg)) {
-    co_await handle_pre_prepare(*env);
-  } else if (std::holds_alternative<Prepare>(env->msg)) {
-    handle_prepare(*env);
-  } else if (std::holds_alternative<Commit>(env->msg)) {
-    handle_commit(*env);
-  } else if (std::holds_alternative<Checkpoint>(env->msg)) {
-    handle_checkpoint(*env);
-  } else if (std::holds_alternative<ViewChange>(env->msg)) {
-    handle_view_change(*env, std::move(frame));
-  } else if (std::holds_alternative<NewView>(env->msg)) {
-    co_await handle_new_view(*env);
-  } else if (std::holds_alternative<StateRequest>(env->msg)) {
-    handle_state_request(*env);
-  } else if (std::holds_alternative<StateResponse>(env->msg)) {
-    co_await handle_state_response(*env);
+  const Envelope& env = routed.parsed.env;
+  if (std::holds_alternative<Request>(env.msg)) {
+    co_await handle_request(env, routed.frame);
+  } else if (std::holds_alternative<PrePrepare>(env.msg)) {
+    co_await handle_pre_prepare(env);
+  } else if (std::holds_alternative<Prepare>(env.msg)) {
+    handle_prepare(env);
+  } else if (std::holds_alternative<Commit>(env.msg)) {
+    handle_commit(env);
+  } else if (std::holds_alternative<Checkpoint>(env.msg)) {
+    handle_checkpoint(env);
+  } else if (std::holds_alternative<ViewChange>(env.msg)) {
+    handle_view_change(env);
+  } else if (std::holds_alternative<NewView>(env.msg)) {
+    co_await handle_new_view(env);
+  } else if (std::holds_alternative<StateRequest>(env.msg)) {
+    handle_state_request(env);
+  } else if (std::holds_alternative<StateResponse>(env.msg)) {
+    co_await handle_state_response(env);
   }
   co_return;
 }
@@ -566,19 +562,27 @@ sim::Task<void> Replica::propose_batch() {
       ByzantineEnv env{*sim_, *transport_, keys_, cfg_, view_};
       broadcast_honestly = strategy_->on_pre_prepare(env, pp);
     }
-    if (broadcast_honestly) send_to_replicas(Message{pp});
     arm_vc_timer();
 
-    // Dual-send: the same authenticated frame also goes out one-sided
-    // into every replica's decision ring. The message path above is not
-    // conditioned on this — if the ring write is bypassed or NAKed, the
-    // ordinary three-phase protocol still commits the batch.
-    if (cfg_.decision_log != nullptr && fast_ok_) {
-      SharedBytes record =
-          encode_for_replicas(Envelope{cfg_.self, Message{pp}}, keys_, cfg_.n);
-      // An oversized batch simply doesn't ride the ring — the message
-      // path above already carries it (same rule as a missing grant).
-      if (record.size() > cfg_.decision_log->config().slot_payload) continue;
+    // Dual-send: one authenticated frame is the broadcast and the record
+    // in every replica's decision ring. If the ring write is bypassed or
+    // NAKed (or the batch is too big for a slot, same rule as a missing
+    // grant), the ordinary three-phase protocol still commits the batch.
+    const bool ring = cfg_.decision_log != nullptr && fast_ok_;
+    if (!broadcast_honestly && !ring) continue;
+    const Envelope proposal{cfg_.self, Message{pp}};
+    SharedBytes frame = encode_for_replicas(proposal, keys_, cfg_.n);
+    SharedBytes record;
+    if (ring && frame.size() <= cfg_.decision_log->config().slot_payload) {
+      // Strategy hooks may mutate their frame in place (MAC corruption):
+      // with one installed, broadcast and record never share a buffer.
+      record = !broadcast_honestly     ? std::move(frame)
+               : strategy_ != nullptr ? SharedBytes::copy_of(frame)
+                                      : frame;
+    }
+    if (broadcast_honestly) broadcast(proposal.msg, std::move(frame));
+
+    if (!record.empty()) {
       bool fast_honestly = true;
       if (strategy_ != nullptr) {
         ByzantineEnv env{*sim_, *transport_, keys_, cfg_, view_};
@@ -833,7 +837,7 @@ void Replica::start_view_change(std::uint64_t target) {
   maybe_complete_view_change(target);
 }
 
-void Replica::handle_view_change(const Envelope& env, SharedBytes /*frame*/) {
+void Replica::handle_view_change(const Envelope& env) {
   const auto& vc = std::get<ViewChange>(env.msg);
   if (vc.new_view <= view_) return;
   vc_msgs_[vc.new_view][env.sender] = vc;
@@ -992,11 +996,15 @@ void Replica::enter_view(std::uint64_t v) {
 
 // -------------------------------------------------------------- plumbing -
 
-void Replica::send_to_replicas(const Message& m) {
-  SharedBytes frame = encode_for_replicas(Envelope{cfg_.self, m}, keys_, cfg_.n);
+void Replica::send_to_replicas(Message m) {
+  const Envelope env{cfg_.self, std::move(m)};
+  broadcast(env.msg, encode_for_replicas(env, keys_, cfg_.n));
+}
+
+void Replica::broadcast(const Message& m, SharedBytes frame) {
   if (strategy_ != nullptr) {
-    // Strategies may mutate the (still sole-owned) frame — MAC corruption
-    // — record it for replay, or suppress it entirely (mute).
+    // Strategies may mutate the (sole-owned) frame — MAC corruption —
+    // record it for replay, or suppress it entirely (mute).
     ByzantineEnv env{*sim_, *transport_, keys_, cfg_, view_};
     if (!strategy_->on_broadcast(env, m, frame)) return;
   }

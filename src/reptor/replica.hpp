@@ -175,13 +175,19 @@ class Replica {
     return seq > stable_ && seq <= stable_ + cfg_.window;
   }
 
+  /// A frame on its way to the lane that owns it, with the dispatcher's
+  /// parse of it (an empty frame is the lanes' shutdown sentinel).
+  struct Routed {
+    SharedBytes frame;
+    ParsedFrame parsed;
+  };
+
   // Dispatcher side.
   sim::Task<void> dispatcher_loop();
   void route(InboundMsg msg);
   /// COP routing function: which lane owns this message. Sequence-carrying
   /// messages go to lane seq % pipelines, requests spread by sender; the
-  /// same mapping is re-checked post-decode in handle_frame (the
-  /// cross-lane aliasing audit).
+  /// lane handles route's own parse, so it always owns what it handles.
   std::uint32_t lane_for(const Envelope& env) const noexcept;
   sim::Time next_timeout() const;
   sim::Task<void> handle_timers();
@@ -189,7 +195,7 @@ class Replica {
 
   // Lane side (each handler charges its own CPU costs).
   sim::Task<void> lane_loop(std::uint32_t lane);
-  sim::Task<void> handle_frame(SharedBytes frame, std::uint32_t lane);
+  sim::Task<void> handle_frame(Routed routed);
   sim::Task<void> handle_request(const Envelope& env, const SharedBytes& frame);
   sim::Task<void> handle_pre_prepare(const Envelope& env);
   void handle_prepare(const Envelope& env);
@@ -199,7 +205,7 @@ class Replica {
                                 const std::pair<Digest, Digest>& digests);
   void handle_state_request(const Envelope& env);
   sim::Task<void> handle_state_response(const Envelope& env);
-  void handle_view_change(const Envelope& env, SharedBytes frame);
+  void handle_view_change(const Envelope& env);
   sim::Task<void> handle_new_view(const Envelope& env);
 
   // One-sided fast path (runs only when cfg_.decision_log is set).
@@ -220,7 +226,9 @@ class Replica {
   void try_prepare(std::uint64_t seq);
   void try_commit(std::uint64_t seq);
   sim::Task<void> execute_ready();
-  void send_to_replicas(const Message& m);
+  void send_to_replicas(Message m);
+  /// Sends `m`'s encoded frame to every replica, via the broadcast hook.
+  void broadcast(const Message& m, SharedBytes frame);
   void send_to(NodeId peer, const Message& m);
   void start_view_change(std::uint64_t target);
   void maybe_complete_view_change(std::uint64_t target);
@@ -303,7 +311,7 @@ class Replica {
   sim::Time vc_deadline_ = -1;
 
   // COP lanes.
-  std::vector<std::unique_ptr<sim::Mailbox<SharedBytes>>> lane_in_;
+  std::vector<std::unique_ptr<sim::Mailbox<Routed>>> lane_in_;
   std::vector<bool> lane_busy_;
   sim::Event lanes_idle_evt_;
   std::uint32_t lanes_exited_ = 0;

@@ -98,7 +98,6 @@ class Transport {
   const GroupLayout& layout() const noexcept { return layout_; }
   const TransportStats& stats() const noexcept { return stats_; }
   void set_stack_cost(StackCost c) noexcept { stack_cost_ = c; }
-  const StackCost& stack_cost() const noexcept { return stack_cost_; }
 
   /// Queues a frame; actual I/O happens on the next poll(). The handle is
   /// shared, never copied — a frame queued to n peers is one allocation.

@@ -130,11 +130,6 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   /// read() == 0 and state() == kClosed.
   void close();
 
-  /// First non-success completion status observed on either CQ (kSuccess
-  /// while the channel is healthy). A failed channel is closed — the error
-  /// surfaces as selector readiness, never as a silent success.
-  verbs::WcStatus last_error() const noexcept { return last_error_; }
-
   ~RdmaChannel();
 
  private:
@@ -233,6 +228,10 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   std::uint64_t id_;
   ChannelConfig cfg_;
   State state_ = State::kConnecting;
+  /// First non-success completion status observed on either CQ (kSuccess
+  /// while the channel is healthy): counts each channel's failure once. A
+  /// failed channel is closed — the error surfaces as selector readiness,
+  /// never as a silent success.
   verbs::WcStatus last_error_ = verbs::WcStatus::kSuccess;
 
   verbs::CompletionChannel* comp_channel_ = nullptr;

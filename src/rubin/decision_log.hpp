@@ -27,12 +27,14 @@
 //     it.
 //
 // Authentication is layered, not assumed: records are the *same*
-// MAC-authenticated PRE-PREPARE frames the message path broadcasts, so a
-// forged slot dies in decode_verified exactly like a forged message. Ack
-// cells are unforgeable by placement: each peer writes through an rkey
-// that maps only its own table region, so replica r's cells can only have
-// been written by r. The framing adds a trailing canary so a torn write
-// is detected as "not arrived yet" rather than consumed half-written.
+// MAC-authenticated PRE-PREPARE frames the message path broadcasts (the
+// primary encodes each proposal once for both), so a forged slot fails
+// the MAC check (parse_frame, then authentic) exactly like a forged
+// message. Ack cells are unforgeable by placement: each peer writes
+// through an rkey that maps only its own table region, so replica r's
+// cells can only have been written by r. The framing adds a trailing
+// canary so a torn write is detected as "not arrived yet" rather than
+// consumed half-written.
 //
 // Safety is never carried by this class. The replica layer commits on
 // 2f + 1 endorsements (itself plus matching ack cells), any two such
@@ -87,7 +89,8 @@ struct DecisionLogStats {
 };
 
 /// A validated slot as handed to the replica layer. `record` is the
-/// MAC-authenticated frame; the caller still runs decode_verified on it.
+/// MAC-authenticated frame; the caller still parses and authenticates it
+/// (decode_verified).
 struct DecisionRecord {
   std::uint64_t seq = 0;
   std::uint64_t view = 0;

@@ -134,18 +134,13 @@ void MuxAcceptor::on_connect_request(const verbs::CmEvent& e) {
   conn_by_qpn_.set(qp->qp_num(), static_cast<std::uint32_t>(index));
   conn_by_cm_[e.conn_id] = index;
   conns_.push_back(std::move(conn));
-  ++live_conns_;
   listener_->accept(e.conn_id, std::move(qp));
 }
 
 void MuxAcceptor::on_disconnected(const verbs::CmEvent& e) {
   const auto it = conn_by_cm_.find(e.conn_id);
   if (it == conn_by_cm_.end()) return;
-  Conn& conn = conns_[it->second];
-  if (conn.open) {
-    conn.open = false;
-    --live_conns_;
-  }
+  conns_[it->second].open = false;
 }
 
 void MuxAcceptor::pump() {
@@ -159,10 +154,7 @@ void MuxAcceptor::pump() {
       }
       if (c.status != verbs::WcStatus::kSuccess) {
         const std::uint32_t conn = conn_by_qpn_.find(c.qp_num);
-        if (conn != verbs::QpnIndex::kNone && conns_[conn].open) {
-          conns_[conn].open = false;
-          --live_conns_;
-        }
+        if (conn != verbs::QpnIndex::kNone) conns_[conn].open = false;
       }
     }
   }
@@ -305,7 +297,6 @@ void MuxAcceptor::close() {
   for (Conn& c : conns_) {
     if (c.open) {
       c.open = false;
-      --live_conns_;
       ctx_->cm().disconnect(c.cm_conn);
     }
   }

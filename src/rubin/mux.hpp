@@ -97,7 +97,6 @@ class MuxAcceptor : public std::enable_shared_from_this<MuxAcceptor> {
   sim::Task<std::size_t> reply(std::uint64_t conn, SharedBytes payload);
 
   std::size_t connection_count() const noexcept { return conns_.size(); }
-  std::size_t live_connections() const noexcept { return live_conns_; }
   std::uint64_t messages_received() const noexcept { return messages_received_; }
   std::uint64_t replies_sent() const noexcept { return replies_sent_; }
   std::uint64_t reply_backpressure() const noexcept {
@@ -148,7 +147,6 @@ class MuxAcceptor : public std::enable_shared_from_this<MuxAcceptor> {
   std::vector<Conn> conns_;
   verbs::QpnIndex conn_by_qpn_;
   std::map<std::uint64_t, std::uint64_t> conn_by_cm_;
-  std::size_t live_conns_ = 0;
 
   std::deque<MuxMessage> inbox_;
   /// Receive slots consumed but not yet re-posted. SRQ mode: shared pool

@@ -38,7 +38,6 @@ class RdmaSelectionKey
   bool is_connectable() const noexcept { return ready_ & kOpConnect; }
   bool is_acceptable() const noexcept { return ready_ & kOpAccept; }
   bool is_receivable() const noexcept { return ready_ & kOpReceive; }
-  bool is_sendable() const noexcept { return ready_ & kOpSend; }
 
   /// The registered channel's unique connection identifier.
   std::uint64_t channel_id() const noexcept {

@@ -17,8 +17,6 @@ class Event {
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
 
-  bool is_set() const noexcept { return set_; }
-
   /// Sets the event and schedules every current waiter for resumption at
   /// the current instant (registration order, through the allocation-free
   /// resume fast path). Idempotent while set.

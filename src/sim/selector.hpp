@@ -74,13 +74,11 @@ class BasicSelectionKey {
   using Channel = ChannelT;
   using Server = ServerT;
 
-  std::uint32_t interest_ops() const noexcept { return interest_; }
   void set_interest_ops(std::uint32_t ops) noexcept {
     RUBIN_AUDIT_ASSERT("selector", !cancelled_,
                        "set_interest_ops on a cancelled key");
     interest_ = ops;
   }
-  std::uint32_t ready_ops() const noexcept { return ready_; }
 
   /// Opaque user value (Java's key.attach()), typically a connection id.
   std::uint64_t attachment() const noexcept { return attachment_; }

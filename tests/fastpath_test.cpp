@@ -197,6 +197,28 @@ TEST_F(FastPathTest, ForgingPrimaryFallsBackWithoutDivergence) {
   EXPECT_EQ(counters::value("decision_log.fast_commit"), 0u);
 }
 
+TEST_F(FastPathTest, MacCorruptingPrimaryStillPublishesAuthenticRecords) {
+  // The primary garbles the MACs of its broadcasts toward even-numbered
+  // peers, in place. Its ring record is the same encoded PRE-PREPARE as
+  // its broadcast, so that edit must not reach the record: replica 2
+  // rejects the primary's broadcasts yet fast-commits every batch from
+  // its ring.
+  BftHarness h(Backend::kRubin, 4, 1);
+  h.enable_decision_log();
+  h.add_replicas({{0, "corrupt-macs"}}, fast_cfg());
+  auto& client = h.add_client(4);
+  counters::reset();
+  std::vector<std::uint64_t> results;
+  run_client(h, client, 10, results);
+  h.sim().run_until(sim::seconds(2));
+
+  ASSERT_EQ(results.size(), 10u);
+  expect_no_divergence(h, 10, 50);
+  EXPECT_EQ(counters::value("decision_log.reject"), 0u);
+  EXPECT_EQ(h.replica(2).stats().fast_commits, 10u);
+  EXPECT_GT(h.replica(2).stats().auth_failures, 0u);
+}
+
 TEST_F(FastPathTest, TornWriterStallsFastPathButNotAgreement) {
   // Torn slots are "not arrived yet" forever: the fast path simply never
   // fires (no suspension, no rejects — a canary mismatch is

@@ -224,6 +224,75 @@ TEST_P(BftTest, DuplicateRequestsNotReExecuted) {
   }
 }
 
+class BareSocketTest : public BftTest {};
+
+TEST_F(BareSocketTest, MalformedAndForgedFramesDieAtEitherEndOfTheLaneSplit) {
+  // Node 5 dials replica 1 with a bare NIO socket, the way the transport
+  // hello tests do, and sends two frames between the client's writes: one
+  // truncated (the dispatcher cannot parse it) and one well-formed with a
+  // forged MAC (its lane rejects it after the MAC charge). Each counts
+  // one auth failure and reaches no handler.
+  BftHarness h(Backend::kNio, 4, 2);
+  h.add_replicas({}, fast_cfg());
+  auto& client = h.add_client(4);
+  std::vector<std::uint64_t> results;
+  bool resume = false;
+  h.sim().spawn([](BftHarness& h, Client& c, std::vector<std::uint64_t>& out,
+                   const bool& resume) -> Task<> {
+    co_await c.start();
+    for (int i = 0; i < 6; ++i) {
+      while (i == 3 && !resume) co_await h.sim().sleep(sim::microseconds(100));
+      const Bytes result = co_await c.invoke(to_bytes("add:5"));
+      Decoder d(result);
+      out.push_back(d.get_u64().value_or(0));
+    }
+  }(h, client, results, resume));
+  while (results.size() < 3) {
+    h.sim().run_until(h.sim().now() + sim::milliseconds(1));
+    ASSERT_LT(h.sim().now(), sim::seconds(2)) << "first writes stalled";
+  }
+  h.sim().run_until(h.sim().now() + sim::milliseconds(2));
+
+  const auto sock = h.tcp().connect(h.layout().hosts[5],
+                                    {h.layout().hosts[1], h.layout().base_port});
+  const auto send_framed = [&](ByteView f) {
+    Bytes wire(4);
+    store_le(wire.data(), static_cast<std::uint32_t>(f.size()));
+    wire.insert(wire.end(), f.begin(), f.end());
+    h.sim().spawn([](tcpsim::TcpSocket& s, Bytes wire) -> Task<> {
+      std::size_t off = 0;
+      while (off < wire.size()) {
+        off += co_await s.write(ByteView(wire).subspan(off));
+      }
+    }(*sock, std::move(wire)));
+    h.sim().run_until(h.sim().now() + sim::milliseconds(2));
+  };
+  h.sim().run_until(h.sim().now() + sim::milliseconds(1));
+  ASSERT_EQ(sock->state(), tcpsim::TcpSocket::State::kEstablished);
+  const Bytes hello = {5, 0, 0, 0};
+  send_framed(hello);
+
+  const SharedBytes frame = encode_for_replicas(
+      Envelope{5, Message{Request{5, 1, to_bytes("add:1000"), false}}},
+      h.keys(5), 4);
+  const ReplicaStats before = h.replica(1).stats();
+  send_framed(frame.view().first(frame.size() - 1));
+  EXPECT_EQ(h.replica(1).stats().auth_failures, before.auth_failures + 1);
+  EXPECT_EQ(h.replica(1).stats().messages_handled, before.messages_handled);
+
+  Bytes forged(frame.view().begin(), frame.view().end());
+  forged[forged.size() - 3 * sizeof(Mac)] ^= 0xA5;  // replica 1's slot
+  send_framed(forged);
+  EXPECT_EQ(h.replica(1).stats().auth_failures, before.auth_failures + 2);
+  EXPECT_EQ(h.replica(1).stats().messages_handled, before.messages_handled);
+
+  // The group keeps committing, and the forged add never executed.
+  resume = true;
+  h.sim().run_until(h.sim().now() + sim::milliseconds(200));
+  ASSERT_EQ(results.size(), 6u);
+  EXPECT_EQ(results.back(), 30u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, BftTest,
                          ::testing::Values(Backend::kNio, Backend::kRubin),
                          [](const auto& info) {

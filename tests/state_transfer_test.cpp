@@ -4,6 +4,8 @@
 // watchdog and the transport's reconnection path on the way).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chain/blockchain.hpp"
 #include "common/codec.hpp"
 #include "workloads/bft_harness.hpp"
@@ -68,6 +70,26 @@ TEST(Snapshot, BlockchainRejectsTamperedSnapshot) {
   chain::Blockchain b(2);
   EXPECT_FALSE(b.restore(snap, a.state_digest()));
   EXPECT_EQ(b.executed(), 0u);
+}
+
+TEST(Snapshot, BlockchainRejectsABrokenLinkTheDigestCannotSee) {
+  // Block 1's prev_hash is the genesis hash. Altering it changes block
+  // 1's recomputed hash but not block 2's (its own stored prev_hash is
+  // untouched), so the tip and the state digest still match: only the
+  // chain linkage can catch it.
+  chain::Blockchain a(2);
+  for (int i = 0; i < 4; ++i) (void)a.execute(to_bytes("put k v"));
+  ASSERT_EQ(a.height(), 2u);
+  Bytes snap = a.snapshot();
+  const Digest genesis = Sha256::hash(ByteView{});
+  const auto at = std::search(snap.begin(), snap.end(), genesis.begin(),
+                              genesis.end());
+  ASSERT_NE(at, snap.end());
+  *at ^= 0x01;
+  chain::Blockchain b(2);
+  EXPECT_FALSE(b.restore(snap, a.state_digest()));
+  EXPECT_EQ(b.executed(), 0u);
+  EXPECT_TRUE(b.restore(a.snapshot(), a.state_digest()));  // control
 }
 
 // ------------------------------------------------------------- codec -----
