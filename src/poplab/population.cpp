@@ -219,6 +219,16 @@ void Population::build_hosts() {
     }
     next += cspec.clients;
     cohorts_.push_back(std::move(cs));
+    // A request no longer pending was acked or expired: its timeout can
+    // never act again (req_ids are never reused).
+    expiries_.push_back(std::make_unique<sim::TimeoutQueue<Expiry>>(
+        *sim_, cspec.timeout,
+        [this](const Expiry& x) { expire(x.client, x.req_id); },
+        [this](const Expiry& x) {
+          return std::ranges::none_of(
+              clients_[x.client].pending,
+              [&x](const PendingReq& r) { return r.req_id == x.req_id; });
+        }));
   }
 }
 
@@ -369,8 +379,7 @@ sim::Task<void> Population::issue(std::size_t cohort_idx, const Arrival& a) {
   }
   ++cs.sent;
   c.pending.push_back(PendingReq{req_id, sim_->now()});
-  sim_->schedule_after(cs.spec.timeout,
-                       [this, gidx, req_id] { expire(gidx, req_id); });
+  expiries_[cohort_idx]->add(Expiry{gidx, req_id});
 }
 
 void Population::on_ack(std::uint32_t client_idx, std::uint32_t req_id) {

@@ -34,6 +34,7 @@
 #include "rubin/mux.hpp"
 #include "sim/event.hpp"
 #include "sim/task.hpp"
+#include "sim/timeout_queue.hpp"
 #include "verbs/cm.hpp"
 #include "verbs/device.hpp"
 
@@ -212,6 +213,12 @@ class Population {
     sim::Time sent_at = 0;
   };
 
+  /// A sent request's timeout: request `req_id` of client `client`.
+  struct Expiry {
+    std::uint32_t client = 0;
+    std::uint32_t req_id = 0;
+  };
+
   struct Client {
     std::shared_ptr<verbs::QueuePair> qp;
     std::unique_ptr<nio::BufferPool> ack_ring;  // per-QP mode only
@@ -249,6 +256,8 @@ class Population {
   std::vector<std::unique_ptr<ClientHost>> hosts_;
   std::vector<Client> clients_;
   std::vector<ClientCohort> cohorts_;
+  /// Per cohort: the timeouts of its sent requests (one delay each).
+  std::vector<std::unique_ptr<sim::TimeoutQueue<Expiry>>> expiries_;
   /// qpn -> global client index, per host device (qpns are per-device).
   std::vector<verbs::QpnIndex> qpn_to_client_;
 

@@ -484,8 +484,8 @@ sim::Task<void> Replica::handle_request(const Envelope& env,
     // Fast path: answer from committed state, no ordering, no dedup-table
     // changes. The client needs 2f+1 matching replies for this to count.
     co_await sim_->sleep(cfg_.costs.execute_fixed);
-    Reply reply{view_, req.client, req.id, app_->query(req.op)};
-    send_to(req.client, Message{reply});
+    send_to(req.client,
+            Message{Reply{view_, req.client, req.id, app_->query(req.op)}});
     co_return;
   }
 
@@ -715,7 +715,7 @@ sim::Task<void> Replica::execute_ready() {
       co_await sim_->sleep(cfg_.costs.execute_fixed);
       Bytes result = app_->execute(req.op);
       rec.last_id = req.id;
-      rec.last_reply = Reply{view_, req.client, req.id, result};
+      rec.last_reply = Reply{view_, req.client, req.id, std::move(result)};
       send_to(req.client, Message{*rec.last_reply});
       ++stats_.requests_executed;
       awaiting_.erase({req.client, req.id});
@@ -1011,8 +1011,9 @@ void Replica::broadcast(const Message& m, SharedBytes frame) {
   transport_->broadcast_replicas(frame);
 }
 
-void Replica::send_to(NodeId peer, const Message& m) {
-  SharedBytes frame = encode_for_peer(Envelope{cfg_.self, m}, keys_, peer);
+void Replica::send_to(NodeId peer, Message m) {
+  SharedBytes frame =
+      encode_for_peer(Envelope{cfg_.self, std::move(m)}, keys_, peer);
   if (strategy_ != nullptr) {
     ByzantineEnv env{*sim_, *transport_, keys_, cfg_, view_};
     if (!strategy_->on_send(env, peer, frame)) return;

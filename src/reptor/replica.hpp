@@ -229,7 +229,7 @@ class Replica {
   void send_to_replicas(Message m);
   /// Sends `m`'s encoded frame to every replica, via the broadcast hook.
   void broadcast(const Message& m, SharedBytes frame);
-  void send_to(NodeId peer, const Message& m);
+  void send_to(NodeId peer, Message m);
   void start_view_change(std::uint64_t target);
   void maybe_complete_view_change(std::uint64_t target);
   /// A sequence re-issued by a NEW-VIEW that this replica already decided

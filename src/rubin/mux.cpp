@@ -234,7 +234,6 @@ sim::Task<std::size_t> MuxAcceptor::reply(std::uint64_t conn,
   Conn& c = conns_[conn];
   if (!c.open || c.qp->state() != verbs::QpState::kReadyToSend ||
       c.qp->send_slots_free() == 0) {
-    ++reply_backpressure_;
     co_return 0;
   }
   if (payload.size() > cfg_.buffer_size) {
@@ -256,10 +255,7 @@ sim::Task<std::size_t> MuxAcceptor::reply(std::uint64_t conn,
     // The staging slot donates registered address space; the refcounted
     // handle rides the WR (zero-copy), so the slot's bytes stay cold.
     const auto slot = send_pool_->acquire();
-    if (!slot) {
-      ++reply_backpressure_;
-      co_return 0;
-    }
+    if (!slot) co_return 0;
     wr.wr_id = kSlotBase + *slot;
     wr.sg_list = send_pool_->sge(*slot, static_cast<std::uint32_t>(n));
     wr.shared_payload.append(payload);
@@ -270,10 +266,8 @@ sim::Task<std::size_t> MuxAcceptor::reply(std::uint64_t conn,
     if (posted_id != kInlineWr) {
       send_pool_->release(static_cast<std::uint32_t>(posted_id - kSlotBase));
     }
-    ++reply_backpressure_;
     co_return 0;
   }
-  ++replies_sent_;
   co_return n;
 }
 

@@ -98,10 +98,6 @@ class MuxAcceptor : public std::enable_shared_from_this<MuxAcceptor> {
 
   std::size_t connection_count() const noexcept { return conns_.size(); }
   std::uint64_t messages_received() const noexcept { return messages_received_; }
-  std::uint64_t replies_sent() const noexcept { return replies_sent_; }
-  std::uint64_t reply_backpressure() const noexcept {
-    return reply_backpressure_;
-  }
 
   /// Bytes of receive-buffer state provisioned for the population — the
   /// scalability bench's memory-per-connection numerator. SRQ mode: the
@@ -158,8 +154,6 @@ class MuxAcceptor : public std::enable_shared_from_this<MuxAcceptor> {
 
   sim::Event arrival_{ctx_->simulator()};
   std::uint64_t messages_received_ = 0;
-  std::uint64_t replies_sent_ = 0;
-  std::uint64_t reply_backpressure_ = 0;
   bool closed_ = false;
 };
 

@@ -148,7 +148,13 @@ Simulator::Fired Simulator::advance(Time deadline) {
   // Set once a cancelled entry was popped: like the sleep loop, whatever
   // comes next then fires even past the deadline.
   bool forced = false;
+  Time cancelled_t = 0;
+  std::uint64_t cancelled_seq = 0;
   for (;;) {
+    if (forced && !dropped_.empty() &&
+        stop_at_dropped(cancelled_t, cancelled_seq, deadline)) {
+      return Fired::kSkip;
+    }
     if (!parked_.empty()) {
       // Parked pollers due before the next queue entry fire first.
       const std::size_t i = earliest_parked();
@@ -163,17 +169,22 @@ Simulator::Fired Simulator::advance(Time deadline) {
       }
     }
     Time t = now_;
+    std::uint64_t seq = 0;
     std::uintptr_t payload = 0;
     if (!now_queue_.empty()) {
       if (now_ > deadline && !forced) return Fired::kNothing;
       // Ring entries all sit at now_; the heap can still hold an earlier
       // (t == now_, smaller seq) entry scheduled before time advanced
-      // here, which must fire first to keep global (t, seq) order.
+      // here (or reserved before it), which must fire first to keep
+      // global (t, seq) order.
       const NowEntry& n = now_queue_.front();
       if (!pending_empty() && pending_front().t == now_ &&
           pending_front().seq < n.seq) {
-        payload = pending_pop().payload;
+        const HeapEntry e = pending_pop();
+        seq = e.seq;
+        payload = e.payload;
       } else {
+        seq = n.seq;
         payload = n.payload;
         (void)now_queue_.pop();
       }
@@ -186,13 +197,46 @@ Simulator::Fired Simulator::advance(Time deadline) {
       RUBIN_AUDIT_ASSERT("sim", e.t >= now_,
                          "event popped out of order (time went backwards)");
       t = e.t;
+      seq = e.seq;
       payload = e.payload;
     } else {
       return Fired::kNothing;
     }
     if (dispatch(t, payload)) return Fired::kEvent;
     forced = true;  // cancelled entry: skipped without counting
+    cancelled_t = t;
+    cancelled_seq = seq;
   }
+}
+
+bool Simulator::stop_at_dropped(Time ct, std::uint64_t cseq, Time deadline) {
+  Time nt = kNever;
+  std::uint64_t nseq = std::numeric_limits<std::uint64_t>::max();
+  (void)next_entry(nt, nseq);
+  if (!parked_.empty()) {
+    const Parked& p = parked_[earliest_parked()];
+    if (p.fires_before(nt, nseq)) {
+      nt = p.t;
+      nseq = p.seq;
+    }
+  }
+  // Due anyway: the dropped no-op would have fired first and changed
+  // nothing.
+  if (nt <= deadline) return false;
+  bool found = false;
+  for (const DroppedTimeouts* d : dropped_) {
+    Time dt = 0;
+    std::uint64_t dseq = 0;
+    if (d->first_after(ct, cseq, dt, dseq) &&
+        (dt != nt ? dt < nt : dseq < nseq)) {
+      nt = dt;
+      nseq = dseq;
+      found = true;
+    }
+  }
+  // The earliest one is where the pass-through would have ended.
+  if (found && nt > now_) now_ = nt;
+  return found;
 }
 
 bool Simulator::next_entry(Time& t, std::uint64_t& seq) const noexcept {

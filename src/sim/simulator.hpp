@@ -14,7 +14,9 @@
 // small captures via SBO). Events scheduled *at the current instant* go
 // through a FIFO ring that bypasses the binary heap entirely. Memory
 // pollers whose iterations find nothing park beside the queue
-// (idle_wait) and cost no event until their idle test fails.
+// (idle_wait) and cost no event until their idle test fails. Timeouts
+// that share one delay wait in a TimeoutQueue (timeout_queue.hpp) with
+// only their front in the queue.
 #pragma once
 
 #include <array>
@@ -56,6 +58,20 @@ class IdleSteps {
   static Time clamp(Time d) noexcept { return d > 0 ? d : 0; }
   std::array<Time, 2> step_;
   std::uint32_t count_;
+};
+
+/// The timeouts a TimeoutQueue (sim/timeout_queue.hpp) dropped as
+/// settled instead of firing them as no-op events. run_until asks where
+/// they stood (see run_until).
+class DroppedTimeouts {
+ public:
+  /// The (t, seq) of the first dropped timeout that fires after (t, seq);
+  /// false when there is none.
+  virtual bool first_after(Time t, std::uint64_t seq, Time& out_t,
+                           std::uint64_t& out_seq) const = 0;
+
+ protected:
+  ~DroppedTimeouts() = default;
 };
 
 class Simulator {
@@ -129,6 +145,31 @@ class Simulator {
   /// Cancels a pending callback. O(1); safe (and a no-op) after it fired.
   void cancel(TimerId id);
 
+  /// Takes the seq that a schedule call made now would take, for an
+  /// entry that schedule_reserved enqueues later (TimeoutQueue).
+  std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+
+  /// Schedules `fn` at exactly (t, seq), where `seq` came from
+  /// reserve_seq() and (t, seq) has not been passed yet: t >= now, and
+  /// nothing that fires after (t, seq) has run. Not cancellable.
+  template <typename F>
+    requires std::is_invocable_v<std::decay_t<F>&>
+  void schedule_reserved(Time t, std::uint64_t seq, F&& fn) {
+    RUBIN_COUNT("sim.schedule.erased", 1);
+    RUBIN_AUDIT_ASSERT("sim", t >= now_ && seq < next_seq_,
+                       "reserved entry scheduled in the past");
+    const std::uint32_t slot = acquire_slot();
+    slot_ref(slot).fn.emplace(std::forward<F>(fn));
+    // The heap even at t == now_: the ring must stay in seq order, and
+    // step() merges a heap entry at now_ by seq.
+    pending_push(HeapEntry{t, seq, slot_payload(slot)});
+  }
+
+  /// Registers a TimeoutQueue's dropped timeouts for run_until; the
+  /// queue unregisters before it dies.
+  void watch_dropped(const DroppedTimeouts* d) { dropped_.push_back(d); }
+  void unwatch_dropped(const DroppedTimeouts* d) { std::erase(dropped_, d); }
+
   /// Starts a root coroutine. It begins running when the event loop next
   /// reaches the current instant. The simulator owns the frame: it is
   /// destroyed on completion, and a simulator torn down mid-run destroys
@@ -144,7 +185,12 @@ class Simulator {
   void run();
 
   /// Runs until virtual time would exceed `deadline` (events at exactly
-  /// `deadline` still run) or the queue empties.
+  /// `deadline` still run) or the queue empties. One exception: a
+  /// cancelled entry popped at or before `deadline` lets the entry after
+  /// it fire even past `deadline` (the clock then ends there, not at
+  /// `deadline`). A parked poller's idle instant or a timeout a
+  /// TimeoutQueue dropped stands in that place for the no-op event it
+  /// replaced, and ends the run there instead.
   void run_until(Time deadline);
   void run_for(Time duration) { run_until(now_ + duration); }
 
@@ -428,6 +474,10 @@ class Simulator {
   void skip_instant(Parked& p);
   /// Resumes parked poller `i` at its instant, as one event.
   void wake(std::size_t i);
+  /// After the cancelled entry (ct, cseq): true, with the clock moved
+  /// there, when a dropped timeout comes before the next entry and that
+  /// entry is past `deadline`.
+  bool stop_at_dropped(Time ct, std::uint64_t cseq, Time deadline);
 
   std::vector<HeapEntry> heap_;
   /// FIFO of entries pushed in firing order (see pending_push); consumed
@@ -444,6 +494,7 @@ class Simulator {
   std::size_t live_roots_ = 0;
   std::uint64_t next_root_id_ = 0;
   std::vector<Parked> parked_;  // unordered; a handful at most
+  std::vector<const DroppedTimeouts*> dropped_;  // one per TimeoutQueue
   /// Root frames finished but not yet erased (by slot index): a driver
   /// signals completion from inside its own frame, so the erase is
   /// deferred to the next step() (the frame is parked at final_suspend

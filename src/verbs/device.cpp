@@ -114,6 +114,30 @@ std::size_t Device::inject_qp_errors() {
   return faulted;
 }
 
+void Device::watch(const QueuePair& qp, sim::Time timeout, std::uint64_t op) {
+  sim::TimeoutQueue<Watch>* queue = nullptr;
+  for (const auto& wd : watchdogs_) {
+    if (wd->delay() == timeout) queue = wd.get();
+  }
+  if (queue == nullptr) {
+    // A QP that is gone or broken (kError is terminal), or that completed
+    // the op, can never fire the watchdog again.
+    watchdogs_.push_back(std::make_unique<sim::TimeoutQueue<Watch>>(
+        simulator(), timeout,
+        [this](const Watch& w) {
+          find_qp(w.qpn)->complete_send(
+              0, Opcode::kSend, WcStatus::kTransportRetryExceeded, true);
+        },
+        [this](const Watch& w) {
+          const auto q = find_qp(w.qpn);
+          return !q || q->state_ == QpState::kError ||
+                 q->completed_ops_ > w.op;
+        }));
+    queue = watchdogs_.back().get();
+  }
+  queue->add(Watch{qp.qpn_, op});
+}
+
 void Device::inject_nic_stall(sim::Time duration) {
   const sim::Time now = simulator().now();
   nic_free_ = std::max(nic_free_, now + duration);
@@ -243,18 +267,9 @@ sim::Task<PostResult> QueuePair::post_send(std::span<SendWr> wrs) {
     ready = tx_ready;
     ++dev_->messages_sent_;
 
-    // RC transport-retry watchdog: if this WR never completes (frames
-    // vanished into a partition), the QP breaks instead of hanging.
     const std::uint64_t op = posted_ops_++;
     if (cfg_.transport_retry_timeout_ns > 0) {
-      auto watchdog = weak_from_this();
-      sim.schedule_after(cfg_.transport_retry_timeout_ns, [watchdog, op] {
-        auto qp = watchdog.lock();
-        if (!qp || qp->state_ != QpState::kReadyToSend) return;
-        if (qp->completed_ops_ > op) return;  // completed in time
-        qp->complete_send(0, Opcode::kSend,
-                          WcStatus::kTransportRetryExceeded, true);
-      });
+      dev_->watch(*this, cfg_.transport_retry_timeout_ns, op);
     }
 
     // Snapshot the payload when the NIC actually reads it (zero-copy

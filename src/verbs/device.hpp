@@ -35,6 +35,7 @@
 #include "common/ring_buffer.hpp"
 #include "net/fabric.hpp"
 #include "sim/task.hpp"
+#include "sim/timeout_queue.hpp"
 #include "verbs/cq.hpp"
 #include "verbs/memory.hpp"
 #include "verbs/srq.hpp"
@@ -253,6 +254,16 @@ class Device {
  private:
   friend class QueuePair;
 
+  /// RC transport-retry watchdog of one posted WR: op `op` of QP `qpn`.
+  struct Watch {
+    std::uint32_t qpn;
+    std::uint64_t op;
+  };
+  /// Starts the watchdog of op `op` on `qp`, due `timeout` from now: if
+  /// the WR never completes (its frames vanished into a partition), the
+  /// QP breaks instead of hanging.
+  void watch(const QueuePair& qp, sim::Time timeout, std::uint64_t op);
+
   net::Fabric* fabric_;
   net::HostId host_;
   sim::Time nic_free_ = 0;
@@ -263,6 +274,9 @@ class Device {
   std::vector<std::unique_ptr<CompletionChannel>> channels_;
   std::vector<std::unique_ptr<CompletionQueue>> cqs_;
   std::vector<std::unique_ptr<SharedReceiveQueue>> srqs_;
+  /// One watchdog queue per distinct transport_retry_timeout_ns: a real
+  /// NIC keeps one retry timer per QP, not one per WR.
+  std::vector<std::unique_ptr<sim::TimeoutQueue<Watch>>> watchdogs_;
   std::uint64_t messages_sent_ = 0;
 };
 

@@ -394,5 +394,106 @@ TEST_F(EdgeTest, WatchdogBreaksWedgedQp) {
   EXPECT_EQ(wcs[0].status, verbs::WcStatus::kTransportRetryExceeded);
 }
 
+TEST_F(EdgeTest, WatchdogBreaksEachQpOnceAtItsPinnedInstant) {
+  // Two QPs on one device, with 1 ms and 2 ms transport-retry budgets,
+  // post interleaved WRs into a partition. Each breaks exactly once, one
+  // budget after its first WR was posted (at 160 ns and 320 ns). A third
+  // QP destroyed with WRs outstanding completes nothing.
+  verbs::ProtectionDomain pd_a;
+  verbs::ProtectionDomain pd_b;
+  auto* scq1 = dev_a.create_cq(16);
+  auto* scq2 = dev_a.create_cq(16);
+  auto* scq3 = dev_a.create_cq(16);
+  auto* rcq_a = dev_a.create_cq(16);
+  auto* cq_b = dev_b.create_cq(16);
+  std::vector<std::shared_ptr<verbs::QueuePair>> peers;
+  const auto make = [&](sim::Time budget, verbs::CompletionQueue& scq) {
+    verbs::QpConfig qc;
+    qc.transport_retry_timeout_ns = budget;
+    auto qp = dev_a.create_qp(pd_a, scq, *rcq_a, qc);
+    auto peer = dev_b.create_qp(pd_b, *cq_b, *cq_b, qc);
+    qp->connect(dev_b, peer->qp_num());
+    peer->connect(dev_a, qp->qp_num());
+    peers.push_back(std::move(peer));
+    return qp;
+  };
+  auto qp1 = make(sim::milliseconds(1), *scq1);
+  auto qp2 = make(sim::milliseconds(2), *scq2);
+  auto qp3 = make(sim::milliseconds(1), *scq3);
+
+  Bytes buf(1024);
+  auto* mr = pd_a.register_memory(buf, 0);
+  fabric.set_partitioned(0, 1, true);
+  sim.spawn([](sim::Simulator& s, verbs::QueuePair* a, verbs::QueuePair* b,
+               verbs::QueuePair* c, verbs::MemoryRegion* mr) -> Task<> {
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      for (verbs::QueuePair* qp : {a, b, c}) {
+        verbs::SendWr wr;
+        wr.wr_id = round;
+        wr.sg_list = verbs::Sge{mr->addr(), 256, mr->lkey()};
+        (void)co_await qp->post_send_one(wr);
+      }
+      if (round < 2) co_await s.sleep(sim::microseconds(200));
+    }
+  }(sim, qp1.get(), qp2.get(), qp3.get(), mr));
+  sim.run_until(sim::microseconds(500));
+  const std::uint32_t qpn3 = qp3->qp_num();
+  qp3.reset();
+  EXPECT_EQ(dev_a.find_qp(qpn3), nullptr);
+
+  for (const auto& [cq, at] :
+       {std::pair{scq1, sim::Time{1'000'160}},
+        std::pair{scq2, sim::Time{2'000'320}}}) {
+    SCOPED_TRACE("due at " + std::to_string(at));
+    sim.run_until(at - 1);
+    EXPECT_TRUE(cq->poll(4).empty());
+    sim.run_until(at);
+    const auto wcs = cq->poll(4);
+    ASSERT_EQ(wcs.size(), 1u);
+    EXPECT_EQ(wcs[0].status, verbs::WcStatus::kTransportRetryExceeded);
+  }
+  sim.run_until(sim::milliseconds(10));
+  EXPECT_TRUE(scq1->poll(4).empty());
+  EXPECT_TRUE(scq2->poll(4).empty());
+  EXPECT_TRUE(scq3->poll(4).empty());
+  EXPECT_EQ(qp1->state(), verbs::QpState::kError);
+  EXPECT_EQ(qp2->state(), verbs::QpState::kError);
+  EXPECT_TRUE(sim.validate_heap());
+}
+
+TEST_F(EdgeTest, DeviceDestroyedWithItsWatchdogArmed) {
+  // The watchdog's simulator entry outlives its device; when it comes due
+  // it must find the device gone and do nothing.
+  verbs::ProtectionDomain pd_c;
+  verbs::ProtectionDomain pd_b;
+  auto dev_c = std::make_unique<verbs::Device>(fabric, 2);
+  auto* cq_c = dev_c->create_cq(16);
+  auto* cq_b = dev_b.create_cq(16);
+  verbs::QpConfig qc;
+  qc.transport_retry_timeout_ns = sim::milliseconds(1);
+  auto qp = dev_c->create_qp(pd_c, *cq_c, *cq_c, qc);
+  auto peer = dev_b.create_qp(pd_b, *cq_b, *cq_b, qc);
+  qp->connect(dev_b, peer->qp_num());
+  peer->connect(*dev_c, qp->qp_num());
+
+  Bytes buf(1024);
+  auto* mr = pd_c.register_memory(buf, 0);
+  fabric.set_partitioned(2, 1, true);
+  sim.spawn([](verbs::QueuePair* q, verbs::MemoryRegion* mr) -> Task<> {
+    for (std::uint64_t i = 0; i < 2; ++i) {
+      verbs::SendWr wr;
+      wr.wr_id = i;
+      wr.sg_list = verbs::Sge{mr->addr(), 256, mr->lkey()};
+      (void)co_await q->post_send_one(wr);
+    }
+  }(qp.get(), mr));
+  sim.run_until(sim::microseconds(100));
+  qp.reset();
+  dev_c.reset();
+  sim.run_until(sim::milliseconds(5));
+  EXPECT_TRUE(cq_b->poll(4).empty());
+  EXPECT_TRUE(sim.validate_heap());
+}
+
 }  // namespace
 }  // namespace rubin

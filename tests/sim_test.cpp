@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "sim/timeout_queue.hpp"
 
 namespace rubin::sim {
 namespace {
@@ -163,6 +165,23 @@ TEST(Simulator, RunUntilAdvancesClockOnEmptyQueue) {
   Simulator sim;
   sim.run_until(5000);
   EXPECT_EQ(sim.now(), 5000);
+}
+
+TEST(RunUntil, CancelledEntryLetsTheNextOneRunPastTheDeadline) {
+  // A cancelled entry popped at or before the deadline hands its turn to
+  // whatever comes next, even past the deadline; the clock ends there.
+  Simulator sim;
+  std::vector<Time> fired;
+  sim.cancel(sim.schedule_at(100, [] {}));
+  sim.schedule_at(300, [&] { fired.push_back(sim.now()); });
+  sim.schedule_at(400, [&] { fired.push_back(sim.now()); });
+  sim.run_until(200);
+  EXPECT_EQ(fired, (std::vector<Time>{300}));
+  EXPECT_EQ(sim.now(), 300);
+  // With no cancelled entry in the way, the deadline holds.
+  sim.run_until(350);
+  EXPECT_EQ(fired, (std::vector<Time>{300}));
+  EXPECT_EQ(sim.now(), 350);
 }
 
 TEST(Simulator, EventsProcessedCounter) {
@@ -628,6 +647,126 @@ TEST(IdleWait, TerminateDropsParkedPollers) {
   EXPECT_EQ(sim.live_roots(), 0u);
   flag = true;
   EXPECT_FALSE(sim.step());  // nothing left: the poller is gone
+}
+
+// ------------------------------------------------------ timeout queue --
+
+// Timeouts of two delays over ids that only ever close. A timeout acts
+// when its id is still open: it notes itself, closes its id and one more,
+// and every third one starts a timeout of the other delay. Unrelated
+// timers and posts close ids and start timeouts too, some of them exactly
+// on a deadline. Run once with one schedule_after per timeout, once
+// through TimeoutQueues; the acting firings must be the same.
+struct TimeoutWorld {
+  static constexpr Time kDelay[2] = {300, 700};
+  Simulator sim;
+  Rng rng;
+  bool queued;
+  std::vector<bool> open;
+  std::vector<std::pair<Time, std::uint64_t>> trace;  // (time, tag)
+  std::unique_ptr<TimeoutQueue<std::uint32_t>> queue[2];
+
+  TimeoutWorld(std::uint64_t seed, bool use_queue)
+      : rng(seed), queued(use_queue) {
+    if (!queued) return;
+    for (int k = 0; k < 2; ++k) {
+      queue[k] = std::make_unique<TimeoutQueue<std::uint32_t>>(
+          sim, kDelay[k], [this, k](const std::uint32_t& id) { act(k, id); },
+          [this](const std::uint32_t& id) { return !open[id]; });
+    }
+  }
+  void note(std::uint64_t tag) { trace.emplace_back(sim.now(), tag); }
+  void start(int k) {
+    const auto id = static_cast<std::uint32_t>(open.size());
+    open.push_back(true);
+    if (queued) {
+      queue[k]->add(id);
+    } else {
+      sim.schedule_after(kDelay[k], [this, k, id] {
+        if (open[id]) act(k, id);
+      });
+    }
+  }
+  void act(int k, std::uint32_t id) {
+    note(id);
+    open[id] = false;
+    open[rng.next_below(open.size())] = false;
+    if (id % 3 == 0) start(1 - k);
+  }
+  void unrelated(std::uint64_t tag) {
+    note(1'000'000 + tag);
+    if (!open.empty()) open[rng.next_below(open.size())] = false;
+    if (rng.next_below(4) == 0) start(static_cast<int>(rng.next_below(2)));
+    if (rng.next_below(4) == 0) sim.post([this, tag] { note(2'000'000 + tag); });
+  }
+};
+
+std::vector<std::pair<Time, std::uint64_t>> run_timeout_world(
+    std::uint64_t seed, bool queued) {
+  TimeoutWorld w(seed, queued);
+  Rng script(seed + 100);
+  for (std::uint64_t round = 0; round < 80; ++round) {
+    const Time now = w.sim.now();
+    // Adds at one instant, with unrelated timers tied to their deadlines
+    // before and after them in seq order.
+    for (std::uint64_t i = script.next_below(4); i > 0; --i) {
+      const int k = static_cast<int>(script.next_below(2));
+      if (script.next_below(2) == 0) {
+        w.sim.schedule_at(now + TimeoutWorld::kDelay[k],
+                          [&w, round] { w.unrelated(round); });
+      }
+      w.start(k);
+      if (script.next_below(2) == 0) {
+        w.sim.schedule_at(now + TimeoutWorld::kDelay[k],
+                          [&w, round] { w.unrelated(round + 100); });
+      }
+    }
+    // Unrelated work anywhere in the next two long delays.
+    for (std::uint64_t i = script.next_below(3); i > 0; --i) {
+      w.sim.schedule_at(now + static_cast<Time>(script.next_below(1400)),
+                        [&w, round] { w.unrelated(round + 200); });
+    }
+    w.sim.post([&w, round] { w.unrelated(round + 300); });
+    const Time deadline = now + static_cast<Time>(script.next_below(500));
+    // A cancelled timer due just before (or at) the deadline makes
+    // run_until run whatever comes next, even past the deadline.
+    if (script.next_below(2) == 0) {
+      const Time before = static_cast<Time>(script.next_below(3));
+      w.sim.cancel(w.sim.schedule_at(deadline - before, [] {}));
+    }
+    w.sim.run_until(deadline);
+    EXPECT_TRUE(w.sim.validate_heap()) << "round " << round;
+    w.note(3'000'000 + round);  // where the clock ended
+  }
+  w.sim.run();
+  EXPECT_TRUE(w.sim.validate_heap());
+  return w.trace;
+}
+
+TEST(TimeoutQueue, MatchesPerTimeoutTimers) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto timers = run_timeout_world(seed, false);
+    const auto queued = run_timeout_world(seed, true);
+    EXPECT_EQ(queued, timers);
+    // Timeouts acted and were settled in every way the script allows.
+    EXPECT_GT(timers.size(), 300u);
+  }
+}
+
+TEST(TimeoutQueue, DyingWithItsFrontArmedIsANoOp) {
+  Simulator sim;
+  int acted = 0;
+  {
+    TimeoutQueue<int> q(
+        sim, 100, [&acted](const int&) { ++acted; },
+        [](const int&) { return false; });
+    q.add(1);
+    q.add(2);
+  }
+  sim.run();
+  EXPECT_EQ(acted, 0);
+  EXPECT_TRUE(sim.validate_heap());
 }
 
 // -------------------------------------------------- determinism digest --
