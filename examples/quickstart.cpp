@@ -6,6 +6,7 @@
 // measures. Everything is deterministic virtual time.
 //
 //   $ ./quickstart
+#include <algorithm>
 #include <cstdio>
 
 #include "net/fabric.hpp"
@@ -66,14 +67,20 @@ sim::Task<> echo_client(nio::RubinContext& ctx, int messages) {
   std::printf("[client] connected, channel %llu\n",
               static_cast<unsigned long long>(channel->id()));
 
+  // The channel registers raw send buffers by address (a DiSNI-style
+  // cache), so the app sends from one long-lived buffer: a fresh heap
+  // buffer per message would make the registration charge depend on
+  // where malloc happens to put it.
+  Bytes tx(64 * 1024);
   Bytes rx(64 * 1024);
   for (int i = 0; i < messages; ++i) {
     const std::size_t size = 1024 << (i % 4);  // 1, 2, 4, 8 KB
     const Bytes msg = patterned_bytes(size, static_cast<std::uint64_t>(i));
+    std::copy(msg.begin(), msg.end(), tx.begin());
     const sim::Time t0 = ctx.simulator().now();
 
     std::size_t sent = 0;
-    while (sent == 0) sent = co_await channel->write(msg);
+    while (sent == 0) sent = co_await channel->write(ByteView(tx).first(size));
     const std::size_t n = co_await channel->read_await(rx);
 
     const bool intact =

@@ -1,61 +1,18 @@
-// Fixed-capacity FIFO ring used for hardware-like queues (QP send/receive
-// queues, completion queues). Hardware queues reject postings when full
-// rather than growing, so `push` returns false on overflow — callers model
-// the verbs error path (`ENOMEM` from ibv_post_send) off that.
+// GrowingRing: the one FIFO ring type in the tree.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <utility>
 #include <vector>
 
 namespace rubin {
 
-template <typename T>
-class RingBuffer {
- public:
-  explicit RingBuffer(std::size_t capacity)
-      : slots_(capacity + 1) {}  // one slot wasted to distinguish full/empty
-
-  std::size_t capacity() const noexcept { return slots_.size() - 1; }
-  std::size_t size() const noexcept {
-    return (tail_ + slots_.size() - head_) % slots_.size();
-  }
-  bool empty() const noexcept { return head_ == tail_; }
-  bool full() const noexcept { return size() == capacity(); }
-
-  /// False (and no effect) when the ring is full.
-  [[nodiscard]] bool push(T v) {
-    if (full()) return false;
-    slots_[tail_] = std::move(v);
-    tail_ = (tail_ + 1) % slots_.size();
-    return true;
-  }
-
-  /// Pops the oldest element; nullopt when empty.
-  std::optional<T> pop() {
-    if (empty()) return std::nullopt;
-    T v = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
-    return v;
-  }
-
-  /// Oldest element without removing it; nullptr when empty.
-  T* front() noexcept { return empty() ? nullptr : &slots_[head_]; }
-
-  void clear() noexcept { head_ = tail_ = 0; }
-
- private:
-  std::vector<T> slots_;
-  std::size_t head_ = 0;
-  std::size_t tail_ = 0;
-};
-
 /// Unbounded FIFO ring with geometric (power-of-two) growth: the backing
-/// store for software queues on hot paths — the simulator's same-instant
-/// event queue, Mailbox, channel WR accounting. Unlike std::deque it
-/// allocates nothing until the first push, and steady-state push/pop are
-/// two array ops and a mask.
+/// store for the simulator's same-instant event queue, Mailbox, channel WR
+/// accounting, QP queues and CQs. Bounded (hardware) queues check their
+/// limit before a push, so they too hold memory only for what is queued.
+/// Unlike std::deque it allocates nothing until the first push, and
+/// steady-state push/pop are two array ops and a mask.
 /// Requires T to be default-constructible (slots are value-initialized).
 template <typename T>
 class GrowingRing {

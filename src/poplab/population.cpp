@@ -414,10 +414,8 @@ void Population::pump_host(std::size_t h) {
   ClientHost& host = *hosts_[h];
   const verbs::QpnIndex& clients_by_qpn = qpn_to_client_[h];
 
-  for (;;) {
-    const auto cs = host.scq->poll(64);
-    if (cs.empty()) break;
-    for (const verbs::Completion& c : cs) {
+  while (host.scq->poll(polled_, 64) > 0) {
+    for (const verbs::Completion& c : polled_) {
       if (c.wr_id != kInlineWr && c.wr_id >= kSlotBase) {
         host.send_pool->release(static_cast<std::uint32_t>(c.wr_id - kSlotBase));
       }
@@ -429,10 +427,8 @@ void Population::pump_host(std::size_t h) {
   }
 
   std::vector<std::uint32_t> ack_slots;
-  for (;;) {
-    const auto cs = host.rcq->poll(64);
-    if (cs.empty()) break;
-    for (const verbs::Completion& c : cs) {
+  while (host.rcq->poll(polled_, 64) > 0) {
+    for (const verbs::Completion& c : polled_) {
       if (host.srq != nullptr) {
         // SRQ ack slots are shared property — reclaimed even from flushed
         // completions of dead clients. Per-QP rings die with their QP.

@@ -260,6 +260,8 @@ class Population {
   std::vector<std::unique_ptr<sim::TimeoutQueue<Expiry>>> expiries_;
   /// qpn -> global client index, per host device (qpns are per-device).
   std::vector<verbs::QpnIndex> qpn_to_client_;
+  /// pump_host's poll buffer, reused across calls.
+  std::vector<verbs::Completion> polled_;
 
   std::uint32_t established_ = 0;
   sim::Event all_connected_;

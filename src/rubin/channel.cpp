@@ -129,7 +129,8 @@ void RdmaChannel::on_cm_event(const verbs::CmEvent& e) {
 
 void RdmaChannel::pump() {
   if (send_cq_ == nullptr) return;
-  for (const verbs::Completion& c : send_cq_->poll(64)) {
+  send_cq_->poll(polled_, 64);
+  for (const verbs::Completion& c : polled_) {
     if (c.status != verbs::WcStatus::kSuccess) {
       fail(c.status);
       continue;
@@ -155,7 +156,8 @@ void RdmaChannel::pump() {
       }
     }
   }
-  for (const verbs::Completion& c : recv_cq_->poll(64)) {
+  recv_cq_->poll(polled_, 64);
+  for (const verbs::Completion& c : polled_) {
     if (c.status != verbs::WcStatus::kSuccess) {
       fail(c.status);
       continue;
@@ -165,6 +167,7 @@ void RdmaChannel::pump() {
                             c.payload});
     ++stats_.messages_received;
   }
+  polled_.clear();  // release the payload handles now, not at the next pump
   send_cq_->req_notify();
   recv_cq_->req_notify();
 }

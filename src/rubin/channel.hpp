@@ -268,6 +268,9 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   using MrKey = std::pair<std::uint64_t, std::uint64_t>;
   std::map<MrKey, verbs::MemoryRegion*> send_mr_cache_;
 
+  /// pump()'s poll buffer, reused across calls.
+  std::vector<verbs::Completion> polled_;
+
   /// Reusable WR staging for the write paths (see StagingLease).
   std::vector<verbs::SendWr> staging_;
   bool staging_busy_ = false;

@@ -337,16 +337,14 @@ std::uint32_t DecisionLog::acks_for(std::uint64_t seq,
 
 std::size_t DecisionLog::drain_completions() {
   std::size_t naks = 0;
-  for (;;) {
-    const auto batch = scq_->poll(16);
-    for (const verbs::Completion& c : batch) {
+  while (scq_->poll(polled_, 16) > 0) {
+    for (const verbs::Completion& c : polled_) {
       if (c.status == verbs::WcStatus::kRemoteAccessError) {
         ++naks;
         ++stats_.write_naks;
         RUBIN_COUNT("decision_log.write_nak", 1);
       }
     }
-    if (batch.empty()) break;
   }
   return naks;
 }

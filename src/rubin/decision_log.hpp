@@ -279,6 +279,8 @@ class DecisionLog {
   std::vector<std::shared_ptr<verbs::QueuePair>> qp_;
   verbs::CompletionQueue* scq_ = nullptr;
   verbs::CompletionQueue* rcq_ = nullptr;
+  /// drain_completions()' poll buffer, reused across calls.
+  std::vector<verbs::Completion> polled_;
 
   // Local (exposed) resources. Declaration order is registration order,
   // which fixes the keys each one gets.

@@ -145,10 +145,8 @@ void MuxAcceptor::on_disconnected(const verbs::CmEvent& e) {
 
 void MuxAcceptor::pump() {
   if (closed_) return;
-  for (;;) {
-    const auto cs = send_cq_->poll(64);
-    if (cs.empty()) break;
-    for (const verbs::Completion& c : cs) {
+  while (send_cq_->poll(polled_, 64) > 0) {
+    for (const verbs::Completion& c : polled_) {
       if (c.wr_id != kInlineWr && c.wr_id >= kSlotBase) {
         send_pool_->release(static_cast<std::uint32_t>(c.wr_id - kSlotBase));
       }
@@ -158,10 +156,8 @@ void MuxAcceptor::pump() {
       }
     }
   }
-  for (;;) {
-    const auto cs = recv_cq_->poll(64);
-    if (cs.empty()) break;
-    for (const verbs::Completion& c : cs) {
+  while (recv_cq_->poll(polled_, 64) > 0) {
+    for (const verbs::Completion& c : polled_) {
       if (c.status != verbs::WcStatus::kSuccess) {
         // Flushed SRQ WR of a torn-down QP: the slot is shared property,
         // reclaim it for the survivors. Per-QP slots die with their ring.

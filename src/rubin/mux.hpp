@@ -145,6 +145,8 @@ class MuxAcceptor : public std::enable_shared_from_this<MuxAcceptor> {
   std::map<std::uint64_t, std::uint64_t> conn_by_cm_;
 
   std::deque<MuxMessage> inbox_;
+  /// pump()'s poll buffer, reused across calls.
+  std::vector<verbs::Completion> polled_;
   /// Receive slots consumed but not yet re-posted. SRQ mode: shared pool
   /// slots. Per-QP mode: unused (slots re-post per connection in read()).
   std::vector<std::uint32_t> pending_slots_;

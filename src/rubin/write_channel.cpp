@@ -54,7 +54,7 @@ OneSidedChannel::create_pair(RubinContext& a, RubinContext& b,
 }
 
 sim::Task<bool> OneSidedChannel::acquire_credit() {
-  (void)scq_->poll(16);  // retire old signaled completions (busy-poll mode)
+  scq_->poll(polled_, 16);  // retire old signaled completions (busy-poll mode)
 
   // Flow control: the peer writes its consumed count into our credit
   // cell; without this check we would overwrite unconsumed slots — the
@@ -161,7 +161,7 @@ sim::Task<void> OneSidedChannel::return_credits() {
   // A receive-only endpoint posts nothing else on this QP, so the
   // signaling rule is what hands its unsignaled slots back; its
   // completions are retired here, where nothing else polls.
-  (void)scq_->poll(16);
+  scq_->poll(polled_, 16);
   const std::uint64_t consumed = recv_seq_;
   std::uint8_t scratch[8];
   store_le(scratch, consumed);

@@ -111,6 +111,8 @@ class OneSidedChannel {
   std::shared_ptr<verbs::QueuePair> qp_;
   verbs::CompletionQueue* scq_ = nullptr;
   verbs::CompletionQueue* rcq_ = nullptr;
+  /// Poll buffer for retiring send completions, reused across calls.
+  std::vector<verbs::Completion> polled_;
 
   // Local (exposed) resources. Declaration order is registration order,
   // which fixes the keys each one gets.

@@ -56,10 +56,20 @@ class CompletionQueue {
  public:
   CompletionQueue(sim::Simulator& sim, std::size_t capacity,
                   CompletionChannel* channel, sim::Time event_cost)
-      : sim_(&sim), ring_(capacity), channel_(channel), event_cost_(event_cost) {}
+      : sim_(&sim), capacity_(capacity), channel_(channel),
+        event_cost_(event_cost) {}
 
-  /// Drains up to `max` completions (ibv_poll_cq).
-  std::vector<Completion> poll(std::size_t max);
+  /// Drains up to `max` completions into `out`, which is cleared first
+  /// (ibv_poll_cq). Returns how many. Message paths keep one `out` per
+  /// poller, so a poll allocates nothing once the buffer has grown.
+  std::size_t poll(std::vector<Completion>& out, std::size_t max);
+
+  /// Same, into a fresh vector: for tests and setup paths.
+  std::vector<Completion> poll(std::size_t max) {
+    std::vector<Completion> out;
+    poll(out, max);
+    return out;
+  }
 
   /// Arms the CQ: the next CQE pushes one notification to the channel and
   /// disarms (ibv_req_notify_cq semantics). Consumers re-arm after
@@ -71,6 +81,7 @@ class CompletionQueue {
   /// and later handed to a selector without recreating its CQs.
   void set_channel(CompletionChannel* channel) noexcept { channel_ = channel; }
 
+  /// Completions queued now (not the capacity).
   std::size_t depth() const noexcept { return ring_.size(); }
   bool overflowed() const noexcept { return overflowed_; }
 
@@ -79,7 +90,10 @@ class CompletionQueue {
 
  private:
   sim::Simulator* sim_;
-  RingBuffer<Completion> ring_;
+  /// Grows on demand up to capacity_: a CQ sized for a burst holds memory
+  /// only for what is queued.
+  GrowingRing<Completion> ring_;
+  std::size_t capacity_;
   CompletionChannel* channel_;
   sim::Time event_cost_;
   bool armed_ = false;

@@ -442,6 +442,15 @@ void QueuePair::set_error() {
 void QueuePair::on_send_arrival(InboundSend in) {
   in.first_arrival = dev_->simulator().now();
   in.retries_left = cfg_.rnr_retries;
+  // With nothing parked, a push and the drain's pop would hand `in` straight
+  // back: receive it directly, so only a message that parks allocates the
+  // ring. Posting a receive drains what is parked, so a parked message and
+  // a ready WR never meet here; the empty() test keeps RC order from
+  // resting on that.
+  if (inbound_.empty() && can_receive()) {
+    receive(std::move(in));
+    return;
+  }
   inbound_.push(std::move(in));
   drain_inbound();
   if (!inbound_.empty() && cfg_.srq != nullptr) {
@@ -459,119 +468,123 @@ void QueuePair::on_send_arrival(InboundSend in) {
   }
 }
 
+bool QueuePair::can_receive() const noexcept {
+  return state_ != QpState::kError &&
+         (cfg_.srq != nullptr ? cfg_.srq->posted() > 0 : !recv_queue_.empty());
+}
+
 void QueuePair::drain_inbound() {
+  while (!inbound_.empty() && can_receive()) receive(inbound_.pop());
+}
+
+void QueuePair::receive(InboundSend in) {
   auto& sim = dev_->simulator();
   const auto& cm = dev_->cost();
-  SharedReceiveQueue* srq = cfg_.srq;
-  while (!inbound_.empty() && state_ != QpState::kError &&
-         (srq != nullptr ? srq->posted() > 0 : !recv_queue_.empty())) {
-    InboundSend in = inbound_.pop();
-    const RecvWr rwr = srq != nullptr ? srq->take() : recv_queue_.pop();
-    const bool from_srq = srq != nullptr;
+  const bool from_srq = cfg_.srq != nullptr;
+  const RecvWr rwr = from_srq ? cfg_.srq->take() : recv_queue_.pop();
 
-    const MemoryRegion* mr = pd_->check_local(rwr.sge, /*need_write=*/true);
-    auto fail_both = [&](WcStatus recv_status, WcStatus send_status) {
-      complete_recv(
-          Completion{rwr.wr_id, Opcode::kRecv, recv_status, 0, qpn_, {}});
-      set_error();
-      if (auto sender = in.sender.lock()) {
-        sim.schedule_after(cm.ack_latency, [sender, in_wr = in.sender_wr_id,
-                                            send_status] {
-          sender->complete_send(in_wr, Opcode::kSend, send_status, true);
-        });
-      }
-    };
-    if (mr == nullptr) {
-      fail_both(WcStatus::kLocalProtectionError, WcStatus::kRemoteOperationError);
-      return;
+  const MemoryRegion* mr = pd_->check_local(rwr.sge, /*need_write=*/true);
+  auto fail_both = [&](WcStatus recv_status, WcStatus send_status) {
+    complete_recv(
+        Completion{rwr.wr_id, Opcode::kRecv, recv_status, 0, qpn_, {}});
+    set_error();
+    if (auto sender = in.sender.lock()) {
+      sim.schedule_after(cm.ack_latency, [sender, in_wr = in.sender_wr_id,
+                                          send_status] {
+        sender->complete_send(in_wr, Opcode::kSend, send_status, true);
+      });
     }
-    if (in.payload.total_size() > rwr.sge.length) {
-      fail_both(WcStatus::kRecvBufferTooSmall, WcStatus::kRemoteOperationError);
-      return;
-    }
+  };
+  if (mr == nullptr) {
+    fail_both(WcStatus::kLocalProtectionError, WcStatus::kRemoteOperationError);
+    return;
+  }
+  if (in.payload.total_size() > rwr.sge.length) {
+    fail_both(WcStatus::kRecvBufferTooSmall, WcStatus::kRemoteOperationError);
+    return;
+  }
 
-    // DMA the payload into the receive buffer, then complete.
-    const std::uint32_t len = static_cast<std::uint32_t>(in.payload.total_size());
-    const sim::Time done = dev_->nic_admit(
-        sim.now(), cm.recv_match_cost + cm.dma_time(len));
-    std::uint8_t* dst = mr->data_at(rwr.sge.addr);
-    auto self = weak_from_this();
-    sim.schedule_at(
-        done, [self, dst, in = std::move(in), rwr, len, from_srq, &cm,
-               &sim]() mutable {
-          auto qp = self.lock();
-          if (!qp || qp->state_ == QpState::kError) {
-            // An SRQ WR belongs to the consuming QP from take() onward: a
-            // QP torn down with the DMA in flight flush-completes it on
-            // its own CQ (routing survives teardown). Per-QP WRs were
-            // already flushed by set_error.
-            if (qp && from_srq) {
-              qp->complete_recv(Completion{rwr.wr_id, Opcode::kRecv,
-                                           WcStatus::kWorkRequestFlushed, 0,
-                                           qp->qpn_, {}});
-            }
-            // The responder died mid-DMA; the requester still gets a NAK —
-            // its WR must complete (with error) or its resources leak.
-            sim.schedule_after(
-                cm.ack_latency, [s = in.sender, wr_id = in.sender_wr_id] {
-                  if (auto q = s.lock()) {
-                    q->complete_send(wr_id, Opcode::kSend,
-                                     WcStatus::kRemoteOperationError, true);
-                  }
-                });
-            return;
+  // DMA the payload into the receive buffer, then complete.
+  const std::uint32_t len = static_cast<std::uint32_t>(in.payload.total_size());
+  const sim::Time done = dev_->nic_admit(
+      sim.now(), cm.recv_match_cost + cm.dma_time(len));
+  std::uint8_t* dst = mr->data_at(rwr.sge.addr);
+  auto self = weak_from_this();
+  sim.schedule_at(
+      done, [self, dst, in = std::move(in), rwr, len, from_srq, &cm,
+             &sim]() mutable {
+        auto qp = self.lock();
+        if (!qp || qp->state_ == QpState::kError) {
+          // An SRQ WR belongs to the consuming QP from take() onward: a
+          // QP torn down with the DMA in flight flush-completes it on
+          // its own CQ (routing survives teardown). Per-QP WRs were
+          // already flushed by set_error.
+          if (qp && from_srq) {
+            qp->complete_recv(Completion{rwr.wr_id, Opcode::kRecv,
+                                         WcStatus::kWorkRequestFlushed, 0,
+                                         qp->qpn_, {}});
           }
-          // The DMA-write charge is already in `done`; the physical copy
-          // into the MR happens only when the receiver reads the MR bytes
-          // directly. capture_payload consumers get the handle instead —
-          // a spliced frame is gathered here, at the receiver, which is
-          // where the paper's measured receive-side copy lives (it is
-          // counted as such, never as a send-path copy).
-          SharedBytes captured;
-          if (rwr.capture_payload) {
-            if (in.payload.slice_count() <= 1) {
-              if (in.payload.slice_count() == 1) {
-                captured = in.payload.slice_at(0);
-              }
-            } else {
-              RUBIN_COUNT("datapath.recv_copy_bytes",
-                                in.payload.total_size());
-              captured = SharedBytes::allocate(in.payload.total_size());
-              std::uint8_t* p = captured.mutable_data();
-              for (const SharedBytes& s : in.payload) {
-                std::memcpy(p, s.data(), s.size());
-                p += s.size();
-              }
+          // The responder died mid-DMA; the requester still gets a NAK —
+          // its WR must complete (with error) or its resources leak.
+          sim.schedule_after(
+              cm.ack_latency, [s = in.sender, wr_id = in.sender_wr_id] {
+                if (auto q = s.lock()) {
+                  q->complete_send(wr_id, Opcode::kSend,
+                                   WcStatus::kRemoteOperationError, true);
+                }
+              });
+          return;
+        }
+        // The DMA-write charge is already in `done`; the physical copy
+        // into the MR happens only when the receiver reads the MR bytes
+        // directly. capture_payload consumers get the handle instead —
+        // a spliced frame is gathered here, at the receiver, which is
+        // where the paper's measured receive-side copy lives (it is
+        // counted as such, never as a send-path copy).
+        SharedBytes captured;
+        if (rwr.capture_payload) {
+          if (in.payload.slice_count() <= 1) {
+            if (in.payload.slice_count() == 1) {
+              captured = in.payload.slice_at(0);
             }
           } else {
             RUBIN_COUNT("datapath.recv_copy_bytes",
                               in.payload.total_size());
-            std::uint8_t* p = dst;
+            captured = SharedBytes::allocate(in.payload.total_size());
+            std::uint8_t* p = captured.mutable_data();
             for (const SharedBytes& s : in.payload) {
               std::memcpy(p, s.data(), s.size());
               p += s.size();
             }
           }
-          sim.schedule_after(cm.cqe_cost,
-                             [self, rwr, len,
-                              captured = std::move(captured)]() mutable {
-            if (auto q = self.lock()) {
-              q->complete_recv(Completion{rwr.wr_id, Opcode::kRecv,
-                                          WcStatus::kSuccess, len, q->qpn_,
-                                          std::move(captured)});
-            }
-          });
-          // RC ack completes the sender's WR.
-          sim.schedule_after(cm.ack_latency,
-                             [s = in.sender, wr_id = in.sender_wr_id,
-                              sig = in.sender_signaled] {
-                               if (auto q = s.lock()) {
-                                 q->complete_send(wr_id, Opcode::kSend,
-                                                  WcStatus::kSuccess, sig);
-                               }
-                             });
+        } else {
+          RUBIN_COUNT("datapath.recv_copy_bytes",
+                            in.payload.total_size());
+          std::uint8_t* p = dst;
+          for (const SharedBytes& s : in.payload) {
+            std::memcpy(p, s.data(), s.size());
+            p += s.size();
+          }
+        }
+        sim.schedule_after(cm.cqe_cost,
+                           [self, rwr, len,
+                            captured = std::move(captured)]() mutable {
+          if (auto q = self.lock()) {
+            q->complete_recv(Completion{rwr.wr_id, Opcode::kRecv,
+                                        WcStatus::kSuccess, len, q->qpn_,
+                                        std::move(captured)});
+          }
         });
-  }
+        // RC ack completes the sender's WR.
+        sim.schedule_after(cm.ack_latency,
+                           [s = in.sender, wr_id = in.sender_wr_id,
+                            sig = in.sender_signaled] {
+                             if (auto q = s.lock()) {
+                               q->complete_send(wr_id, Opcode::kSend,
+                                                WcStatus::kSuccess, sig);
+                             }
+                           });
+      });
 }
 
 void QueuePair::rnr_tick() {

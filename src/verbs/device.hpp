@@ -111,6 +111,8 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   std::uint32_t recv_wrs_posted() const noexcept {
     return static_cast<std::uint32_t>(recv_queue_.size());
   }
+  /// Slots of the parked-inbound ring: 0 until a SEND first parks (tests).
+  std::size_t inbound_capacity() const noexcept { return inbound_.capacity(); }
   net::HostId remote_host() const noexcept;
 
  private:
@@ -152,6 +154,12 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
                        std::uint64_t wr_id);
 
   void complete_read_response(std::uint64_t wr_id, Bytes payload);
+  /// A receive WR is posted for the next inbound SEND (QP not in error).
+  bool can_receive() const noexcept;
+  /// Matches `in` with the next receive WR (the caller checked
+  /// can_receive()): DMA, then the receive and send completions. A buffer
+  /// that fails the protection check or is too short breaks the QP.
+  void receive(InboundSend in);
   void drain_inbound();
   void rnr_tick();
   void complete_send(std::uint64_t wr_id, Opcode op, WcStatus status,
@@ -171,8 +179,9 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   std::uint32_t remote_qpn_ = 0;
 
   std::map<std::uint64_t, PendingRead> pending_reads_;
-  // Both queues allocate on their first push only: at population scale most
-  // QPs never park a message, and an SRQ-attached QP never posts a receive.
+  // Both queues allocate on their first push only. An SRQ-attached QP never
+  // posts a receive, and a SEND that finds a receive WR skips inbound_, so
+  // only a QP whose messages park (RNR backpressure) allocates that ring.
   GrowingRing<RecvWr> recv_queue_;
   GrowingRing<InboundSend> inbound_;  // head may be waiting for a recv WR
   bool rnr_timer_armed_ = false;

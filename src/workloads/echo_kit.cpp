@@ -172,6 +172,8 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
                std::shared_ptr<verbs::QueuePair> qp, verbs::MemoryRegion* mr,
                std::size_t payload, bool& up) -> Task<> {
     int pending_recv_events = 0;
+    std::vector<verbs::Completion> rx;  // poll buffers, reused per echo
+    std::vector<verbs::Completion> tx;
     auto await_cq = [&](verbs::CompletionQueue* want) -> Task<> {
       for (;;) {
         verbs::CompletionQueue* got = co_await ch->events().recv();
@@ -186,9 +188,9 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
       } else {
         co_await await_cq(rcq);
       }
-      const auto completions = rcq->poll(16);
+      rcq->poll(rx, 16);
       rcq->req_notify();
-      for (const verbs::Completion& c : completions) {
+      for (const verbs::Completion& c : rx) {
         if (c.status != verbs::WcStatus::kSuccess) co_return;
         verbs::SendWr wr;
         wr.wr_id = c.wr_id;
@@ -200,7 +202,7 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
                            "a blocking send keeps one WR in the queue");
         // Blocking send: sleep until the send completion event.
         co_await await_cq(scq);
-        (void)scq->poll(4);
+        scq->poll(tx, 4);
         scq->req_notify();
         // Recycle the receive.
         (void)co_await qp->post_recv_one(verbs::RecvWr{
@@ -221,6 +223,7 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
                const EchoParams& p, LatencyRecorder& lat, Time& started,
                Time& finished, bool& server_up) -> Task<> {
     started = sim.now();
+    std::vector<verbs::Completion> polled;  // poll buffer, reused per echo
     for (int i = 0; i < p.messages; ++i) {
       const Time t0 = sim.now();
       verbs::SendWr wr;
@@ -238,7 +241,7 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
         verbs::CompletionQueue* got = co_await ch->events().recv();
         co_await sim.sleep(p.cost.thread_wakeup + p.cost.event_ack_cpu);
         if (got == scq) {
-          (void)scq->poll(4);
+          scq->poll(polled, 4);
           scq->req_notify();
           sent = true;
         } else {
@@ -252,7 +255,8 @@ EchoPoint run_sendrecv_echo(const EchoParams& p) {
         co_await sim.sleep(p.cost.thread_wakeup + p.cost.event_ack_cpu);
         if (got == rcq) echo_event_seen = true;
       }
-      for (const verbs::Completion& c : rcq->poll(16)) {
+      rcq->poll(polled, 16);
+      for (const verbs::Completion& c : polled) {
         if (c.status != verbs::WcStatus::kSuccess) co_return;
         (void)co_await qp->post_recv_one(verbs::RecvWr{
             c.wr_id, verbs::Sge{mr_rx->addr() + c.wr_id * p.payload,

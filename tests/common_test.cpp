@@ -8,7 +8,6 @@
 #include "common/bytes.hpp"
 #include "common/codec.hpp"
 #include "common/counters.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
@@ -215,58 +214,6 @@ TEST(Rng, ChanceExtremes) {
     EXPECT_FALSE(r.chance(0.0));
     EXPECT_TRUE(r.chance(1.0));
   }
-}
-
-// --------------------------------------------------------------- ring ----
-
-TEST(RingBuffer, PushPopFifoOrder) {
-  RingBuffer<int> rb(4);
-  EXPECT_TRUE(rb.push(1));
-  EXPECT_TRUE(rb.push(2));
-  EXPECT_TRUE(rb.push(3));
-  EXPECT_EQ(rb.pop(), 1);
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_EQ(rb.pop(), std::nullopt);
-}
-
-TEST(RingBuffer, RejectsWhenFull) {
-  RingBuffer<int> rb(2);
-  EXPECT_TRUE(rb.push(1));
-  EXPECT_TRUE(rb.push(2));
-  EXPECT_TRUE(rb.full());
-  EXPECT_FALSE(rb.push(3));
-  EXPECT_EQ(rb.size(), 2u);
-}
-
-TEST(RingBuffer, WrapsAround) {
-  RingBuffer<int> rb(3);
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(rb.push(round));
-    EXPECT_TRUE(rb.push(round + 100));
-    EXPECT_EQ(rb.pop(), round);
-    EXPECT_EQ(rb.pop(), round + 100);
-  }
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, FrontPeeksWithoutRemoving) {
-  RingBuffer<int> rb(2);
-  EXPECT_EQ(rb.front(), nullptr);
-  ASSERT_TRUE(rb.push(42));
-  ASSERT_NE(rb.front(), nullptr);
-  EXPECT_EQ(*rb.front(), 42);
-  EXPECT_EQ(rb.size(), 1u);
-}
-
-TEST(RingBuffer, ClearEmpties) {
-  RingBuffer<int> rb(4);
-  ASSERT_TRUE(rb.push(1));
-  ASSERT_TRUE(rb.push(2));
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  EXPECT_TRUE(rb.push(7));
-  EXPECT_EQ(rb.pop(), 7);
 }
 
 // --------------------------------------------------------------- stats ---

@@ -3,10 +3,11 @@
 // TEST_P so each seed is an individually reported case.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <vector>
 
 #include "chain/blockchain.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "crypto/sha256.hpp"
@@ -141,31 +142,42 @@ TEST_P(CodecFuzz, MacCountMutationsVerifyOnlyOurSlot) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, ::testing::Values(11, 22, 33, 44));
 
-// -------------------------------------------------------- ring buffer ----
+// ------------------------------------------------ completion queue ring ----
 
 using RingModel = Seeded;
 
+// A CQ is a bounded FIFO over a ring that grows on demand: random pushes
+// and polls of random width against a deque reference.
 TEST_P(RingModel, MatchesDequeReference) {
-  RingBuffer<std::uint64_t> ring(1 + rng.next_below(16));
+  sim::Simulator sim;
+  const std::size_t cap = 1 + rng.next_below(16);
+  verbs::CompletionQueue cq(sim, cap, nullptr, 0);
   std::deque<std::uint64_t> model;
+  bool overflowed = false;  // latched: the first dropped push sets it
+  std::vector<verbs::Completion> polled;
   for (int step = 0; step < 2000; ++step) {
     if (rng.chance(0.55)) {
-      const std::uint64_t v = rng.next();
-      const bool pushed = ring.push(v);
-      EXPECT_EQ(pushed, model.size() < ring.capacity());
-      if (pushed) model.push_back(v);
-    } else {
-      const auto got = ring.pop();
-      if (model.empty()) {
-        EXPECT_EQ(got, std::nullopt);
+      verbs::Completion c;
+      c.wr_id = rng.next();
+      const bool room = model.size() < cap;
+      cq.push(c);
+      if (room) {
+        model.push_back(c.wr_id);
       } else {
-        ASSERT_TRUE(got.has_value());
-        EXPECT_EQ(*got, model.front());
+        overflowed = true;
+      }
+      EXPECT_EQ(cq.overflowed(), overflowed);
+    } else {
+      const std::size_t max = 1 + rng.next_below(4);
+      const std::size_t n = cq.poll(polled, max);
+      ASSERT_EQ(n, std::min(max, model.size()));
+      ASSERT_EQ(polled.size(), n);
+      for (const verbs::Completion& c : polled) {
+        EXPECT_EQ(c.wr_id, model.front());
         model.pop_front();
       }
     }
-    EXPECT_EQ(ring.size(), model.size());
-    EXPECT_EQ(ring.empty(), model.empty());
+    EXPECT_EQ(cq.depth(), model.size());
   }
 }
 

@@ -143,6 +143,31 @@ TEST_F(SrqTest, TwoQpsInterleaveAndCompletionsRouteByQpNum) {
   EXPECT_EQ(counters::value("verbs.srq.stolen"), 6u);
 }
 
+// An arriving SEND that finds a posted SRQ receive skips the QP's
+// parked-inbound ring, so a QP whose SRQ keeps up never allocates it.
+TEST_F(SrqTest, SendsThatFindAReceiveNeverAllocateTheParkedRing) {
+  std::uint64_t received = 0;
+  sim.spawn([](SrqTest& t, std::uint64_t& received) -> Task<> {
+    std::vector<Completion> polled;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      const RecvWr wr{i, t.sge_of(t.mr_b, 0, 256), /*capture_payload=*/false};
+      EXPECT_EQ(t.srq->post_now(std::span<const RecvWr>(&wr, 1)),
+                PostResult::kOk);
+      (void)co_await t.qp_a->post_send_one(t.send_of(i, t.mr_a));
+      co_await t.sim.sleep(sim::microseconds(20));
+      t.scq_a->poll(polled, 4);
+      t.rcq_b->poll(polled, 4);
+      for (const Completion& c : polled) {
+        if (c.status == WcStatus::kSuccess && c.wr_id == i) ++received;
+      }
+    }
+  }(*this, received));
+  sim.run();
+  EXPECT_EQ(received, 1000u);
+  EXPECT_EQ(qp_b1->inbound_capacity(), 0u);
+  EXPECT_EQ(counters::value("verbs.srq.rnr_backpressure"), 0u);
+}
+
 TEST_F(SrqTest, BurstExhaustionParksThenRefillRedrains) {
   post_srq(0, 1, 512);
 

@@ -329,6 +329,87 @@ TEST_F(VerbsTest, RnrRetriesExhaustBreakTheConnection) {
   EXPECT_EQ(qp_a->state(), QpState::kError);
 }
 
+// A SEND that finds a posted receive skips the parked-inbound ring, so a
+// QP whose receives keep up never allocates it.
+TEST_F(VerbsTest, SendsThatFindAReceiveNeverAllocateTheParkedRing) {
+  std::uint64_t received = 0;
+  sim.spawn([](VerbsTest& t, std::uint64_t& received) -> Task<> {
+    std::vector<Completion> polled;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      (void)co_await t.qp_b->post_recv_one(RecvWr{i, t.sge_of(t.mr_b, 0, 256)});
+      (void)co_await t.qp_a->post_send_one(
+          wr_of(i, Opcode::kSend, t.sge_of(t.mr_a, 0, 128)));
+      co_await t.sim.sleep(sim::microseconds(20));
+      t.scq_a->poll(polled, 4);
+      t.rcq_b->poll(polled, 4);
+      for (const Completion& c : polled) {
+        if (c.status == WcStatus::kSuccess && c.wr_id == i) ++received;
+      }
+    }
+  }(*this, received));
+  sim.run();
+  EXPECT_EQ(received, 1000u);
+  EXPECT_EQ(qp_b->inbound_capacity(), 0u);
+}
+
+// A SEND that arrives while earlier ones are parked queues behind them: a
+// receive posted in between goes to the oldest parked message, and the
+// late arrival completes after every earlier one (RC order).
+TEST_F(VerbsTest, ArrivalBehindParkedMessagesCompletesInOrder) {
+  sim.spawn([](VerbsTest& t) -> Task<> {
+    auto send = [&t](std::uint64_t i) {
+      const Bytes msg = patterned_bytes(256, i);
+      std::copy(msg.begin(), msg.end(),
+                t.buf_a.begin() + static_cast<std::ptrdiff_t>(i * 1024));
+      return t.qp_a->post_send_one(
+          wr_of(i, Opcode::kSend, t.sge_of(t.mr_a, i * 1024, 256)));
+    };
+    for (std::uint64_t i = 0; i < 3; ++i) (void)co_await send(i);
+    co_await t.sim.sleep(sim::microseconds(20));  // all three parked
+    EXPECT_GT(t.qp_b->inbound_capacity(), 0u);
+    // Message 0 takes this receive; 1 and 2 stay parked.
+    (void)co_await t.qp_b->post_recv_one(RecvWr{0, t.sge_of(t.mr_b, 0, 1024)});
+    (void)co_await send(3);
+    co_await t.sim.sleep(sim::microseconds(20));
+    std::vector<RecvWr> recvs;
+    for (std::uint64_t i = 1; i < 4; ++i) {
+      recvs.push_back(RecvWr{i, t.sge_of(t.mr_b, i * 1024, 1024)});
+    }
+    (void)co_await t.qp_b->post_recv(std::move(recvs));
+  }(*this));
+  sim.run();
+  const auto rc = rcq_b->poll(8);
+  ASSERT_EQ(rc.size(), 4u);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(rc[i].wr_id, i);
+    EXPECT_EQ(rc[i].status, WcStatus::kSuccess);
+    EXPECT_TRUE(check_pattern(ByteView(buf_b).subspan(i * 1024, 256), i))
+        << "message " << i << " landed out of order";
+  }
+  EXPECT_EQ(qp_b->state(), QpState::kReadyToSend);
+}
+
+TEST_F(VerbsTest, RnrExhaustedHeadBreaksTheQpAndNaksTheMessagesBehindIt) {
+  sim.spawn([](VerbsTest& t) -> Task<> {
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      (void)co_await t.qp_a->post_send_one(
+          wr_of(i, Opcode::kSend, t.sge_of(t.mr_a, 0, 64)));
+    }
+  }(*this));
+  sim.run();  // receiver never posts a receive
+  const auto sc = scq_a->poll(8);
+  ASSERT_EQ(sc.size(), 3u);
+  EXPECT_EQ(sc[0].wr_id, 0u);
+  EXPECT_EQ(sc[0].status, WcStatus::kRnrRetryExceeded);
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(sc[i].wr_id, i);
+    EXPECT_EQ(sc[i].status, WcStatus::kRemoteOperationError);
+  }
+  EXPECT_EQ(qp_b->state(), QpState::kError);
+  EXPECT_EQ(qp_a->state(), QpState::kError);
+  EXPECT_EQ(rcq_b->depth(), 0u);
+}
+
 // ------------------------------------------------------------ one-sided --
 
 TEST_F(VerbsTest, RdmaWriteLandsWithoutResponderCompletion) {
@@ -691,6 +772,72 @@ TEST_F(VerbsTest, CqOverflowLatchesFlag) {
   }
   EXPECT_TRUE(tiny->overflowed());
   EXPECT_EQ(tiny->poll(10).size(), 2u);
+}
+
+// A CQ is a bounded FIFO whose ring grows on demand up to its capacity.
+TEST(CompletionQueue, AcceptsExactlyCapacityThenOverflows) {
+  sim::Simulator sim;
+  CompletionQueue cq(sim, 3, nullptr, 0);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    cq.push(Completion{i, Opcode::kSend, WcStatus::kSuccess, 0, 0, {}});
+    EXPECT_FALSE(cq.overflowed());
+  }
+  cq.push(Completion{99, Opcode::kSend, WcStatus::kSuccess, 0, 0, {}});
+  EXPECT_TRUE(cq.overflowed());
+  EXPECT_EQ(cq.depth(), 3u);
+  const auto cs = cq.poll(8);
+  ASSERT_EQ(cs.size(), 3u);
+  EXPECT_EQ(cs.back().wr_id, 2u);  // the fourth was dropped
+}
+
+TEST(CompletionQueue, ZeroCapacityOverflowsOnFirstPush) {
+  sim::Simulator sim;
+  CompletionQueue cq(sim, 0, nullptr, 0);
+  cq.push(Completion{});
+  EXPECT_TRUE(cq.overflowed());
+  EXPECT_EQ(cq.depth(), 0u);
+  EXPECT_TRUE(cq.poll(4).empty());
+}
+
+TEST(CompletionQueue, FifoAcrossGrowthAndWrapAround) {
+  sim::Simulator sim;
+  CompletionQueue cq(sim, 100, nullptr, 0);
+  std::vector<Completion> polled;
+  std::uint64_t pushed = 0;
+  std::uint64_t next = 0;
+  // Push 7 and poll at most 5 per round: the ring grows past its first
+  // 8 slots and its head wraps many times.
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 7 && cq.depth() < 100; ++i) {
+      Completion c;
+      c.wr_id = pushed++;
+      cq.push(c);
+    }
+    const std::size_t n = cq.poll(polled, 5);
+    EXPECT_EQ(n, polled.size());
+    EXPECT_EQ(n, std::min<std::size_t>(5, pushed - next));
+    for (const Completion& c : polled) EXPECT_EQ(c.wr_id, next++);
+  }
+  while (cq.poll(polled, 5) > 0) {
+    for (const Completion& c : polled) EXPECT_EQ(c.wr_id, next++);
+  }
+  EXPECT_EQ(next, pushed);
+  EXPECT_FALSE(cq.overflowed());
+}
+
+TEST(CompletionQueue, DepthTracksWhatIsQueued) {
+  sim::Simulator sim;
+  CompletionQueue cq(sim, 16, nullptr, 0);
+  EXPECT_EQ(cq.depth(), 0u);
+  for (int i = 0; i < 5; ++i) cq.push(Completion{});
+  EXPECT_EQ(cq.depth(), 5u);
+  std::vector<Completion> polled;
+  EXPECT_EQ(cq.poll(polled, 2), 2u);
+  EXPECT_EQ(cq.depth(), 3u);
+  EXPECT_EQ(cq.poll(polled, 8), 3u);
+  EXPECT_EQ(cq.depth(), 0u);
+  EXPECT_EQ(cq.poll(polled, 8), 0u);
+  EXPECT_TRUE(polled.empty());  // poll clears the buffer first
 }
 
 TEST_F(VerbsTest, ArmedCqDeliversOneChannelEvent) {
